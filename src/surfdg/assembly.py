@@ -123,23 +123,13 @@ def resolve_conormal_choice(choice, n_minus, n_plus):
     npl = np.asarray(n_plus, dtype=float)
     _check_unit(nm, "n_minus")
     _check_unit(npl, "n_plus")
-    if tag == "1":
-        return nm, nm, -nm
-    if tag == "2":
-        return nm, nm, npl
-    if tag == "3":
-        d = 0.5 * (nm - npl)
-        ln = np.linalg.norm(d)
-        if ln < _AVG_FLOOR:
-            return nm, nm, npl
-        d = d / ln
-        return d, d, -d
-    # Choices 4 and 4T share the consistency vectors
-    return nm, -npl, -nm
+    return tuple(v[0] for v in _resolve_batch(tag, nm.reshape(1, 3),
+                                              npl.reshape(1, 3)))
 
 
 def _resolve_batch(tag, nm, npl):
-    """Vectorized resolve_conormal_choice over (E, 3) conormal arrays."""
+    """Substitute vectors (n_D^-, n_e^-, n_e^+) of conormal choice ``tag``
+    for (E, 3) conormal arrays, seen from the elements owning nm."""
     if tag == "1":
         return nm, nm, -nm
     if tag == "2":
@@ -178,30 +168,55 @@ class SparseSystem:
         return self.matrix.data
 
 
-def _element_frames(space: DgSpace):
-    """Per-element affine data: vertex array, pushforward T = G^-1 J^T
-    (maps reference gradients to in-plane physical gradients), areas."""
-    tv = space.mesh.triangle_vertices()
-    jac = np.stack([tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0]], axis=2)
-    gram = np.einsum("mda,mdb->mab", jac, jac)
-    det = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 1, 0]
-    if np.any(det <= 0.0):
-        raise MeshError("degenerate element")
-    inv = np.empty_like(gram)
-    inv[:, 0, 0] = gram[:, 1, 1]
-    inv[:, 1, 1] = gram[:, 0, 0]
-    inv[:, 0, 1] = -gram[:, 0, 1]
-    inv[:, 1, 0] = -gram[:, 1, 0]
-    inv /= det[:, None, None]
-    t = np.einsum("mab,mdb->mad", inv, jac)  # (m, 2, 3)
-    areas = 0.5 * np.sqrt(det)
-    return tv, t, areas
-
-
 def _quad_degrees(degree: int):
     # flat-element integrands are polynomials of degree <= 2p; the face
     # rules follow the same budget
     return (4, 5) if degree == 1 else (6, 6)
+
+
+def _volume_block(space: DgSpace, rule) -> np.ndarray:
+    """Broken stiffness + mass on every element, shape (m, n, n)."""
+    frames = space.frames
+    w = rule.weights
+    vref = _values(space.degree, rule.points)
+    gref = _ref_grads(space.degree, rule.points)
+    gphys = np.einsum("qna,mad->mqnd", gref, frames.pushforward)
+    mass_ref = np.einsum("q,qi,qj->ij", w, vref, vref)
+    return 2.0 * frames.areas[:, None, None] * (
+        np.einsum("q,mqid,mqjd->mij", w, gphys, gphys)
+        + mass_ref[None, :, :])
+
+
+def _csr_system(space: DgSpace, blocks) -> SparseSystem:
+    """Sum element-pair blocks into a CSR matrix.
+
+    ``blocks`` lists (block, row_elems, col_elems) with block (E, n, n)
+    coupling the dofs of elements row_elems (E,) to those of col_elems;
+    duplicate entries are summed in list order.
+    """
+    n = space.dofs_per_element
+    dofs = np.arange(space.total_dofs).reshape(-1, n)
+    rows = [np.repeat(dofs[r], n, axis=1).ravel() for _, r, _ in blocks]
+    cols = [np.tile(dofs[c], (1, n)).ravel() for _, _, c in blocks]
+    vals = [b.ravel() for b, _, _ in blocks]
+    mat = sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(space.total_dofs,) * 2).tocsr()
+    mat.sort_indices()
+    return SparseSystem(matrix=mat, rhs=None, space=space)
+
+
+def _face_data(space: DgSpace, penalty: PenaltyParams, rule, grads: bool):
+    """Penalty weights beta_e (E,), segment weights |e| w_k (E, k), and
+    the traces of the minus and of the plus element at the points of
+    segment rule ``rule`` on every intersection."""
+    om = penalty.omegas(space.mesh)  # refuses a mesh without edges
+    edges = space.mesh.edges
+    beta = om / edges.lengths
+    wseg = rule.weights[None, :] * edges.lengths[:, None]
+    x = space.face_points(rule)
+    return (beta, wseg, space.trace(edges.minus, x, grads),
+            space.trace(edges.plus, x, grads))
 
 
 def assemble_system(space: DgSpace, choice, penalty: PenaltyParams,
@@ -212,73 +227,28 @@ def assemble_system(space: DgSpace, choice, penalty: PenaltyParams,
     exactness; entries must not change beyond roundoff when raised.
     """
     tag = normalize_choice(choice)
-    mesh = space.mesh
-    if mesh.edges is None:
-        raise MeshError("edges not built")
-    om = penalty.omegas(mesh)
-    deg = space.degree
-    nloc = space.dofs_per_element
-    tri_deg, seg_deg = quadrature or _quad_degrees(deg)
+    tri_deg, seg_deg = quadrature or _quad_degrees(space.degree)
     tri_rule = get_quadrature("triangle", tri_deg)
-    seg_rule = get_quadrature("segment", seg_deg)
+    beta, wseg, minus_tr, plus_tr = _face_data(
+        space, penalty, get_quadrature("segment", seg_deg), grads=True)
+    edges = space.mesh.edges
 
-    tv, tmap, areas = _element_frames(space)
-    nelem = len(mesh.triangles)
-    dofs = np.arange(nelem * nloc).reshape(nelem, nloc)
+    elems = np.arange(len(space.mesh.triangles))
+    blocks = [(_volume_block(space, tri_rule), elems, elems)]
 
-    rows, cols, vals = [], [], []
-
-    def scatter(block, rdofs, cdofs):
-        e, n, k = block.shape
-        rows.append(np.repeat(rdofs, k, axis=1).ravel())
-        cols.append(np.tile(cdofs, (1, n)).ravel())
-        vals.append(block.ravel())
-
-    # volume terms: stiffness + mass on every element
-    w = tri_rule.weights
-    vref = _values(deg, tri_rule.points)
-    gref = _ref_grads(deg, tri_rule.points)
-    gphys = np.einsum("qna,mad->mqnd", gref, tmap)
-    mass_ref = np.einsum("q,qi,qj->ij", w, vref, vref)
-    vol = 2.0 * areas[:, None, None] * (
-        np.einsum("q,mqid,mqjd->mij", w, gphys, gphys)
-        + mass_ref[None, :, :])
-    scatter(vol, dofs, dofs)
-
-    edges = mesh.edges
-    p0 = edges.endpoints[:, 0]
-    p1 = edges.endpoints[:, 1]
-    beta = om / edges.lengths
-    ts = seg_rule.points
-    wseg = seg_rule.weights[None, :] * edges.lengths[:, None]  # (E, k)
-    x = p0[:, None, :] + ts[None, :, None] * (p1 - p0)[:, None, :]
-
-    def side_data(elems):
-        v0 = tv[elems, 0]
-        xi = np.einsum("ead,ekd->eka", tmap[elems], x - v0[:, None, :])
-        lam = np.empty(xi.shape[:2] + (3,))
-        lam[..., 1:] = xi
-        lam[..., 0] = 1.0 - xi.sum(axis=-1)
-        vals_ = _values(deg, lam)
-        grads = np.einsum("ekna,ead->eknd", _ref_grads(deg, lam),
-                          tmap[elems])
-        return vals_, grads
-
-    for own, other, n_own, n_other in (
+    for own, other, n_own, n_other, (v_r, g_r), (v_n, g_n) in (
             (edges.minus, edges.plus, edges.conormal_minus,
-             edges.conormal_plus),
+             edges.conormal_plus, minus_tr, plus_tr),
             (edges.plus, edges.minus, edges.conormal_plus,
-             edges.conormal_minus)):
+             edges.conormal_minus, plus_tr, minus_tr)):
         n_d, n_e_own, n_e_oth = _resolve_batch(tag, n_own, n_other)
-        v_r, g_r = side_data(own)
-        v_n, g_n = side_data(other)
 
         dn_d = np.einsum("eknd,ed->ekn", g_r, n_d)
         mass_f = np.einsum("ek,eki,ekj->eij", wseg, v_r, v_r)
         diag = (-0.5) * (np.einsum("ek,ekj,eki->eij", wseg, v_r, dn_d)
                          + np.einsum("ek,eki,ekj->eij", wseg, v_r, dn_d)) \
             + beta[:, None, None] * mass_f
-        scatter(diag, dofs[own], dofs[own])
+        blocks.append((diag, own, own))
 
         dr = np.einsum("eknd,ed->ekn", g_r, n_e_own)
         dn = np.einsum("eknd,ed->ekn", g_n, n_e_oth)
@@ -290,88 +260,36 @@ def assemble_system(space: DgSpace, choice, penalty: PenaltyParams,
             off += (beta * dot)[:, None, None] * cross_mass
         else:
             off -= beta[:, None, None] * cross_mass
-        scatter(off, dofs[own], dofs[other])
+        blocks.append((off, own, other))
 
-    n = space.total_dofs
-    mat = sp.coo_matrix(
-        (np.concatenate(vals),
-         (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n)).tocsr()
-    mat.sort_indices()
-    return SparseSystem(matrix=mat, rhs=None, space=space)
+    return _csr_system(space, blocks)
 
 
 def assemble_mass_stiffness(space: DgSpace) -> SparseSystem:
     """Volume-only operator (broken stiffness + mass), no face terms."""
-    deg = space.degree
-    tri_rule = get_quadrature("triangle", _quad_degrees(deg)[0])
-    tv, tmap, areas = _element_frames(space)
-    w = tri_rule.weights
-    vref = _values(deg, tri_rule.points)
-    gref = _ref_grads(deg, tri_rule.points)
-    gphys = np.einsum("qna,mad->mqnd", gref, tmap)
-    mass_ref = np.einsum("q,qi,qj->ij", w, vref, vref)
-    vol = 2.0 * areas[:, None, None] * (
-        np.einsum("q,mqid,mqjd->mij", w, gphys, gphys)
-        + mass_ref[None, :, :])
-    nloc = space.dofs_per_element
-    nelem = len(space.mesh.triangles)
-    dofs = np.arange(nelem * nloc).reshape(nelem, nloc)
-    rows = np.repeat(dofs[:, :, None], nloc, axis=2).ravel()
-    cols = np.repeat(dofs[:, None, :], nloc, axis=1).ravel()
-    mat = sp.coo_matrix((vol.ravel(), (rows, cols)),
-                        shape=(space.total_dofs,) * 2).tocsr()
-    mat.sort_indices()
-    return SparseSystem(matrix=mat, rhs=None, space=space)
+    rule = get_quadrature("triangle", _quad_degrees(space.degree)[0])
+    elems = np.arange(len(space.mesh.triangles))
+    return _csr_system(space, [(_volume_block(space, rule), elems, elems)])
 
 
 def assemble_penalty_matrix(space: DgSpace, penalty: PenaltyParams
                             ) -> SparseSystem:
     """Jump-penalty part alone: beta (u+ - u-)(v+ - v-) on every
     intersection (the standard penalty of Choices 1 to 4)."""
-    mesh = space.mesh
-    if mesh.edges is None:
-        raise MeshError("edges not built")
-    om = penalty.omegas(mesh)
-    deg = space.degree
-    seg_rule = get_quadrature("segment", _quad_degrees(deg)[1])
-    tv, tmap, _ = _element_frames(space)
-    nloc = space.dofs_per_element
-    nelem = len(mesh.triangles)
-    dofs = np.arange(nelem * nloc).reshape(nelem, nloc)
-    edges = mesh.edges
-    p0, p1 = edges.endpoints[:, 0], edges.endpoints[:, 1]
-    beta = om / edges.lengths
-    ts = seg_rule.points
-    wseg = seg_rule.weights[None, :] * edges.lengths[:, None]
-    x = p0[:, None, :] + ts[None, :, None] * (p1 - p0)[:, None, :]
+    seg_rule = get_quadrature("segment", _quad_degrees(space.degree)[1])
+    beta, wseg, v_minus, v_plus = _face_data(space, penalty, seg_rule,
+                                             grads=False)
+    edges = space.mesh.edges
 
-    def side_vals(elems):
-        v0 = tv[elems, 0]
-        xi = np.einsum("ead,ekd->eka", tmap[elems], x - v0[:, None, :])
-        lam = np.empty(xi.shape[:2] + (3,))
-        lam[..., 1:] = xi
-        lam[..., 0] = 1.0 - xi.sum(axis=-1)
-        return _values(deg, lam)
-
-    rows, cols, vals = [], [], []
-    for own, other in ((edges.minus, edges.plus),
-                       (edges.plus, edges.minus)):
-        v_r = side_vals(own)
-        v_n = side_vals(other)
+    blocks = []
+    for own, other, v_r, v_n in ((edges.minus, edges.plus, v_minus, v_plus),
+                                 (edges.plus, edges.minus, v_plus, v_minus)):
         diag = beta[:, None, None] * np.einsum("ek,eki,ekj->eij",
                                                wseg, v_r, v_r)
         off = -beta[:, None, None] * np.einsum("ek,eki,ekj->eij",
                                                wseg, v_r, v_n)
-        for blk, cd in ((diag, dofs[own]), (off, dofs[other])):
-            rows.append(np.repeat(dofs[own][:, :, None], nloc, axis=2).ravel())
-            cols.append(np.repeat(cd[:, None, :], nloc, axis=1).ravel())
-            vals.append(blk.ravel())
-    mat = sp.coo_matrix((np.concatenate(vals),
-                         (np.concatenate(rows), np.concatenate(cols))),
-                        shape=(space.total_dofs,) * 2).tocsr()
-    mat.sort_indices()
-    return SparseSystem(matrix=mat, rhs=None, space=space)
+        blocks += [(diag, own, own), (off, own, other)]
+    return _csr_system(space, blocks)
 
 
 def assemble_rhs(space: DgSpace, surface: LevelSetSurface, f) -> np.ndarray:
@@ -379,7 +297,7 @@ def assemble_rhs(space: DgSpace, surface: LevelSetSurface, f) -> np.ndarray:
     per element int f(xi(x)) phi(x) dA_h."""
     deg = space.degree
     tri_rule = get_quadrature("triangle", _quad_degrees(deg)[0])
-    tv, _, areas = _element_frames(space)
+    tv, _, areas, _ = space.frames
     w = tri_rule.weights
     vref = _values(deg, tri_rule.points)
     pts = np.einsum("qk,mkd->mqd", tri_rule.points, tv)

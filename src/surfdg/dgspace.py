@@ -2,7 +2,9 @@
 
 Fully discontinuous nodal Lagrange spaces of degree 1 or 2 with
 element-major dof numbering, tangential (in-plane) basis gradients, and
-quadrature rules on the reference triangle and unit segment.
+quadrature rules on the reference triangle and unit segment.  Each space
+also carries its mesh's element geometry, computed once and read by
+assembly, the right-hand side and the error norms.
 
 Reference coordinates (xi, eta) relate to barycentric ones by
 lam = (1 - xi - eta, xi, eta).  P2 nodes 3, 4, 5 sit on the midpoints of
@@ -10,10 +12,12 @@ edges (0,1), (1,2), (2,0) in that order.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .mesh import SurfaceMesh
+from .mesh import MeshError, SurfaceMesh
 
 
 class QuadratureError(ValueError):
@@ -141,6 +145,16 @@ def tangential_basis_gradient(tri_vertices, degree: int, ref_point):
     return gref @ np.linalg.solve(gram, jac.T)
 
 
+class ElementFrames(NamedTuple):
+    """Per-element affine data of a flat triangulation.  The pushforward
+    T = G^-1 J^T maps reference gradients to in-plane physical ones."""
+
+    vertices: np.ndarray  # (m, 3, 3)
+    pushforward: np.ndarray  # (m, 2, 3)
+    areas: np.ndarray  # (m,)
+    normals: np.ndarray  # (m, 3), unit
+
+
 @dataclass
 class DgSpace:
     """Fully discontinuous P1/P2 space with element-major numbering."""
@@ -175,6 +189,55 @@ class DgSpace:
         tv = self.mesh.triangle_vertices()  # (m, 3, 3)
         lam = self.ref_nodes()  # (n, 3)
         return np.einsum("nk,mkd->mnd", lam, tv).reshape(-1, 3)
+
+    @cached_property
+    def frames(self) -> ElementFrames:
+        """Element frames of the mesh, computed on first use."""
+        tv = self.mesh.triangle_vertices()
+        jac = np.stack([tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0]], axis=2)
+        gram = np.einsum("mda,mdb->mab", jac, jac)
+        det = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 1, 0]
+        if np.any(det <= 0.0):
+            raise MeshError("degenerate element")
+        inv = np.empty_like(gram)
+        inv[:, 0, 0] = gram[:, 1, 1]
+        inv[:, 1, 1] = gram[:, 0, 0]
+        inv[:, 0, 1] = -gram[:, 0, 1]
+        inv[:, 1, 0] = -gram[:, 1, 0]
+        inv /= det[:, None, None]
+        t = np.einsum("mab,mdb->mad", inv, jac)
+        normals = np.cross(tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0])
+        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+        return ElementFrames(tv, t, 0.5 * np.sqrt(det), normals)
+
+    def trace(self, elems, x, grads: bool = False):
+        """Basis values (E, k, n) of elements ``elems`` (E,) at physical
+        points ``x`` (E, k, 3) in or near their planes; with ``grads``
+        also the in-plane basis gradients (E, k, n, 3).
+
+        Points off an element's plane are projected orthogonally onto it,
+        so the slightly cracked neighbour segments of nonconforming meshes
+        still have traces on both sides.
+        """
+        tv, tmap = self.frames.vertices, self.frames.pushforward
+        v0 = tv[elems, 0]
+        xi = np.einsum("ead,ekd->eka", tmap[elems], x - v0[:, None, :])
+        lam = np.empty(xi.shape[:2] + (3,))
+        lam[..., 1:] = xi
+        lam[..., 0] = 1.0 - xi.sum(axis=-1)
+        vals = _values(self.degree, lam)
+        if not grads:
+            return vals
+        return vals, np.einsum("ekna,ead->eknd",
+                               _ref_grads(self.degree, lam), tmap[elems])
+
+    def face_points(self, rule: QuadratureRule) -> np.ndarray:
+        """Points (E, k, 3) of segment rule ``rule`` on every intersection,
+        for ``trace`` of its minus and its plus element."""
+        edges = self.mesh.edges
+        p0, p1 = edges.endpoints[:, 0], edges.endpoints[:, 1]
+        t = rule.points[None, :, None]
+        return p0[:, None, :] + t * (p1 - p0)[:, None, :]
 
 
 @dataclass

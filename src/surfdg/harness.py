@@ -1,9 +1,8 @@
 """Convergence driver: refinement ladders, error norms, EOC tables,
 CSV/VTK output and cross-choice comparisons."""
 
-import os
 import time
-from contextlib import nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -11,7 +10,6 @@ import numpy as np
 from .assembly import (PenaltyParams, assemble_rhs, assemble_system,
                        normalize_choice)
 from .dgspace import DgFunction, DgSpace, _ref_grads, _values, get_quadrature
-from .geometry import project_points
 from .mesh import (SurfaceMesh, initial_mesh, mesh_width,
                    refine_nonconforming, refine_uniform)
 from .problems import TestProblem, exact_u_on_gammah, make_problem
@@ -22,18 +20,6 @@ MARKINGS = ("halfspace-x", "all")
 
 class HarnessError(RuntimeError):
     pass
-
-
-def _thread_cap():
-    """Context manager capping BLAS threads from SURFDG_THREADS."""
-    n = os.environ.get("SURFDG_THREADS")
-    if not n:
-        return nullcontext()
-    try:
-        from threadpoolctl import threadpool_limits
-        return threadpool_limits(limits=int(n))
-    except ImportError:
-        return nullcontext()
 
 
 @dataclass
@@ -120,24 +106,6 @@ def compute_eoc(errors, hs) -> list:
     return out
 
 
-def _element_geometry(mesh: SurfaceMesh):
-    tv = mesh.triangle_vertices()
-    jac = np.stack([tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0]], axis=2)
-    gram = np.einsum("mda,mdb->mab", jac, jac)
-    det = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 1, 0]
-    inv = np.empty_like(gram)
-    inv[:, 0, 0] = gram[:, 1, 1]
-    inv[:, 1, 1] = gram[:, 0, 0]
-    inv[:, 0, 1] = -gram[:, 0, 1]
-    inv[:, 1, 0] = -gram[:, 1, 0]
-    inv /= det[:, None, None]
-    tmap = np.einsum("mab,mdb->mad", inv, jac)
-    areas = 0.5 * np.sqrt(det)
-    normals = np.cross(tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0])
-    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    return tv, tmap, areas, normals
-
-
 def compute_errors(u_h: DgFunction, problem: TestProblem) -> tuple:
     """(L2, DG) errors of u_h against the lifted exact solution.
 
@@ -150,7 +118,7 @@ def compute_errors(u_h: DgFunction, problem: TestProblem) -> tuple:
     mesh = space.mesh
     deg = space.degree
     rule = get_quadrature("triangle", 6)
-    tv, tmap, areas, normals = _element_geometry(mesh)
+    tv, tmap, areas, normals = space.frames
     w = rule.weights
     pts = np.einsum("qk,mkd->mqd", rule.points, tv)
     m, q = pts.shape[:2]
@@ -180,18 +148,11 @@ def compute_errors(u_h: DgFunction, problem: TestProblem) -> tuple:
         raise HarnessError("mesh edges not built")
     edges = mesh.edges
     seg = get_quadrature("segment", 6)
-    p0, p1 = edges.endpoints[:, 0], edges.endpoints[:, 1]
-    x = p0[:, None, :] + seg.points[None, :, None] * (p1 - p0)[:, None, :]
-
-    def side_vals(elems):
-        v0 = tv[elems, 0]
-        xi = np.einsum("ead,ekd->eka", tmap[elems], x - v0[:, None, :])
-        lam = np.empty(xi.shape[:2] + (3,))
-        lam[..., 1:] = xi
-        lam[..., 0] = 1.0 - xi.sum(axis=-1)
-        return np.einsum("ei,eki->ek", coeff[elems], _values(deg, lam))
-
-    jump = side_vals(edges.plus) - side_vals(edges.minus)
+    x = space.face_points(seg)
+    jump = (np.einsum("ei,eki->ek", coeff[edges.plus],
+                      space.trace(edges.plus, x))
+            - np.einsum("ei,eki->ek", coeff[edges.minus],
+                        space.trace(edges.minus, x)))
     # weights: w_k * |e| per point, then the 1/h_e jump factor
     jump_sq = np.sum(seg.weights[None, :] * jump**2, axis=1)
     star_sq = np.sum(jump_sq)  # lengths cancel: |e| * (1/|e|)
@@ -231,6 +192,50 @@ def _build_ladder_step(mesh, surface, cfg: RunConfig, step: int):
     return refine_nonconforming(mesh, marked, surface)
 
 
+@contextmanager
+def _stage(failed: str):
+    """Re-raise any failure inside the block as a HarnessError prefixed
+    with ``failed``, which names the stage."""
+    try:
+        yield
+    except Exception as e:
+        raise HarnessError(f"{failed}: {e}") from e
+
+
+def _ladder(cfg: RunConfig, problem: TestProblem, tags, solver: str,
+            record) -> dict:
+    """Seed, then per level: rhs, assemble+solve and errors for every
+    choice in ``tags``, ``record(mesh, results, seconds)``, refine.
+
+    ``results`` maps each tag to (report, u_h, l2, dg); the last level's
+    is returned.  Hard failures abort with the stage named.
+    """
+    surface = problem.surface
+    penalty = PenaltyParams(sigma=cfg.sigma)
+    with _stage("seed stage failed"):
+        mesh = initial_mesh(surface, cfg.seed, scale=cfg.seed_scale)
+    for level in range(cfg.refinements + 1):
+        space = DgSpace(mesh, cfg.degree)
+        t0 = time.monotonic()
+        results = {}
+        solve_stage = f"assemble/solve stage failed at level {level}"
+        with _stage(solve_stage):
+            rhs = assemble_rhs(space, surface, problem.f)
+        for tag in tags:
+            with _stage(solve_stage):
+                report = _solve_level(space, tag, penalty, rhs, solver,
+                                      cfg.tol)
+            u_h = DgFunction(space, report.solution)
+            with _stage(f"error stage failed at level {level}"):
+                l2, dg = compute_errors(u_h, problem)
+            results[tag] = (report, u_h, l2, dg)
+        record(mesh, results, time.monotonic() - t0)
+        if level < cfg.refinements:
+            with _stage(f"refine stage failed after level {level}"):
+                mesh = _build_ladder_step(mesh, surface, cfg, level)
+    return results
+
+
 def run_convergence(config) -> ConvergenceReport:
     """Seed, then per level: assemble, solve, measure, refine.
 
@@ -241,51 +246,25 @@ def run_convergence(config) -> ConvergenceReport:
     cfg = config if isinstance(config, RunConfig) else RunConfig.from_dict(
         dict(config))
     problem = make_problem(cfg.surface, forcing_mode=cfg.forcing)
-    surface = problem.surface
-    penalty = PenaltyParams(sigma=cfg.sigma)
 
-    with _thread_cap():
-        try:
-            mesh = initial_mesh(surface, cfg.seed, scale=cfg.seed_scale)
-        except Exception as e:
-            raise HarnessError(f"seed stage failed: {e}") from e
+    rows = []
+    meta_levels = []
 
-        rows = []
-        meta_levels = []
-        for level in range(cfg.refinements + 1):
-            space = DgSpace(mesh, cfg.degree)
-            t0 = time.monotonic()
-            try:
-                rhs = assemble_rhs(space, surface, problem.f)
-                report = _solve_level(space, cfg.choice, penalty, rhs,
-                                      cfg.solver, cfg.tol)
-            except Exception as e:
-                raise HarnessError(
-                    f"assemble/solve stage failed at level {level}: {e}"
-                ) from e
-            u_h = DgFunction(space, report.solution)
-            try:
-                l2, dg = compute_errors(u_h, problem)
-            except Exception as e:
-                raise HarnessError(
-                    f"error stage failed at level {level}: {e}") from e
-            rows.append(ConvergenceRow(
-                elements=len(mesh.triangles), h=mesh_width(mesh),
-                l2_error=l2, l2_eoc=None, dg_error=dg, dg_eoc=None,
-                solver_converged=report.converged,
-                solver_iterations=report.iterations))
-            meta_levels.append({
-                "level": level, "dofs": space.total_dofs,
-                "iterations": report.iterations,
-                "residual": report.final_relative_residual,
-                "seconds": time.monotonic() - t0})
-            if level < cfg.refinements:
-                try:
-                    mesh = _build_ladder_step(mesh, surface, cfg, level)
-                except Exception as e:
-                    raise HarnessError(
-                        f"refine stage failed after level {level}: {e}"
-                    ) from e
+    def record(mesh, results, seconds):
+        report, u_h, l2, dg = results[cfg.choice]
+        rows.append(ConvergenceRow(
+            elements=len(mesh.triangles), h=mesh_width(mesh),
+            l2_error=l2, l2_eoc=None, dg_error=dg, dg_eoc=None,
+            solver_converged=report.converged,
+            solver_iterations=report.iterations))
+        meta_levels.append({
+            "level": len(meta_levels), "dofs": u_h.space.total_dofs,
+            "iterations": report.iterations,
+            "residual": report.final_relative_residual,
+            "seconds": seconds})
+
+    u_h = _ladder(cfg, problem, [cfg.choice], cfg.solver,
+                  record)[cfg.choice][1]
 
     l2_eocs = compute_eoc([r.l2_error for r in rows], [r.h for r in rows])
     dg_eocs = compute_eoc([r.dg_error for r in rows], [r.h for r in rows])
@@ -304,7 +283,7 @@ def run_convergence(config) -> ConvergenceReport:
     if cfg.output_csv:
         write_csv(report, cfg.output_csv)
     if cfg.output_vtk:
-        export_vtk(mesh, u_h, cfg.output_vtk)
+        export_vtk(u_h.space.mesh, u_h, cfg.output_vtk)
     return report
 
 
@@ -331,7 +310,8 @@ def compare_choices(config, choices) -> ChoiceComparison:
 
     The solver is picked per choice (BiCGSTAB for the non-symmetric
     Choice 1, CG otherwise); a single configured solver cannot serve
-    both symmetry classes in one comparison.
+    both symmetry classes in one comparison, so a configured ``solver``
+    is refused, as are the ``output_csv`` and ``output_vtk`` artifacts.
     """
     tags = [normalize_choice(c) for c in choices]
     if len(tags) < 2:
@@ -340,29 +320,23 @@ def compare_choices(config, choices) -> ChoiceComparison:
         tags.append("2")
     cfg = config if isinstance(config, RunConfig) else RunConfig.from_dict(
         dict(config))
+    for key in ("solver", "output_csv", "output_vtk"):
+        if getattr(cfg, key) != getattr(RunConfig, key):  # not the default
+            raise HarnessError(f"compare_choices does not support {key}")
     problem = make_problem(cfg.surface, forcing_mode=cfg.forcing)
-    surface = problem.surface
-    penalty = PenaltyParams(sigma=cfg.sigma)
 
     l2 = {t: [] for t in tags}
     dg = {t: [] for t in tags}
     elements, hs = [], []
-    with _thread_cap():
-        mesh = initial_mesh(surface, cfg.seed, scale=cfg.seed_scale)
-        for level in range(cfg.refinements + 1):
-            space = DgSpace(mesh, cfg.degree)
-            rhs = assemble_rhs(space, surface, problem.f)
-            elements.append(len(mesh.triangles))
-            hs.append(mesh_width(mesh))
-            for tag in tags:
-                report = _solve_level(space, tag, penalty, rhs,
-                                      "auto", cfg.tol)
-                e2, ed = compute_errors(DgFunction(space, report.solution),
-                                        problem)
-                l2[tag].append(e2)
-                dg[tag].append(ed)
-            if level < cfg.refinements:
-                mesh = _build_ladder_step(mesh, surface, cfg, level)
+
+    def record(mesh, results, _):
+        elements.append(len(mesh.triangles))
+        hs.append(mesh_width(mesh))
+        for tag in tags:
+            l2[tag].append(results[tag][2])
+            dg[tag].append(results[tag][3])
+
+    _ladder(cfg, problem, tags, "auto", record)
     return ChoiceComparison(choices=tags, elements=elements, hs=hs,
                             l2_errors=l2, dg_errors=dg)
 

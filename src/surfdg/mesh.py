@@ -128,14 +128,8 @@ def conormal(tri_vertices, edge_endpoints) -> np.ndarray:
     nrm = np.cross(tri[1] - tri[0], tri[2] - tri[0])
     if np.linalg.norm(nrm) < 2.0 * _AREA_FLOOR:
         raise MeshError("degenerate triangle")
-    c = np.cross(e[1] - e[0], nrm)
-    ln = np.linalg.norm(c)
-    if ln == 0.0:
-        raise MeshError("degenerate edge segment")
-    c /= ln
-    if c @ (tri.mean(axis=0) - 0.5 * (e[0] + e[1])) > 0.0:
-        c = -c
-    return c
+    return _conormals(tri, np.array([[0, 1, 2]]), np.array([0]),
+                      e[:1], e[1:])[0]
 
 
 def _conormals(verts, tris, elems, p0, p1):

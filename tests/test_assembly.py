@@ -20,7 +20,8 @@ from surfdg.assembly import (
 )
 from surfdg.dgspace import DgSpace
 from surfdg.geometry import make_plane, make_sphere
-from surfdg.mesh import MeshError, SurfaceMesh, build_edges, initial_mesh, refine_uniform
+from surfdg.mesh import (MeshError, SurfaceMesh, build_edges, initial_mesh,
+                         refine_nonconforming, refine_uniform)
 
 
 def equilateral_pair():
@@ -249,11 +250,24 @@ def test_choice2_positive_definite_curved():
     assert eigs.min() > 0
 
 
-def test_penalty_scaling_identity():
+def nonconforming_sphere():
+    """Icosahedral sphere with its x1 > 0 half refined once, so half of
+    its intersections are hanging segments."""
+    sph = make_sphere()
+    m = initial_mesh(sph, "icosahedron")
+    cent = m.triangle_vertices().mean(axis=1)
+    return refine_nonconforming(m, np.flatnonzero(cent[:, 0] > 0.0), sph)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("make_mesh", [lambda: sphere_mesh(0),
+                                       nonconforming_sphere],
+                         ids=["seed", "nonconforming"])
+def test_penalty_scaling_identity(make_mesh, degree):
     """Doubling omega adds exactly one extra copy of the penalty matrix:
     A(2 omega) - A(omega) = P(omega)."""
-    mesh = sphere_mesh(0)
-    space = DgSpace(mesh, 1)
+    mesh = make_mesh()
+    space = DgSpace(mesh, degree)
     bound = penalty_bounds(mesh).max()
     om = 2.0 * bound
     a1 = assemble_system(space, 2, PenaltyParams(omega=om)).matrix

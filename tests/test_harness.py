@@ -181,6 +181,15 @@ def test_run_convergence_nonconforming_step():
     assert report.metadata["all_converged"]
 
 
+@pytest.mark.parametrize("entry", [
+    run_convergence, lambda cfg: compare_choices(cfg, ["1", "3"])],
+    ids=["run_convergence", "compare_choices"])
+def test_ladder_failure_names_stage(entry, tmp_path):
+    missing = str(tmp_path / "missing.off")
+    with pytest.raises(HarnessError, match="seed stage failed"):
+        entry({"surface": "sphere", "refinements": 1, "seed": missing})
+
+
 def test_csv_bytes_deterministic(tmp_path):
     cfg = {"surface": "sphere", "refinements": 1}
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -207,6 +216,18 @@ def test_compare_choices_reference_is_unity():
     for pair in comp.ratios("2"):
         assert pair == (1.0, 1.0)
     assert comp.choices.count("2") == 1
+
+
+@pytest.mark.parametrize("key, value", [("solver", "cg"),
+                                        ("output_csv", "table.csv"),
+                                        ("output_vtk", "u.vtk")])
+def test_compare_choices_rejects_unused_options(key, value, tmp_path):
+    if key != "solver":
+        value = str(tmp_path / value)
+    with pytest.raises(HarnessError, match=key):
+        compare_choices({"surface": "sphere", "refinements": 1, key: value},
+                        ["1", "3"])
+    assert not any(tmp_path.iterdir())
 
 
 def test_compare_choices_needs_two():
@@ -319,9 +340,3 @@ def test_runconfig_validation():
     with pytest.raises(HarnessError, match="solver"):
         RunConfig(solver="gmres")
     assert RunConfig(choice="4t").choice == "4T"
-
-
-def test_thread_cap_env_smoke(monkeypatch):
-    monkeypatch.setenv("SURFDG_THREADS", "1")
-    report = run_convergence(RunConfig(surface="sphere", refinements=1))
-    assert report.metadata["all_converged"]
