@@ -4,6 +4,7 @@ CSV/VTK output and cross-choice comparisons."""
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,6 +107,41 @@ def compute_eoc(errors, hs) -> list:
     return out
 
 
+class _ErrorReference(NamedTuple):
+    """The part of ``compute_errors`` that does not depend on u_h, for
+    one problem on one space."""
+
+    problem: TestProblem
+    values: np.ndarray  # (m, q) lifted exact values at the triangle points
+    gradients: np.ndarray  # (m, q, 3) exact gradients in the element planes
+    minus: np.ndarray  # (E, k, n) minus traces at the jump points
+    plus: np.ndarray  # (E, k, n) plus traces at the jump points
+
+
+def _error_reference(space: DgSpace, problem: TestProblem) -> _ErrorReference:
+    """The space's error reference, built on first use and rebuilt when
+    ``problem`` is not the object it was built for."""
+    ref = space.error_reference
+    if ref is not None and ref.problem is problem:
+        return ref
+    space.error_reference = None  # free the stale one before building
+    tv, _, _, normals = space.frames
+    rule = get_quadrature("triangle", 6)
+    pts = np.einsum("qk,mkd->mqd", rule.points, tv)
+    m, q = pts.shape[:2]
+    exact_val, exact_tang = exact_u_on_gammah(problem, pts.reshape(-1, 3))
+    # project the exact surface gradient into the element plane
+    exact_tang = exact_tang.reshape(m, q, 3)
+    exact_tang = exact_tang - np.einsum(
+        "mqd,md->mq", exact_tang, normals)[:, :, None] * normals[:, None, :]
+    edges = space.mesh.edges
+    x = space.face_points(get_quadrature("segment", 6))
+    space.error_reference = _ErrorReference(
+        problem, exact_val.reshape(m, q), exact_tang,
+        space.trace(edges.minus, x), space.trace(edges.plus, x))
+    return space.error_reference
+
+
 def compute_errors(u_h: DgFunction, problem: TestProblem) -> tuple:
     """(L2, DG) errors of u_h against the lifted exact solution.
 
@@ -113,47 +149,38 @@ def compute_errors(u_h: DgFunction, problem: TestProblem) -> tuple:
     triangle rule; the broken-H1 gradient term compares the discrete
     tangential gradient against the exact surface gradient projected
     into the element plane, and the jump term carries weight 1/h_e.
+    The exact values, gradients and jump-point traces are kept on the
+    space and reused by later calls with the same problem object.
     """
     space = u_h.space
-    mesh = space.mesh
-    deg = space.degree
+    if space.mesh.edges is None:
+        raise HarnessError("mesh edges not built")
+    ref = _error_reference(space, problem)
+    _, tmap, areas, _ = space.frames
     rule = get_quadrature("triangle", 6)
-    tv, tmap, areas, normals = space.frames
     w = rule.weights
-    pts = np.einsum("qk,mkd->mqd", rule.points, tv)
-    m, q = pts.shape[:2]
-    exact_val, exact_tang = exact_u_on_gammah(problem, pts.reshape(-1, 3))
-    exact_val = exact_val.reshape(m, q)
-    # project the exact surface gradient into the element plane
-    exact_tang = exact_tang.reshape(m, q, 3)
-    exact_tang = exact_tang - np.einsum(
-        "mqd,md->mq", exact_tang, normals)[:, :, None] * normals[:, None, :]
+    m = len(areas)
 
     coeff = u_h.coefficients.reshape(m, space.dofs_per_element)
-    vref = _values(deg, rule.points)
-    gref = _ref_grads(deg, rule.points)
-    gphys = np.einsum("qna,mad->mqnd", gref, tmap)
+    vref = _values(space.degree, rule.points)
+    gref = _ref_grads(space.degree, rule.points)
     uh_val = np.einsum("mi,qi->mq", coeff, vref)
-    uh_grad = np.einsum("mi,mqid->mqd", coeff, gphys)
+    uh_grad = np.einsum("mqa,mad->mqd",
+                        np.einsum("mi,qia->mqa", coeff, gref), tmap)
 
-    diff = uh_val - exact_val
+    diff = uh_val - ref.values
     l2_sq = np.sum(2.0 * areas[:, None] * w[None, :] * diff**2)
-    gdiff = uh_grad - exact_tang
+    gdiff = uh_grad - ref.gradients
     h1_sq = np.sum(2.0 * areas[:, None] * w[None, :]
                    * np.einsum("mqd,mqd->mq", gdiff, gdiff))
 
     # jump seminorm: the lifted exact solution is single valued, so only
     # u_h jumps across intersections
-    if mesh.edges is None:
-        raise HarnessError("mesh edges not built")
-    edges = mesh.edges
-    seg = get_quadrature("segment", 6)
-    x = space.face_points(seg)
-    jump = (np.einsum("ei,eki->ek", coeff[edges.plus],
-                      space.trace(edges.plus, x))
-            - np.einsum("ei,eki->ek", coeff[edges.minus],
-                        space.trace(edges.minus, x)))
+    edges = space.mesh.edges
+    jump = (np.einsum("ei,eki->ek", coeff[edges.plus], ref.plus)
+            - np.einsum("ei,eki->ek", coeff[edges.minus], ref.minus))
     # weights: w_k * |e| per point, then the 1/h_e jump factor
+    seg = get_quadrature("segment", 6)
     jump_sq = np.sum(seg.weights[None, :] * jump**2, axis=1)
     star_sq = np.sum(jump_sq)  # lengths cancel: |e| * (1/|e|)
     dg_sq = l2_sq + h1_sq + star_sq
@@ -202,35 +229,44 @@ def _stage(failed: str):
         raise HarnessError(f"{failed}: {e}") from e
 
 
+def _solve_choices(space, problem, tags, penalty, solver, tol,
+                   level) -> dict:
+    """rhs, then assemble+solve and errors on ``space`` for every choice
+    in ``tags``; maps each tag to (report, u_h, l2, dg)."""
+    results = {}
+    solve_stage = f"assemble/solve stage failed at level {level}"
+    with _stage(solve_stage):
+        rhs = assemble_rhs(space, problem.surface, problem.f)
+    for tag in tags:
+        with _stage(solve_stage):
+            report = _solve_level(space, tag, penalty, rhs, solver, tol)
+        u_h = DgFunction(space, report.solution)
+        with _stage(f"error stage failed at level {level}"):
+            l2, dg = compute_errors(u_h, problem)
+        results[tag] = (report, u_h, l2, dg)
+    return results
+
+
 def _ladder(cfg: RunConfig, problem: TestProblem, tags, solver: str,
             record) -> dict:
-    """Seed, then per level: rhs, assemble+solve and errors for every
-    choice in ``tags``, ``record(mesh, results, seconds)``, refine.
+    """Seed, then per level: ``_solve_choices``,
+    ``record(mesh, results, seconds)``, refine.
 
-    ``results`` maps each tag to (report, u_h, l2, dg); the last level's
-    is returned.  Hard failures abort with the stage named.
+    The last level's results are returned.  Hard failures abort with the
+    stage named.
     """
     surface = problem.surface
     penalty = PenaltyParams(sigma=cfg.sigma)
     with _stage("seed stage failed"):
         mesh = initial_mesh(surface, cfg.seed, scale=cfg.seed_scale)
     for level in range(cfg.refinements + 1):
-        space = DgSpace(mesh, cfg.degree)
         t0 = time.monotonic()
-        results = {}
-        solve_stage = f"assemble/solve stage failed at level {level}"
-        with _stage(solve_stage):
-            rhs = assemble_rhs(space, surface, problem.f)
-        for tag in tags:
-            with _stage(solve_stage):
-                report = _solve_level(space, tag, penalty, rhs, solver,
-                                      cfg.tol)
-            u_h = DgFunction(space, report.solution)
-            with _stage(f"error stage failed at level {level}"):
-                l2, dg = compute_errors(u_h, problem)
-            results[tag] = (report, u_h, l2, dg)
+        results = _solve_choices(DgSpace(mesh, cfg.degree), problem, tags,
+                                 penalty, solver, cfg.tol, level)
         record(mesh, results, time.monotonic() - t0)
         if level < cfg.refinements:
+            # free this level's space and its caches before the next one
+            del results
             with _stage(f"refine stage failed after level {level}"):
                 mesh = _build_ladder_step(mesh, surface, cfg, level)
     return results

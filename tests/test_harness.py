@@ -1,8 +1,12 @@
 """Convergence harness: error norms, EOC tables, CSV/VTK artifacts."""
 
+import dataclasses
+import weakref
+
 import numpy as np
 import pytest
 
+import surfdg.harness as harness
 from conftest import flat_grid
 from surfdg.assembly import PenaltyParams, assemble_rhs, assemble_system
 from surfdg.dgspace import DgFunction, DgSpace, interpolate
@@ -135,6 +139,53 @@ def test_dg_error_dominates_l2():
     assert dg >= l2 > 0.0
 
 
+def test_compute_errors_needs_edges_before_any_work():
+    """A mesh without intersections is refused before the exact solution
+    is evaluated anywhere."""
+    def refuse(x):
+        raise AssertionError("exact solution evaluated")
+
+    prob = TestProblem(name="refuse", surface=make_sphere(),
+                       exact_u=ScalarField3(value=refuse, gradient=refuse),
+                       forcing_mode="analytic", f=refuse)
+    space = DgSpace(dataclasses.replace(sphere_mesh(0), edges=None), 1)
+    with pytest.raises(HarnessError, match="mesh edges not built"):
+        compute_errors(DgFunction(space, np.zeros(space.total_dofs)), prob)
+
+
+def test_compute_errors_repeat_reuses_reference():
+    prob = make_problem("dziuk")
+    space = DgSpace(initial_mesh(prob.surface, "icosahedron"), 2)
+    u_h = DgFunction(space, np.random.default_rng(1).standard_normal(
+        space.total_dofs))
+    first = compute_errors(u_h, prob)
+    ref = space.error_reference
+    assert ref is not None
+    assert compute_errors(u_h, prob) == first
+    assert space.error_reference is ref
+
+
+def test_compute_errors_other_problem_not_stale():
+    """A second problem on the same space gets its own reference: the
+    errors equal those on a fresh space, not those of the first."""
+    prob = make_problem("sphere")
+    x3 = TestProblem(
+        name="x3", surface=prob.surface, forcing_mode="analytic", f=prob.f,
+        exact_u=ScalarField3(
+            value=lambda x: np.asarray(x)[..., 2],
+            gradient=lambda x: np.broadcast_to(
+                np.array([0.0, 0.0, 1.0]), np.asarray(x).shape).copy()))
+    mesh = sphere_mesh(1)
+    space = DgSpace(mesh, 1)
+    u_h = interpolate(space, lambda p: p[:, 0] * p[:, 1])
+    own = compute_errors(u_h, prob)
+    other = compute_errors(u_h, x3)
+    fresh = DgFunction(DgSpace(mesh, 1), u_h.coefficients)
+    assert other == compute_errors(fresh, x3)
+    assert other != own
+    assert compute_errors(u_h, prob) == own
+
+
 # ------------------------------------------------------- run_convergence
 
 
@@ -190,6 +241,21 @@ def test_ladder_failure_names_stage(entry, tmp_path):
         entry({"surface": "sphere", "refinements": 1, "seed": missing})
 
 
+def test_ladder_frees_each_level_before_the_next(monkeypatch):
+    """A level's space, with the error reference kept on it, is released
+    before the next level's rhs is assembled."""
+    spaces = []
+
+    def rhs(space, surface, f):
+        assert all(ref() is None for ref in spaces)
+        spaces.append(weakref.ref(space))
+        return assemble_rhs(space, surface, f)
+
+    monkeypatch.setattr(harness, "assemble_rhs", rhs)
+    run_convergence({"surface": "sphere", "refinements": 2})
+    assert len(spaces) == 3
+
+
 def test_csv_bytes_deterministic(tmp_path):
     cfg = {"surface": "sphere", "refinements": 1}
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -228,6 +294,17 @@ def test_compare_choices_rejects_unused_options(key, value, tmp_path):
         compare_choices({"surface": "sphere", "refinements": 1, key: value},
                         ["1", "3"])
     assert not any(tmp_path.iterdir())
+
+
+def test_compare_choices_errors_equal_single_choice_runs():
+    """Choices sharing one space's error reference get exactly the errors
+    of a ladder run for that choice alone."""
+    cfg = {"surface": "dziuk", "refinements": 2, "nonconforming": True}
+    comp = compare_choices(cfg, ["1", "2", "3", "4"])
+    for tag in ("1", "2", "3", "4"):
+        alone = run_convergence({**cfg, "choice": tag})
+        assert comp.l2_errors[tag] == alone.l2_errors
+        assert comp.dg_errors[tag] == alone.dg_errors
 
 
 def test_compare_choices_needs_two():

@@ -174,3 +174,15 @@ def test_exact_u_on_gammah_batch_matches_single():
         v, t = exact_u_on_gammah(prob, pts[k])
         assert v == pytest.approx(vals[k], abs=1e-13)
         assert np.allclose(t, tangs[k], atol=1e-13)
+
+
+def test_exact_u_on_gammah_batches_do_not_change_values(monkeypatch):
+    """Lifting in batches gives exactly the values of one whole batch."""
+    import surfdg.problems as problems
+    prob = make_problem("dziuk")
+    pts = tube_points(prob.surface, n=50, seed=19)
+    whole = exact_u_on_gammah(prob, pts)
+    monkeypatch.setattr(problems, "_LIFT_BATCH", 7)
+    vals, tangs = exact_u_on_gammah(prob, pts)
+    assert np.array_equal(vals, whole[0])
+    assert np.array_equal(tangs, whole[1])
