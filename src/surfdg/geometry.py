@@ -126,6 +126,13 @@ class ProjectionResult:
     normal_check_dropped: bool
 
 
+def _norm(v):
+    """Row norms of an (n, 3) array, np.linalg.norm(v, axis=1) summed in the
+    same order but without numpy's slow reduction over a length-3 axis."""
+    a, b, c = v.T
+    return np.sqrt(a * a + b * b + c * c)
+
+
 def eval_phi(surface: LevelSetSurface, x) -> np.ndarray | float:
     """Evaluate phi, rejecting non-finite results."""
     x = np.asarray(x, dtype=float)
@@ -160,7 +167,7 @@ def grad_phi(surface: LevelSetSurface, x) -> np.ndarray:
     if not np.all(np.isfinite(g)):
         raise EvaluationError(
             f"grad phi returned a non-finite value on surface {surface.name!r}")
-    norms = np.linalg.norm(g, axis=1)
+    norms = _norm(g)
     if np.any(norms < GRAD_FLOOR):
         bad = pts[int(np.argmin(norms))]
         raise DegenerateGradientError(
@@ -248,51 +255,75 @@ def stopping_residual(surface: LevelSetSurface, x, x0) -> np.ndarray | float:
     single = x.ndim == 1
     xs = x.reshape(-1, 3)
     x0s = np.broadcast_to(x0.reshape(-1, 3), xs.shape)
-    p = np.atleast_1d(eval_phi(surface, xs))
-    g = grad_phi(surface, xs)
-    gn = np.linalg.norm(g, axis=1)
+    out = _criterion(np.atleast_1d(eval_phi(surface, xs)),
+                     grad_phi(surface, xs), xs, x0s)
+    return float(out[0]) if single else out.reshape(x.shape[:-1])
+
+
+def _criterion(p, g, x, x0):
+    """``stopping_residual`` from phi and grad phi already evaluated at x."""
+    gn = _norm(g)
     out = (p / gn) ** 2
-    d = xs - x0s
-    dn = np.linalg.norm(d, axis=1)
+    d = x - x0
+    dn = _norm(d)
     far = dn > 1e-14
     if np.any(far):
         diff = g[far] / gn[far, None] - d[far] / dn[far, None]
         out[far] += np.einsum("ij,ij->i", diff, diff)
-    out = np.sqrt(out)
-    return float(out[0]) if single else out.reshape(x.shape[:-1])
+    return np.sqrt(out)
 
 
-def _phi_residual(surface, x):
-    p = np.atleast_1d(eval_phi(surface, x))
-    g = grad_phi(surface, x)
-    return np.abs(p) / np.linalg.norm(g, axis=1)
+def _phi_residual(p, g):
+    return np.abs(p) / _norm(g)
 
 
-def _polish_onto_surface(surface, x, tol, steps=_POLISH_STEPS):
+def _off_surface(p, gnorm, tol):
+    return np.abs(p) > tol * np.minimum(1.0, gnorm)
+
+
+def _descend(surface, x, p, g, tol, steps):
     """Plain Newton steps for phi until |phi| <= tol * min(1, |grad phi|).
+
+    Takes phi and grad phi at the (n, 3) points x; a point is evaluated
+    again only after it moved.  Returns the new points, phi and grad phi
+    there, and the mask of points still off the surface after ``steps``
+    steps.
+    """
+    x, p, g = x.copy(), p.copy(), g.copy()
+    cand = np.arange(len(x))
+    for _ in range(steps):
+        gc = g[cand]
+        g2 = np.einsum("ij,ij->i", gc, gc)
+        need = _off_surface(p[cand], np.sqrt(g2), tol)
+        if not np.any(need):
+            return x, p, g, np.zeros(len(x), dtype=bool)
+        cand = cand[need]
+        x[cand] -= (p[cand] / g2[need])[:, None] * g[cand]
+        p[cand] = eval_phi(surface, x[cand])
+        g[cand] = grad_phi(surface, x[cand])
+    return x, p, g, _off_surface(p, _norm(g), tol)
+
+
+def _polish_onto_surface(surface, x, p, g, tol):
+    """Pin points onto the surface; returns x, phi and grad phi there.
 
     The main loops stop as soon as the criterion passes tol, which for steep
     level sets (|grad phi| >> 1) can leave |phi| well above tol.  A couple of
     quadratically convergent descent steps pin the points onto the surface
     without moving them appreciably.
     """
-    x = x.copy()
-    for _ in range(steps):
-        p = np.atleast_1d(eval_phi(surface, x))
-        g = grad_phi(surface, x)
-        g2 = np.einsum("ij,ij->i", g, g)
-        need = np.abs(p) > tol * np.minimum(1.0, np.sqrt(g2))
-        if not np.any(need):
-            return x
-        x[need] -= (p[need] / g2[need])[:, None] * g[need]
-    p = np.atleast_1d(eval_phi(surface, x))
-    g = grad_phi(surface, x)
-    bad = np.abs(p) > tol * np.minimum(1.0, np.linalg.norm(g, axis=1))
-    if np.any(bad):
+    x, p, g, off = _descend(surface, x, p, g, tol, _POLISH_STEPS)
+    if np.any(off):
         raise ProjectionError(
-            f"surface polish failed for {int(bad.sum())} point(s) on "
+            f"surface polish failed for {int(off.sum())} point(s) on "
             f"{surface.name!r}")
-    return x
+    return x, p, g
+
+
+# seeds per _project_batch call in project_points: the projection holds
+# about 450 bytes of temporaries per point, so a whole degree-6 error rule
+# on a fine mesh (a million points) would need 450 MB at once
+_LIFT_BATCH = 1 << 16
 
 
 @dataclass
@@ -301,9 +332,11 @@ class _BatchProjection:
     iterations: np.ndarray
     residuals: np.ndarray
     dropped: np.ndarray
+    gradients: np.ndarray  # grad phi at points
 
 
-def _project_batch(surface, seeds, tol, max_iter) -> _BatchProjection:
+def _project_batch(surface, seeds, tol, max_iter,
+                   seed_phi=None) -> _BatchProjection:
     """First-order projection of an (n, 3) batch of seed points.
 
     Per-point phases: 0 = full criterion, 1 = direction term dropped (the
@@ -313,139 +346,157 @@ def _project_batch(surface, seeds, tol, max_iter) -> _BatchProjection:
     without relative progress, or immediately when the update step is
     pinned below tol.  Points still live at max_iter fall through to a
     descent epilogue that certifies |phi| only.
+
+    The state of the live points is kept in compacted arrays that shrink
+    as points finish, and each iterate is evaluated once: phi at the seeds
+    (``seed_phi`` when the caller has it) serves both the sign and
+    iteration 0, and the last evaluation of every point feeds the polish,
+    the reported residual and ``gradients``.
     """
     seeds = np.asarray(seeds, dtype=float).reshape(-1, 3)
     n = seeds.shape[0]
-    x = seeds.copy()
-    prev = x.copy()
-    its = np.zeros(n, dtype=np.int64)
-    res = np.zeros(n)
-    phase = np.zeros(n, dtype=np.int8)
-    best = np.full(n, np.inf)
-    stall = np.zeros(n, dtype=np.int16)
-    age = np.zeros(n, dtype=np.int16)
-    active = np.ones(n, dtype=bool)
+    p = (np.atleast_1d(eval_phi(surface, seeds)) if seed_phi is None
+         else seed_phi)
+    x_out = np.empty_like(seeds)
+    p_out = np.empty(n)
+    g_out = np.empty_like(seeds)
+    its = np.full(n, max_iter, dtype=np.int64)
+    dropped = np.zeros(n, dtype=bool)
 
-    sgn0 = np.sign(np.atleast_1d(eval_phi(surface, seeds)))
-    sgn0[sgn0 == 0.0] = 1.0
+    # the live set: position in the batch, iterate, previous iterate, seed,
+    # sign of phi at the seed, phase, stall count, best criterion, age
+    lid = np.arange(n)
+    x = prev = s = seeds
+    sgn = np.sign(p)
+    sgn[sgn == 0.0] = 1.0
+    phase = np.zeros(n, dtype=np.int8)
+    stall = np.zeros(n, dtype=np.int16)
+    best = np.full(n, np.inf)
+    age = np.zeros(n, dtype=np.int16)
 
     for k in range(max_iter + 1):
-        if not np.any(active):
-            break
-        idx = np.flatnonzero(active)
-        xa = x[idx]
-        p = np.atleast_1d(eval_phi(surface, xa))
-        g = grad_phi(surface, xa)
+        if k > 0:
+            p = np.atleast_1d(eval_phi(surface, x))
+        g = grad_phi(surface, x)
         g2 = np.einsum("ij,ij->i", g, g)
         gn = np.sqrt(g2)
         phi_term = np.abs(p) / gn
-        d = xa - seeds[idx]
-        dn = np.linalg.norm(d, axis=1)
-        dir2 = np.zeros_like(p)
+        d = x - s
+        dn = _norm(d)
         far = dn > 1e-14
-        if np.any(far):
-            diff = g[far] / gn[far, None] - d[far] / dn[far, None]
-            dir2[far] = np.einsum("ij,ij->i", diff, diff)
+        diff = g / gn[:, None] - d / np.where(far, dn, 1.0)[:, None]
+        dir2 = np.where(far, np.einsum("ij,ij->i", diff, diff), 0.0)
         # a point already on the surface whose displacement points against
         # the gradient (the outside-seed case) can never pass the verbatim
         # criterion; drop its direction term right away
-        blocked = (phase[idx] == 0) & (phi_term < tol) & (dir2 >= 2.0)
-        if np.any(blocked):
-            phase[idx[blocked]] = 1
+        phase[(phase == 0) & (phi_term < tol) & (dir2 >= 2.0)] = 1
         full = np.sqrt(phi_term**2 + dir2)
         if k > 0:
-            relstep = (np.linalg.norm(xa - prev[idx], axis=1)
-                       / (1.0 + np.linalg.norm(xa, axis=1)))
+            relstep = _norm(x - prev) / (1.0 + _norm(x))
         else:
-            relstep = np.full(idx.shape, np.inf)
+            relstep = np.full(len(lid), np.inf)
         # with the direction term dropped the phi residual alone would stop
         # the foot-point iteration while it is still moving tangentially;
         # require the update step to settle too so both projection routes
         # keep landing on the same point
-        crit = np.where(phase[idx] == 0, full,
-                        np.where(phase[idx] == 1,
+        crit = np.where(phase == 0, full,
+                        np.where(phase == 1,
                                  np.maximum(phi_term, relstep), phi_term))
 
         done = crit < tol
-        fin = idx[done]
-        its[fin] = k
-        res[fin] = crit[done]
-        active[fin] = False
-        if k == max_iter:
-            rem = idx[~done]
-            its[rem] = k
-            res[rem] = crit[~done]
+        if np.any(done):
+            fin = lid[done]
+            x_out[fin] = x[done]
+            p_out[fin] = p[done]
+            g_out[fin] = g[done]
+            its[fin] = k
+            dropped[fin] = phase[done] >= 1
+            keep = np.flatnonzero(~done)
+            lid, x, s, sgn, phase, stall, best, age = (
+                a[keep] for a in (lid, x, s, sgn, phase, stall, best, age))
+            p, g, g2, crit, relstep = (
+                a[keep] for a in (p, g, g2, crit, relstep))
+        if k == max_iter or not len(lid):
             break
 
-        live = idx[~done]
-        lcrit = crit[~done]
-        improved = lcrit < (1.0 - _STALL_RTOL) * best[live]
-        stall[live] = np.where(improved, 0, stall[live] + 1)
-        best[live] = np.minimum(best[live], lcrit)
-        age[live] += 1
-        pinned = relstep[~done] <= tol
-        overdue = (phase[live] >= 1) & (age[live] >= _FALLBACK_BUDGET)
-        bump = (stall[live] >= _STALL_WINDOW) | pinned | overdue
+        stall += 1
+        stall[crit < (1.0 - _STALL_RTOL) * best] = 0
+        best = np.minimum(best, crit)
+        age += 1
+        overdue = (phase >= 1) & (age >= _FALLBACK_BUDGET)
+        bump = (stall >= _STALL_WINDOW) | (relstep <= tol) | overdue
         if np.any(bump):
-            bi = live[bump]
-            phase[bi] = np.minimum(phase[bi] + 1, 2)
-            stall[bi] = 0
-            age[bi] = 0
-            best[bi] = np.inf
+            phase[bump] = np.minimum(phase[bump] + 1, 2)
+            stall[bump] = 0
+            age[bump] = 0
+            best[bump] = np.inf
 
-        prev[live] = x[live]
-        pl = p[~done]
-        gl = g[~done]
-        g2l = g2[~done]
-        xt = x[live] - (pl / g2l)[:, None] * gl
-        anchored = phase[live] < 2
+        prev = x
+        x = x - (p / g2)[:, None] * g
+        anchored = phase < 2
         if np.any(anchored):
-            ai = live[anchored]
-            gt = grad_phi(surface, xt[anchored])
-            gtn = np.linalg.norm(gt, axis=1)
-            dist = sgn0[ai] * np.linalg.norm(xt[anchored] - seeds[ai], axis=1)
-            x[ai] = seeds[ai] - (dist / gtn)[:, None] * gt
-        if np.any(~anchored):
-            x[live[~anchored]] = xt[~anchored]
+            # a slice spares the gathers when every live point is anchored
+            a = slice(None) if np.all(anchored) else anchored
+            xt, sa = x[a], s[a]
+            gt = grad_phi(surface, xt)
+            dist = sgn[a] * _norm(xt - sa)
+            x[a] = sa - (dist / _norm(gt))[:, None] * gt
 
-    if np.any(active):
+    if len(lid):
         # last resort: descend onto the level set; these exits certify only
         # |phi|, not the direction criterion, so they report as dropped
-        ai = np.flatnonzero(active)
-        try:
-            x[ai] = _polish_onto_surface(surface, x[ai], tol,
-                                         steps=_EPILOGUE_STEPS)
-        except ProjectionError:
-            still = _phi_residual(surface, x[ai])
-            worst = x[ai[int(np.argmax(still))]]
+        xe, pe, ge, off = _descend(surface, x, p, g, tol, _EPILOGUE_STEPS)
+        if np.any(off):
+            worst = xe[off][int(np.argmax(_phi_residual(pe[off], ge[off])))]
             raise ProjectionError(
                 f"projection did not converge within {max_iter} iterations "
-                f"for {int((still >= tol).sum())} point(s) on "
-                f"{surface.name!r}; worst near {worst.tolist()}") from None
-        phase[ai] = 2
+                f"for {int(off.sum())} point(s) on "
+                f"{surface.name!r}; worst near {worst.tolist()}")
+        x_out[lid] = xe
+        p_out[lid] = pe
+        g_out[lid] = ge
+        dropped[lid] = True
 
-    x = _polish_onto_surface(surface, x, tol)
-    # recompute the reported residual at the polished points
-    dropped = phase >= 1
-    final = np.where(dropped, _phi_residual(surface, x),
-                     np.atleast_1d(stopping_residual(surface, x, seeds)))
-    return _BatchProjection(points=x, iterations=its, residuals=final,
-                            dropped=dropped)
+    x, p, g = _polish_onto_surface(surface, x_out, p_out, g_out, tol)
+    # the reported residual at the polished points
+    res = np.empty(n)
+    res[dropped] = _phi_residual(p[dropped], g[dropped])
+    kept = ~dropped
+    res[kept] = _criterion(p[kept], g[kept], x[kept], seeds[kept])
+    return _BatchProjection(points=x, iterations=its, residuals=res,
+                            dropped=dropped, gradients=g)
 
 
 def project_points(surface: LevelSetSurface, seeds, tol: float = 1e-10,
                    max_iter: int = 100) -> _BatchProjection:
     """Vectorized first-order projection of many seed points at once.
 
-    Returns an object with ``points``, ``iterations``, ``residuals`` and
-    ``dropped`` arrays.  Semantics per point match ``project_first_order``.
+    Returns an object with ``points``, ``iterations``, ``residuals``,
+    ``dropped`` and ``gradients`` (grad phi at the points) arrays.
+    Semantics per point match ``project_first_order``.  Seeds are projected
+    in batches of ``_LIFT_BATCH``, which bounds the temporaries; each point
+    is projected on its own, so the batching changes no value.
     """
-    return _project_batch(surface, seeds, tol, max_iter)
+    seeds = np.asarray(seeds, dtype=float).reshape(-1, 3)
+    n = len(seeds)
+    if n <= _LIFT_BATCH:
+        return _project_batch(surface, seeds, tol, max_iter)
+    out = _BatchProjection(points=np.empty((n, 3)),
+                           iterations=np.empty(n, dtype=np.int64),
+                           residuals=np.empty(n),
+                           dropped=np.empty(n, dtype=bool),
+                           gradients=np.empty((n, 3)))
+    for start in range(0, n, _LIFT_BATCH):
+        part = _project_batch(surface, seeds[start:start + _LIFT_BATCH],
+                              tol, max_iter)
+        for name, arr in vars(part).items():
+            getattr(out, name)[start:start + len(arr)] = arr
+    return out
 
 
-def _projection_normal(surface, seed, point, tol):
-    """Unit normal associated with a projection, oriented along grad phi."""
-    g = grad_phi(surface, point)
+def _projection_normal(surface, seed, point, g, tol):
+    """Unit normal associated with a projection, oriented along grad phi,
+    the gradient g at point."""
     disp = np.asarray(seed, float) - point
     dn = np.linalg.norm(disp)
     if dn > 10.0 * tol * (1.0 + np.linalg.norm(seed)):
@@ -478,7 +529,7 @@ def project_first_order(surface: LevelSetSurface, x0, tol: float = 1e-10,
     point = br.points[0]
     return ProjectionResult(
         point=point,
-        normal=_projection_normal(surface, x0, point, tol),
+        normal=_projection_normal(surface, x0, point, br.gradients[0], tol),
         iterations=int(br.iterations[0]),
         residual=float(br.residuals[0]),
         normal_check_dropped=bool(br.dropped[0]),
@@ -536,14 +587,14 @@ def project_newton(surface: LevelSetSurface, x0, tol: float = 1e-10,
             break
         if k == max_iter:
             # last resort: descend onto the level set, keep |phi| guarantee
-            try:
-                x = _polish_onto_surface(surface, x[None, :], tol,
-                                         steps=_EPILOGUE_STEPS)[0]
-            except ProjectionError:
+            x, p, g, off = _descend(surface, x[None, :], np.array([p]),
+                                    g[None, :], tol, _EPILOGUE_STEPS)
+            if off[0]:
                 raise ProjectionError(
                     f"Newton projection did not converge within {max_iter} "
                     f"iterations from {x0.tolist()} on "
-                    f"{surface.name!r}") from None
+                    f"{surface.name!r}")
+            x, p, g = x[0], p[0], g[0]
             phase = 2
             iterations = k
             break
@@ -585,24 +636,26 @@ def project_newton(surface: LevelSetSurface, x0, tol: float = 1e-10,
             x = x + delta[:3]
             lam += float(delta[3])
 
-    x = _polish_onto_surface(surface, x[None, :], tol)[0]
+    xs, ps, gs = _polish_onto_surface(surface, x[None, :], np.array([p]),
+                                      g[None, :], tol)
     if phase >= 1:
-        final = float(_phi_residual(surface, x[None, :])[0])
+        final = float(_phi_residual(ps, gs)[0])
     else:
-        final = stopping_residual(surface, x, x0)
+        final = float(_criterion(ps, gs, xs, x0[None, :])[0])
     return ProjectionResult(
-        point=x,
-        normal=_projection_normal(surface, x0, x, tol),
+        point=xs[0],
+        normal=_projection_normal(surface, x0, xs[0], gs[0], tol),
         iterations=iterations,
         residual=final,
         normal_check_dropped=phase >= 1,
     )
 
 
-def _approx_normal_batch(surface, pts, tol, max_iter=100):
-    """Vectorized ``approx_normal``; pts has shape (n, 3)."""
+def _approx_normal_batch(surface, pts, tol, max_iter=100, phi=None):
+    """Vectorized ``approx_normal``; pts has shape (n, 3), ``phi`` is phi
+    at pts when the caller has already evaluated it."""
     pts = np.asarray(pts, dtype=float).reshape(-1, 3)
-    p = np.atleast_1d(eval_phi(surface, pts))
+    p = np.atleast_1d(eval_phi(surface, pts)) if phi is None else phi
     out = np.empty_like(pts)
     on = np.abs(p) < tol
     if np.any(on):
@@ -610,19 +663,19 @@ def _approx_normal_batch(surface, pts, tol, max_iter=100):
             n = np.asarray(surface.analytic_normal(pts[on]), dtype=float)
         else:
             n = grad_phi(surface, pts[on])
-        out[on] = n / np.linalg.norm(n, axis=1, keepdims=True)
+        out[on] = n / _norm(n)[:, None]
     off = ~on
     if np.any(off):
-        proj = _project_batch(surface, pts[off], tol, max_iter)
+        proj = _project_batch(surface, pts[off], tol, max_iter, p[off])
         disp = pts[off] - proj.points
-        dn = np.linalg.norm(disp, axis=1)
-        g = grad_phi(surface, proj.points)
+        dn = _norm(disp)
+        g = proj.gradients
         n = np.sign(p[off])[:, None] * disp
         # a seed sitting within polish distance of the surface gives no
         # usable displacement direction; fall back to the gradient there
-        tiny = dn <= 10.0 * tol * (1.0 + np.linalg.norm(pts[off], axis=1))
+        tiny = dn <= 10.0 * tol * (1.0 + _norm(pts[off]))
         n[tiny] = g[tiny]
-        n /= np.linalg.norm(n, axis=1, keepdims=True)
+        n /= _norm(n)[:, None]
         flip = np.einsum("ij,ij->i", n, g) < 0.0
         n[flip] = -n[flip]
         out[off] = n
@@ -694,7 +747,7 @@ def laplace_beltrami_levelset(surface: LevelSetSurface, u: ScalarField3, x,
     if np.any(np.abs(p) >= 1e-8):
         raise ValueError("laplace_beltrami_levelset requires on-surface "
                          "points (|phi| < 1e-8)")
-    nu = _approx_normal_batch(surface, pts, tol)
+    nu = _approx_normal_batch(surface, pts, tol, phi=p)
     Jnu = _grad_normal_batch(surface, pts, tol)
     out = _laplace_beltrami_core(nu, Jnu, u, pts, surface.normal_fd_step)
     return float(out[0]) if single else out.reshape(x.shape[:-1])
@@ -804,13 +857,15 @@ def make_enzensberger_stern() -> LevelSetSurface:
         x2 = x**2
         cross = (x2[..., 0] * x2[..., 1] + x2[..., 1] * x2[..., 2]
                  + x2[..., 0] * x2[..., 2])
-        s = 1.0 - x2.sum(axis=-1)
+        # summed by hand, in the order of x2.sum(axis=-1): numpy reduces
+        # over a length-3 axis slowly, and phi is the projection's kernel
+        s = 1.0 - (x2[..., 0] + x2[..., 1] + x2[..., 2])
         return 400.0 * cross - s**3 - 40.0
 
     def grad(x):
         x = np.asarray(x, dtype=float)
         x2 = x**2
-        s = 1.0 - x2.sum(axis=-1)
+        s = 1.0 - (x2[..., 0] + x2[..., 1] + x2[..., 2])
         g = np.empty_like(x)
         g[..., 0] = 800.0 * x[..., 0] * (x2[..., 1] + x2[..., 2]) \
             + 6.0 * x[..., 0] * s**2
@@ -823,7 +878,7 @@ def make_enzensberger_stern() -> LevelSetSurface:
     def hess(x):
         x = np.asarray(x, dtype=float)
         x2 = x**2
-        s = 1.0 - x2.sum(axis=-1)
+        s = 1.0 - (x2[..., 0] + x2[..., 1] + x2[..., 2])
         H = np.empty(x.shape + (3,))
         for i in range(3):
             j, k = (i + 1) % 3, (i + 2) % 3

@@ -16,16 +16,11 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import (LevelSetSurface, ScalarField3, get_surface, grad_phi,
+from .geometry import (LevelSetSurface, ScalarField3, _norm, get_surface,
                        laplace_beltrami_levelset,
                        laplace_beltrami_normal_field, project_points)
 
 PROBLEM_NAMES = ("sphere", "dziuk", "enzensberger-stern")
-
-# points per project_points call in exact_u_on_gammah: the projection
-# holds about 50 doubles of temporaries per point, so a whole degree-6
-# error rule on a fine mesh (a million points) would need 400 MB at once
-_LIFT_BATCH = 1 << 16
 
 
 def _u_value(p):
@@ -107,22 +102,14 @@ def exact_u_on_gammah(problem: TestProblem, x):
 
     Returns (u(xi(x)), P grad u at xi(x)) with P the tangent projector of
     the smooth surface; accepts a single point or an (n, 3) batch.
-    Points are lifted in batches of ``_LIFT_BATCH``; each point's values
-    do not depend on the batch it is lifted in.
     """
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = x.reshape(-1, 3)
-    val = np.empty(len(pts))
-    tang = np.empty_like(pts)
-    for start in range(0, len(pts), _LIFT_BATCH):
-        part = slice(start, start + _LIFT_BATCH)
-        lifted = project_points(problem.surface, pts[part]).points
-        g = grad_phi(problem.surface, lifted)
-        nu = g / np.linalg.norm(g, axis=1, keepdims=True)
-        grad = problem.exact_u.gradient(lifted)
-        tang[part] = grad - np.einsum("ij,ij->i", grad, nu)[:, None] * nu
-        val[part] = problem.exact_u.value(lifted)
-    if single:
+    proj = project_points(problem.surface, x.reshape(-1, 3))
+    nu = proj.gradients
+    nu /= _norm(nu)[:, None]
+    grad = problem.exact_u.gradient(proj.points)
+    tang = grad - np.einsum("ij,ij->i", grad, nu)[:, None] * nu
+    val = problem.exact_u.value(proj.points)
+    if x.ndim == 1:
         return float(val[0]), tang[0]
     return val, tang

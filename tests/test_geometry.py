@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+import surfdg.geometry as geometry
 from conftest import tube_points
 from surfdg.geometry import (
     DegenerateGradientError,
     EvaluationError,
     LevelSetSurface,
+    ProjectionError,
     ScalarField3,
     approx_normal,
     eval_phi,
@@ -145,6 +147,49 @@ def test_projection_methods_agree_in_tube(name):
         for r in (a, b):
             if r.residual >= 1e-10:
                 assert abs(eval_phi(surf, r.point)) < 1e-10
+
+
+def test_hand_summed_kernels_match_numpy_reductions():
+    """The row norm and the Enzensberger-Stern level set add their three
+    terms by hand; the values must equal numpy's reductions exactly."""
+    rng = np.random.default_rng(5)
+    v = rng.standard_normal((2000, 3)) * rng.uniform(1e-3, 1e3, (2000, 1))
+    assert np.array_equal(geometry._norm(v), np.linalg.norm(v, axis=1))
+    x2 = v**2
+    cross = (x2[:, 0] * x2[:, 1] + x2[:, 1] * x2[:, 2]
+             + x2[:, 0] * x2[:, 2])
+    ref = 400.0 * cross - (1.0 - x2.sum(axis=-1)) ** 3 - 40.0
+    assert np.array_equal(make_enzensberger_stern().phi(v), ref)
+
+
+def test_epilogue_error_counts_points_off_the_surface(monkeypatch):
+    """The epilogue reports the points that miss the polish criterion
+    |phi| <= tol min(1, |grad phi|), not |phi| / |grad phi| >= tol, which
+    counts none of them on a steep level set."""
+    from surfdg.mesh import initial_mesh
+    es = make_enzensberger_stern()
+    verts = initial_mesh(es, "octahedron", 1.25).vertices
+    g = grad_phi(es, verts)
+    gn = np.linalg.norm(g, axis=1)
+    assert np.all(gn > 100.0)
+    seeds = verts + 1e-6 * g / gn[:, None]
+    monkeypatch.setattr(geometry, "_EPILOGUE_STEPS", 0)
+    with pytest.raises(ProjectionError,
+                       match=r"within 1 iterations for 6 point\(s\)"):
+        geometry._project_batch(es, seeds, 1e-10, 1)
+
+
+def test_project_points_batches_do_not_change_values(monkeypatch):
+    """Projecting in batches gives exactly the values of one whole batch."""
+    surf = make_dziuk()
+    rng = np.random.default_rng(19)
+    seeds = np.vstack([tube_points(surf, n=30, seed=19),
+                       rng.uniform(-1.5, 1.5, (20, 3))])
+    whole = project_points(surf, seeds)
+    monkeypatch.setattr(geometry, "_LIFT_BATCH", 7)
+    parts = project_points(surf, seeds)
+    for f in ("points", "iterations", "residuals", "dropped", "gradients"):
+        assert np.array_equal(getattr(parts, f), getattr(whole, f))
 
 
 def test_projection_normal_orientation():
