@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from . import geometry
 from .dgspace import DgSpace, _ref_grads, _values, get_quadrature
 from .geometry import LevelSetSurface, project_points
 from .mesh import EdgeIntersection, MeshError, SurfaceMesh, triangle_areas
@@ -187,35 +188,79 @@ def _volume_block(space: DgSpace, rule) -> np.ndarray:
         + mass_ref[None, :, :])
 
 
-def _csr_system(space: DgSpace, blocks) -> SparseSystem:
-    """Sum element-pair blocks into a CSR matrix.
+class _TripletWriter:
+    """COO triplets of ``count`` dense (n, n) element-pair blocks, summed
+    into the CSR matrix of a space.
 
-    ``blocks`` lists (block, row_elems, col_elems) with block (E, n, n)
-    coupling the dofs of elements row_elems (E,) to those of col_elems;
-    duplicate entries are summed in list order.
+    The float64 values are allocated once, and ``write`` copies one block
+    family into the next free slots, so the caller can drop a family as
+    soon as it is written.  A family's dof rows and columns follow from its
+    element ids alone; ``system`` fills them in place (int32, or int64 when
+    the dofs do not fit) once the blocks are written and their inputs are
+    gone.
     """
-    n = space.dofs_per_element
-    dofs = np.arange(space.total_dofs).reshape(-1, n)
-    rows = [np.repeat(dofs[r], n, axis=1).ravel() for _, r, _ in blocks]
-    cols = [np.tile(dofs[c], (1, n)).ravel() for _, _, c in blocks]
-    vals = [b.ravel() for b, _, _ in blocks]
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(space.total_dofs,) * 2).tocsr()
-    mat.sort_indices()
-    return SparseSystem(matrix=mat, rhs=None, space=space)
+
+    def __init__(self, space: DgSpace, count: int):
+        self.space = space
+        self.vals = np.empty(count * space.dofs_per_element ** 2)
+        self.end = 0  # values written so far
+        self.families = []  # (slots, row element ids, column element ids)
+
+    def write(self, block, row_elems, col_elems):
+        """Append block (E, n, n), which couples the dofs of elements
+        row_elems (E,) to those of col_elems: entry (e, i, j) goes to row
+        row_elems[e] * n + i and column col_elems[e] * n + j."""
+        part = slice(self.end, self.end + block.size)
+        self.vals[part] = block.ravel()
+        self.families.append((part, row_elems, col_elems))
+        self.end = part.stop
+
+    def system(self) -> SparseSystem:
+        """The CSR matrix of the written blocks; releases the triplets.
+
+        scipy's conversion counts the triplets into rows in written order,
+        sorts each row by column with an unstable sort and then sums the
+        duplicates in the sorted order, so that order, not the written
+        one, fixes the rounding of a summed entry.
+        """
+        if self.end != len(self.vals):
+            raise RuntimeError(
+                f"{self.end} of {len(self.vals)} triplets written")
+        n, dofs = self.space.dofs_per_element, self.space.total_dofs
+        idx = np.int32 if dofs <= np.iinfo(np.int32).max else np.int64
+        rows = np.empty(self.end, dtype=idx)
+        cols = np.empty(self.end, dtype=idx)
+        local = np.arange(n)
+        for part, r, c in self.families:
+            rows[part].reshape(-1, n, n)[...] = (
+                (r * n)[:, None, None] + local[None, :, None])
+            cols[part].reshape(-1, n, n)[...] = (
+                (c * n)[:, None, None] + local[None, None, :])
+        mat = sp.coo_matrix((self.vals, (rows, cols)),
+                            shape=(dofs, dofs)).tocsr()
+        self.vals, self.families = None, None
+        del rows, cols
+        # the summed entries are views of buffers as long as the triplets
+        mat.data = mat.data.copy()
+        mat.indices = mat.indices.copy()
+        mat.sort_indices()
+        return SparseSystem(matrix=mat, rhs=None, space=self.space)
 
 
-def _face_data(space: DgSpace, penalty: PenaltyParams, rule, grads: bool):
-    """Penalty weights beta_e (E,), segment weights |e| w_k (E, k), and
-    the traces of the minus and of the plus element at the points of
+def _face_weights(space: DgSpace, penalty: PenaltyParams, rule):
+    """Penalty weights beta_e (E,) and segment weights |e| w_k (E, k) of
     segment rule ``rule`` on every intersection."""
     om = penalty.omegas(space.mesh)  # refuses a mesh without edges
     edges = space.mesh.edges
-    beta = om / edges.lengths
-    wseg = rule.weights[None, :] * edges.lengths[:, None]
+    return om / edges.lengths, rule.weights[None, :] * edges.lengths[:, None]
+
+
+def _face_traces(space: DgSpace, rule, grads: bool):
+    """Traces of the minus and of the plus element of every intersection
+    at the points of segment rule ``rule``."""
+    edges = space.mesh.edges
     x = space.face_points(rule)
-    return (beta, wseg, space.trace(edges.minus, x, grads),
+    return (space.trace(edges.minus, x, grads),
             space.trace(edges.plus, x, grads))
 
 
@@ -228,48 +273,67 @@ def assemble_system(space: DgSpace, choice, penalty: PenaltyParams,
     """
     tag = normalize_choice(choice)
     tri_deg, seg_deg = quadrature or _quad_degrees(space.degree)
-    tri_rule = get_quadrature("triangle", tri_deg)
-    beta, wseg, minus_tr, plus_tr = _face_data(
-        space, penalty, get_quadrature("segment", seg_deg), grads=True)
-    edges = space.mesh.edges
+    seg_rule = get_quadrature("segment", seg_deg)
+    beta, wseg = _face_weights(space, penalty, seg_rule)
+    m = len(space.mesh.triangles)
+    out = _TripletWriter(space, m + 4 * len(beta))
+    elems = np.arange(m)
+    out.write(_volume_block(space, get_quadrature("triangle", tri_deg)),
+              elems, elems)
+    _write_face_blocks(out, tag, beta, wseg,
+                       _face_traces(space, seg_rule, grads=True))
+    return out.system()
 
-    elems = np.arange(len(space.mesh.triangles))
-    blocks = [(_volume_block(space, tri_rule), elems, elems)]
 
-    for own, other, n_own, n_other, (v_r, g_r), (v_n, g_n) in (
+def _write_face_blocks(out: _TripletWriter, tag, beta, wseg, traces):
+    """Write the diagonal and the off-diagonal face block of each side of
+    every intersection, the minus side first; the traces die on return."""
+    edges = out.space.mesh.edges
+    minus_tr, plus_tr = traces
+    for own, other, n_own, n_other, own_tr, other_tr in (
             (edges.minus, edges.plus, edges.conormal_minus,
              edges.conormal_plus, minus_tr, plus_tr),
             (edges.plus, edges.minus, edges.conormal_plus,
              edges.conormal_minus, plus_tr, minus_tr)):
         n_d, n_e_own, n_e_oth = _resolve_batch(tag, n_own, n_other)
+        out.write(_diag_face_block(beta, wseg, own_tr, n_d), own, own)
+        # 4T weights the cross mass by beta n+ . n-, the others by -beta
+        cross_w = (beta * np.einsum("ed,ed->e", n_own, n_other)
+                   if tag == "4T" else -beta)
+        out.write(_off_face_block(wseg, own_tr, other_tr, n_e_own, n_e_oth,
+                                  cross_w), own, other)
 
-        dn_d = np.einsum("eknd,ed->ekn", g_r, n_d)
-        mass_f = np.einsum("ek,eki,ekj->eij", wseg, v_r, v_r)
-        diag = (-0.5) * (np.einsum("ek,ekj,eki->eij", wseg, v_r, dn_d)
-                         + np.einsum("ek,eki,ekj->eij", wseg, v_r, dn_d)) \
-            + beta[:, None, None] * mass_f
-        blocks.append((diag, own, own))
 
-        dr = np.einsum("eknd,ed->ekn", g_r, n_e_own)
-        dn = np.einsum("eknd,ed->ekn", g_n, n_e_oth)
-        cross_mass = np.einsum("ek,eki,ekj->eij", wseg, v_r, v_n)
-        off = 0.5 * (np.einsum("ek,ekj,eki->eij", wseg, v_n, dr)
-                     + np.einsum("ek,eki,ekj->eij", wseg, v_r, dn))
-        if tag == "4T":
-            dot = np.einsum("ed,ed->e", n_own, n_other)
-            off += (beta * dot)[:, None, None] * cross_mass
-        else:
-            off -= beta[:, None, None] * cross_mass
-        blocks.append((off, own, other))
+def _diag_face_block(beta, wseg, own_tr, n_d):
+    """Face block (E, n, n) coupling the own element to itself."""
+    v_r, g_r = own_tr
+    dn_d = np.einsum("eknd,ed->ekn", g_r, n_d)
+    mass_f = np.einsum("ek,eki,ekj->eij", wseg, v_r, v_r)
+    return (-0.5) * (np.einsum("ek,ekj,eki->eij", wseg, v_r, dn_d)
+                     + np.einsum("ek,eki,ekj->eij", wseg, v_r, dn_d)) \
+        + beta[:, None, None] * mass_f
 
-    return _csr_system(space, blocks)
+
+def _off_face_block(wseg, own_tr, other_tr, n_e_own, n_e_oth, cross_w):
+    """Face block (E, n, n) coupling the own element to the other one."""
+    (v_r, g_r), (v_n, g_n) = own_tr, other_tr
+    dr = np.einsum("eknd,ed->ekn", g_r, n_e_own)
+    dn = np.einsum("eknd,ed->ekn", g_n, n_e_oth)
+    off = 0.5 * (np.einsum("ek,ekj,eki->eij", wseg, v_n, dr)
+                 + np.einsum("ek,eki,ekj->eij", wseg, v_r, dn))
+    off += cross_w[:, None, None] * np.einsum("ek,eki,ekj->eij",
+                                              wseg, v_r, v_n)
+    return off
 
 
 def assemble_mass_stiffness(space: DgSpace) -> SparseSystem:
     """Volume-only operator (broken stiffness + mass), no face terms."""
     rule = get_quadrature("triangle", _quad_degrees(space.degree)[0])
-    elems = np.arange(len(space.mesh.triangles))
-    return _csr_system(space, [(_volume_block(space, rule), elems, elems)])
+    m = len(space.mesh.triangles)
+    out = _TripletWriter(space, m)
+    elems = np.arange(m)
+    out.write(_volume_block(space, rule), elems, elems)
+    return out.system()
 
 
 def assemble_penalty_matrix(space: DgSpace, penalty: PenaltyParams
@@ -277,35 +341,42 @@ def assemble_penalty_matrix(space: DgSpace, penalty: PenaltyParams
     """Jump-penalty part alone: beta (u+ - u-)(v+ - v-) on every
     intersection (the standard penalty of Choices 1 to 4)."""
     seg_rule = get_quadrature("segment", _quad_degrees(space.degree)[1])
-    beta, wseg, v_minus, v_plus = _face_data(space, penalty, seg_rule,
-                                             grads=False)
+    beta, wseg = _face_weights(space, penalty, seg_rule)
+    out = _TripletWriter(space, 4 * len(beta))
     edges = space.mesh.edges
-
-    blocks = []
+    v_minus, v_plus = _face_traces(space, seg_rule, grads=False)
     for own, other, v_r, v_n in ((edges.minus, edges.plus, v_minus, v_plus),
                                  (edges.plus, edges.minus, v_plus, v_minus)):
-        diag = beta[:, None, None] * np.einsum("ek,eki,ekj->eij",
-                                               wseg, v_r, v_r)
-        off = -beta[:, None, None] * np.einsum("ek,eki,ekj->eij",
-                                               wseg, v_r, v_n)
-        blocks += [(diag, own, own), (off, own, other)]
-    return _csr_system(space, blocks)
+        out.write(beta[:, None, None] * np.einsum("ek,eki,ekj->eij",
+                                                  wseg, v_r, v_r), own, own)
+        out.write(-beta[:, None, None] * np.einsum("ek,eki,ekj->eij",
+                                                   wseg, v_r, v_n),
+                  own, other)
+    del v_minus, v_plus, v_r, v_n
+    return out.system()
 
 
 def assemble_rhs(space: DgSpace, surface: LevelSetSurface, f) -> np.ndarray:
     """Right-hand side with f evaluated at projected quadrature points:
-    per element int f(xi(x)) phi(x) dA_h."""
+    per element int f(xi(x)) phi(x) dA_h.
+
+    The points are projected and f is evaluated in batches of
+    ``geometry._LIFT_BATCH``, which bounds the forcing's temporaries; each
+    point is handled on its own, so the batching changes no value.
+    """
     deg = space.degree
     tri_rule = get_quadrature("triangle", _quad_degrees(deg)[0])
     tv, _, areas, _ = space.frames
     w = tri_rule.weights
     vref = _values(deg, tri_rule.points)
-    pts = np.einsum("qk,mkd->mqd", tri_rule.points, tv)
-    mq = pts.shape[0] * pts.shape[1]
-    lifted = project_points(surface, pts.reshape(mq, 3)).points
+    pts = np.einsum("qk,mkd->mqd", tri_rule.points, tv).reshape(-1, 3)
     fn = getattr(f, "value", f)
-    fvals = np.asarray(fn(lifted), dtype=float).reshape(pts.shape[:2])
-    rhs = 2.0 * areas[:, None] * np.einsum("q,mq,qi->mi", w, fvals, vref)
+    fvals = np.empty(len(pts))
+    for start in range(0, len(pts), geometry._LIFT_BATCH):
+        part = slice(start, start + geometry._LIFT_BATCH)
+        fvals[part] = fn(project_points(surface, pts[part]).points)
+    rhs = 2.0 * areas[:, None] * np.einsum(
+        "q,mq,qi->mi", w, fvals.reshape(len(areas), -1), vref)
     return rhs.ravel()
 
 

@@ -10,6 +10,15 @@ from surfdg.problems import TestProblem
 # a domain dataclass, not a test case
 TestProblem.__test__ = False
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # `pytest --hypothesis-profile=ci` draws a fixed example sequence, so a
+    # property-test failure in CI reproduces anywhere
+    settings.register_profile("ci", derandomize=True, deadline=None)
+
 # normal offsets used when sampling points near each surface; kept well
 # inside the reach so the closest point stays unique
 TUBE_WIDTH = {"sphere": 0.2, "dziuk": 0.05, "enzensberger-stern": 0.01}

@@ -1,12 +1,16 @@
 """IP matrix assembly: penalty bounds, conormal choices, oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import flat_grid, flat_pair
+from surfdg import geometry
 from surfdg.assembly import (
     PenaltyError,
     PenaltyParams,
+    _quad_degrees,
     assemble_mass_stiffness,
     assemble_penalty_matrix,
     assemble_rhs,
@@ -18,10 +22,11 @@ from surfdg.assembly import (
     resolve_conormal_choice,
     write_matrix_market,
 )
-from surfdg.dgspace import DgSpace
-from surfdg.geometry import make_plane, make_sphere
+from surfdg.dgspace import DgSpace, get_quadrature
+from surfdg.geometry import make_dziuk, make_plane, make_sphere
 from surfdg.mesh import (MeshError, SurfaceMesh, build_edges, initial_mesh,
                          refine_nonconforming, refine_uniform)
+from surfdg.problems import make_problem
 
 
 def equilateral_pair():
@@ -351,3 +356,64 @@ def test_assembly_p2_smoke():
     sys_ = assemble_system(space, 3, PenaltyParams(sigma=2.0))
     assert sys_.matrix.shape == (120, 120)
     assert check_symmetry(sys_) <= 1e-12 * np.abs(sys_.matrix.data).max()
+
+
+# ------------------------------------------------------- batches, memory
+
+
+@pytest.mark.parametrize("name, degree, refinements", [
+    ("enzensberger-stern", 1, 2),  # generic-LB forcing
+    ("dziuk", 1, 0),  # analytic forcing
+    ("dziuk", 2, 1),
+])
+def test_rhs_batches_do_not_change_values(monkeypatch, name, degree,
+                                          refinements):
+    """Projecting the rhs points and evaluating f in batches, the last
+    holding a single point, gives exactly the one-batch rhs."""
+    problem = make_problem(name)
+    surf = problem.surface
+    if name == "dziuk":
+        mesh = initial_mesh(surf, "icosahedron")
+    else:
+        mesh = initial_mesh(surf, "octahedron", scale=1.25)
+    for _ in range(refinements):
+        mesh = refine_uniform(mesh, surf)
+    space = DgSpace(mesh, degree)
+    rule = get_quadrature("triangle", _quad_degrees(degree)[0])
+    points = len(mesh.triangles) * len(rule.weights)
+    batch = next(b for b in range(2, points) if (points - 1) % b == 0)
+    monkeypatch.setattr(geometry, "_LIFT_BATCH", batch)
+    batched = assemble_rhs(space, surf, problem.f)
+    monkeypatch.undo()
+    assert np.array_equal(batched, assemble_rhs(space, surf, problem.f))
+
+
+def _numpy_bytes():
+    snap = tracemalloc.take_snapshot().filter_traces(
+        [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    return sum(stat.size for stat in snap.statistics("filename"))
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_assemble_system_memory(degree):
+    """On a 4-refinement Dziuk mesh the assembly peaks at no more than six
+    times the bytes of the CSR it returns, and keeps exactly those."""
+    surf = make_dziuk()
+    mesh = initial_mesh(surf, "icosahedron")
+    for _ in range(4):
+        mesh = refine_uniform(mesh, surf)
+    space = DgSpace(mesh, degree)
+    space.frames  # the cached geometry is not part of the assembly
+    tracemalloc.start()
+    try:
+        before = _numpy_bytes()
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        a = assemble_system(space, 2, PenaltyParams()).matrix
+        peak = tracemalloc.get_traced_memory()[1] - start
+        kept = _numpy_bytes() - before
+    finally:
+        tracemalloc.stop()
+    csr_bytes = a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
+    assert peak <= 6 * csr_bytes
+    assert kept == csr_bytes
