@@ -175,76 +175,171 @@ def _quad_degrees(degree: int):
     return (4, 5) if degree == 1 else (6, 6)
 
 
-def _volume_block(space: DgSpace, rule) -> np.ndarray:
-    """Broken stiffness + mass on every element, shape (m, n, n)."""
-    frames = space.frames
+def _volume_block(space: DgSpace, rule, part=slice(None)) -> np.ndarray:
+    """Broken stiffness + mass on the elements ``part``, shape (E, n, n)."""
+    _, tmap, areas, _ = space.frames
     w = rule.weights
     vref = _values(space.degree, rule.points)
     gref = _ref_grads(space.degree, rule.points)
-    gphys = np.einsum("qna,mad->mqnd", gref, frames.pushforward)
+    gphys = np.einsum("qna,mad->mqnd", gref, tmap[part])
     mass_ref = np.einsum("q,qi,qj->ij", w, vref, vref)
-    return 2.0 * frames.areas[:, None, None] * (
+    return 2.0 * areas[part, None, None] * (
         np.einsum("q,mqid,mqjd->mij", w, gphys, gphys)
         + mass_ref[None, :, :])
 
 
-class _TripletWriter:
-    """COO triplets of ``count`` dense (n, n) element-pair blocks, summed
-    into the CSR matrix of a space.
+# about this many COO triplets per row chunk of an assembled matrix; the
+# chunk's triplets and their conversion are the assembly's temporaries
+# beyond the matrix it returns
+_CHUNK_TRIPLETS = 1 << 18
 
-    The float64 values are allocated once, and ``write`` copies one block
-    family into the next free slots, so the caller can drop a family as
-    soon as it is written.  A family's dof rows and columns follow from its
-    element ids alone; ``system`` fills them in place (int32, or int64 when
-    the dofs do not fit) once the blocks are written and their inputs are
-    gone.
+
+def _assemble_by_rows(space: DgSpace, volume, faces, face_rule=None,
+                      grads: bool = False) -> SparseSystem:
+    """CSR matrix of dense (n, n) element-pair blocks, summed one chunk of
+    element rows at a time into arrays preallocated from the pattern.
+
+    ``volume(part)`` gives the diagonal blocks (E, n, n) of the elements
+    ``part`` (a slice).  ``faces(ids, minus, own_tr, other_tr)`` gives the
+    diagonal and the off-diagonal face block of the intersections ``ids``,
+    seen from their minus element (``minus``) or from their plus element,
+    with the traces of the own and of the other element at the points of
+    ``face_rule`` (``grads`` adds the gradients).  Either may be None.
+
+    A chunk holds the rows of consecutive elements, about
+    ``_CHUNK_TRIPLETS`` triplets.  Its blocks are written in the order of
+    the whole matrix's block stream: volume, minus-diagonal, minus-off,
+    plus-diagonal, plus-off, each in intersection order.  So every row gets
+    the same triplet sequence as in one conversion of the whole stream.
+    scipy's conversion counts the triplets into rows in written order,
+    sorts each row by column with a permutation that depends on that row's
+    column sequence alone, and sums the duplicates in the sorted order; so
+    the chunks change no entry's rounding.
     """
+    n, dofs = space.dofs_per_element, space.total_dofs
+    m = len(space.mesh.triangles)
+    edges = space.mesh.edges
+    elems = np.arange(m)
+    pairs = [(elems, elems)] if volume is not None else []
+    if faces is not None:
+        pairs += [(edges.minus, edges.minus), (edges.minus, edges.plus),
+                  (edges.plus, edges.plus), (edges.plus, edges.minus)]
+    triplets = n * n * sum(len(rows) for rows, _ in pairs)
+    indptr = _row_pointers(m, n, pairs)
+    indices = np.empty(indptr[-1], dtype=indptr.dtype)
+    data = np.empty(indptr[-1])
 
-    def __init__(self, space: DgSpace, count: int):
-        self.space = space
-        self.vals = np.empty(count * space.dofs_per_element ** 2)
-        self.end = 0  # values written so far
-        self.families = []  # (slots, row element ids, column element ids)
-
-    def write(self, block, row_elems, col_elems):
-        """Append block (E, n, n), which couples the dofs of elements
-        row_elems (E,) to those of col_elems: entry (e, i, j) goes to row
-        row_elems[e] * n + i and column col_elems[e] * n + j."""
-        part = slice(self.end, self.end + block.size)
-        self.vals[part] = block.ravel()
-        self.families.append((part, row_elems, col_elems))
-        self.end = part.stop
-
-    def system(self) -> SparseSystem:
-        """The CSR matrix of the written blocks; releases the triplets.
-
-        scipy's conversion counts the triplets into rows in written order,
-        sorts each row by column with an unstable sort and then sums the
-        duplicates in the sorted order, so that order, not the written
-        one, fixes the rounding of a summed entry.
-        """
-        if self.end != len(self.vals):
+    step = max(1, _CHUNK_TRIPLETS * m // max(triplets, 1))
+    chunks = range(0, m, step)
+    # per side, its intersections grouped by the chunk of their own
+    # element, in intersection order within a chunk, and the group bounds
+    sides = []
+    if faces is not None:
+        for own in (edges.minus, edges.plus):
+            chunk = own // step
+            order = np.argsort(chunk, kind="stable")
+            sides.append((order, np.searchsorted(
+                chunk[order], np.arange(len(chunks) + 1))))
+    for k, lo in enumerate(chunks):
+        hi = min(lo + step, m)
+        sel = [order[bounds[k]:bounds[k + 1]] for order, bounds in sides]
+        part = _chunk_csr(_chunk_blocks(space, volume, faces, face_rule,
+                                        grads, lo, hi, sel),
+                          lo, hi, n, dofs, indptr.dtype)
+        a, b = indptr[lo * n], indptr[hi * n]
+        if not np.array_equal(part.indptr, indptr[lo * n:hi * n + 1] - a):
             raise RuntimeError(
-                f"{self.end} of {len(self.vals)} triplets written")
-        n, dofs = self.space.dofs_per_element, self.space.total_dofs
-        idx = np.int32 if dofs <= np.iinfo(np.int32).max else np.int64
-        rows = np.empty(self.end, dtype=idx)
-        cols = np.empty(self.end, dtype=idx)
-        local = np.arange(n)
-        for part, r, c in self.families:
-            rows[part].reshape(-1, n, n)[...] = (
-                (r * n)[:, None, None] + local[None, :, None])
-            cols[part].reshape(-1, n, n)[...] = (
-                (c * n)[:, None, None] + local[None, None, :])
-        mat = sp.coo_matrix((self.vals, (rows, cols)),
-                            shape=(dofs, dofs)).tocsr()
-        self.vals, self.families = None, None
-        del rows, cols
-        # the summed entries are views of buffers as long as the triplets
-        mat.data = mat.data.copy()
-        mat.indices = mat.indices.copy()
-        mat.sort_indices()
-        return SparseSystem(matrix=mat, rhs=None, space=self.space)
+                f"row chunk {k} (elements {lo} to {hi - 1}): its "
+                f"{part.nnz} summed entries do not fill the preallocated "
+                f"pattern of {b - a} row by row")
+        indices[a:b] = part.indices
+        data[a:b] = part.data
+    mat = sp.csr_matrix((data, indices, indptr), shape=(dofs, dofs))
+    return SparseSystem(matrix=mat, rhs=None, space=space)
+
+
+def _row_pointers(m: int, n: int, pairs) -> np.ndarray:
+    """CSR row pointers of the (n, n) blocks that couple the row elements
+    to the column elements of ``pairs`` [(rows, cols)]: one block per
+    distinct element pair, so per element row its distinct column elements
+    times n entries in each of its n dof rows.  int32 unless the entries
+    do not fit."""
+    keys = np.concatenate(
+        [rows.astype(np.int64) * m + cols for rows, cols in pairs])
+    keys.sort()
+    distinct = np.empty(len(keys), dtype=bool)
+    distinct[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
+    row_nnz = np.repeat(np.bincount(keys[distinct] // m, minlength=m) * n, n)
+    del keys, distinct
+    nnz = int(row_nnz.sum())
+    idx = np.int32 if max(nnz, m * n) <= np.iinfo(np.int32).max else np.int64
+    indptr = np.zeros(m * n + 1, dtype=idx)
+    np.cumsum(row_nnz, out=indptr[1:])
+    return indptr
+
+
+def _chunk_blocks(space, volume, faces, face_rule, grads, lo, hi,
+                  sel) -> list:
+    """The blocks (block, row elements, column elements) of the rows of
+    elements lo..hi-1 in written order; ``sel`` holds the intersections of
+    the minus and of the plus side whose own element lies in lo..hi-1, in
+    intersection order.  The traces die on return."""
+    blocks = []
+    if volume is not None:
+        elems = np.arange(lo, hi)
+        blocks.append((volume(slice(lo, hi)), elems, elems))
+    if faces is None:
+        return blocks
+    edges = space.mesh.edges
+    sel_m, sel_p = sel
+    # trace each intersection once: the minus side's, then those of the
+    # plus side whose minus element lies in another chunk
+    outside = (edges.minus[sel_p] < lo) | (edges.minus[sel_p] >= hi)
+    both = np.concatenate([sel_m, sel_p[outside]])
+    at_p = np.searchsorted(sel_m, sel_p)
+    at_p[outside] = len(sel_m) + np.arange(np.count_nonzero(outside))
+    x = space.face_points(face_rule, both)
+    tr_m = space.trace(edges.minus[both], x, grads)
+    tr_p = space.trace(edges.plus[both], x, grads)
+    del x
+    for minus, own, other, ids, at, own_tr, other_tr in (
+            (True, edges.minus, edges.plus, sel_m, slice(0, len(sel_m)),
+             tr_m, tr_p),
+            (False, edges.plus, edges.minus, sel_p, at_p, tr_p, tr_m)):
+        diag, off = faces(ids, minus, _rows(own_tr, at), _rows(other_tr, at))
+        blocks += [(diag, own[ids], own[ids]), (off, own[ids], other[ids])]
+    return blocks
+
+
+def _rows(trace, at):
+    """Rows ``at`` of a trace: values, or (values, gradients)."""
+    if isinstance(trace, tuple):
+        return tuple(t[at] for t in trace)
+    return trace[at]
+
+
+def _chunk_csr(blocks, lo, hi, n, dofs, idx) -> sp.csr_matrix:
+    """scipy's CSR conversion of the triplets of ``blocks``, whose row
+    elements lie in lo..hi-1, as the rows of those elements; the blocks
+    are dropped once copied."""
+    count = n * n * sum(len(block) for block, _, _ in blocks)
+    vals = np.empty(count)
+    rows = np.empty(count, dtype=idx)
+    cols = np.empty(count, dtype=idx)
+    local = np.arange(n)
+    end = 0
+    for block, r, c in blocks:
+        part = slice(end, end + block.size)
+        vals[part] = block.ravel()
+        rows[part].reshape(-1, n, n)[...] = (
+            ((r - lo) * n)[:, None, None] + local[None, :, None])
+        cols[part].reshape(-1, n, n)[...] = (
+            (c * n)[:, None, None] + local[None, None, :])
+        end = part.stop
+    blocks.clear()  # the caller keeps no reference to the list
+    return sp.coo_matrix((vals, (rows, cols)),
+                         shape=((hi - lo) * n, dofs)).tocsr()
 
 
 def _face_weights(space: DgSpace, penalty: PenaltyParams, rule):
@@ -253,15 +348,6 @@ def _face_weights(space: DgSpace, penalty: PenaltyParams, rule):
     om = penalty.omegas(space.mesh)  # refuses a mesh without edges
     edges = space.mesh.edges
     return om / edges.lengths, rule.weights[None, :] * edges.lengths[:, None]
-
-
-def _face_traces(space: DgSpace, rule, grads: bool):
-    """Traces of the minus and of the plus element of every intersection
-    at the points of segment rule ``rule``."""
-    edges = space.mesh.edges
-    x = space.face_points(rule)
-    return (space.trace(edges.minus, x, grads),
-            space.trace(edges.plus, x, grads))
 
 
 def assemble_system(space: DgSpace, choice, penalty: PenaltyParams,
@@ -275,33 +361,25 @@ def assemble_system(space: DgSpace, choice, penalty: PenaltyParams,
     tri_deg, seg_deg = quadrature or _quad_degrees(space.degree)
     seg_rule = get_quadrature("segment", seg_deg)
     beta, wseg = _face_weights(space, penalty, seg_rule)
-    m = len(space.mesh.triangles)
-    out = _TripletWriter(space, m + 4 * len(beta))
-    elems = np.arange(m)
-    out.write(_volume_block(space, get_quadrature("triangle", tri_deg)),
-              elems, elems)
-    _write_face_blocks(out, tag, beta, wseg,
-                       _face_traces(space, seg_rule, grads=True))
-    return out.system()
+    tri_rule = get_quadrature("triangle", tri_deg)
+    edges = space.mesh.edges
 
-
-def _write_face_blocks(out: _TripletWriter, tag, beta, wseg, traces):
-    """Write the diagonal and the off-diagonal face block of each side of
-    every intersection, the minus side first; the traces die on return."""
-    edges = out.space.mesh.edges
-    minus_tr, plus_tr = traces
-    for own, other, n_own, n_other, own_tr, other_tr in (
-            (edges.minus, edges.plus, edges.conormal_minus,
-             edges.conormal_plus, minus_tr, plus_tr),
-            (edges.plus, edges.minus, edges.conormal_plus,
-             edges.conormal_minus, plus_tr, minus_tr)):
+    def faces(ids, minus, own_tr, other_tr):
+        n_own, n_other = edges.conormal_minus[ids], edges.conormal_plus[ids]
+        if not minus:
+            n_own, n_other = n_other, n_own
         n_d, n_e_own, n_e_oth = _resolve_batch(tag, n_own, n_other)
-        out.write(_diag_face_block(beta, wseg, own_tr, n_d), own, own)
+        b, w = beta[ids], wseg[ids]
         # 4T weights the cross mass by beta n+ . n-, the others by -beta
-        cross_w = (beta * np.einsum("ed,ed->e", n_own, n_other)
-                   if tag == "4T" else -beta)
-        out.write(_off_face_block(wseg, own_tr, other_tr, n_e_own, n_e_oth,
-                                  cross_w), own, other)
+        cross_w = (b * np.einsum("ed,ed->e", n_own, n_other)
+                   if tag == "4T" else -b)
+        return (_diag_face_block(b, w, own_tr, n_d),
+                _off_face_block(w, own_tr, other_tr, n_e_own, n_e_oth,
+                                cross_w))
+
+    return _assemble_by_rows(
+        space, lambda part: _volume_block(space, tri_rule, part), faces,
+        seg_rule, grads=True)
 
 
 def _diag_face_block(beta, wseg, own_tr, n_d):
@@ -329,11 +407,8 @@ def _off_face_block(wseg, own_tr, other_tr, n_e_own, n_e_oth, cross_w):
 def assemble_mass_stiffness(space: DgSpace) -> SparseSystem:
     """Volume-only operator (broken stiffness + mass), no face terms."""
     rule = get_quadrature("triangle", _quad_degrees(space.degree)[0])
-    m = len(space.mesh.triangles)
-    out = _TripletWriter(space, m)
-    elems = np.arange(m)
-    out.write(_volume_block(space, rule), elems, elems)
-    return out.system()
+    return _assemble_by_rows(
+        space, lambda part: _volume_block(space, rule, part), None)
 
 
 def assemble_penalty_matrix(space: DgSpace, penalty: PenaltyParams
@@ -342,18 +417,13 @@ def assemble_penalty_matrix(space: DgSpace, penalty: PenaltyParams
     intersection (the standard penalty of Choices 1 to 4)."""
     seg_rule = get_quadrature("segment", _quad_degrees(space.degree)[1])
     beta, wseg = _face_weights(space, penalty, seg_rule)
-    out = _TripletWriter(space, 4 * len(beta))
-    edges = space.mesh.edges
-    v_minus, v_plus = _face_traces(space, seg_rule, grads=False)
-    for own, other, v_r, v_n in ((edges.minus, edges.plus, v_minus, v_plus),
-                                 (edges.plus, edges.minus, v_plus, v_minus)):
-        out.write(beta[:, None, None] * np.einsum("ek,eki,ekj->eij",
-                                                  wseg, v_r, v_r), own, own)
-        out.write(-beta[:, None, None] * np.einsum("ek,eki,ekj->eij",
-                                                   wseg, v_r, v_n),
-                  own, other)
-    del v_minus, v_plus, v_r, v_n
-    return out.system()
+
+    def faces(ids, minus, v_r, v_n):
+        b, w = beta[ids][:, None, None], wseg[ids]
+        return (b * np.einsum("ek,eki,ekj->eij", w, v_r, v_r),
+                -b * np.einsum("ek,eki,ekj->eij", w, v_r, v_n))
+
+    return _assemble_by_rows(space, None, faces, seg_rule)
 
 
 def assemble_rhs(space: DgSpace, surface: LevelSetSurface, f) -> np.ndarray:
@@ -381,8 +451,22 @@ def assemble_rhs(space: DgSpace, surface: LevelSetSurface, f) -> np.ndarray:
 
 
 def check_symmetry(matrix) -> float:
-    """Largest absolute entry of A - A^T."""
+    """Largest absolute entry of A - A^T.
+
+    A canonical real CSR matrix is transposed once; when A^T has the same
+    pattern, the entries are compared in place in the transposed copy, so
+    no third matrix is formed.  Stored differences that are zero are the
+    entries ``A - A^T`` drops, so the result is the same float either way.
+    """
     a = matrix.matrix if isinstance(matrix, SparseSystem) else matrix
+    if (sp.issparse(a) and a.format == "csr" and a.dtype.kind == "f"
+            and a.has_canonical_format):
+        at = a.T.tocsr()
+        if (np.array_equal(a.indptr, at.indptr)
+                and np.array_equal(a.indices, at.indices)):
+            d = np.subtract(a.data, at.data, out=at.data)
+            return float(np.abs(d, out=d).max()) if d.size else 0.0
+        del at
     diff = (a - a.T).tocoo()
     return float(np.abs(diff.data).max()) if diff.nnz else 0.0
 

@@ -235,11 +235,13 @@ class DgSpace:
         return vals, np.einsum("ekna,ead->eknd",
                                _ref_grads(self.degree, lam), tmap[elems])
 
-    def face_points(self, rule: QuadratureRule) -> np.ndarray:
-        """Points (E, k, 3) of segment rule ``rule`` on every intersection,
-        for ``trace`` of its minus and its plus element."""
+    def face_points(self, rule: QuadratureRule, ids=slice(None)
+                    ) -> np.ndarray:
+        """Points (E, k, 3) of segment rule ``rule`` on the intersections
+        ``ids`` (all by default), for ``trace`` of their minus and their
+        plus element."""
         edges = self.mesh.edges
-        p0, p1 = edges.endpoints[:, 0], edges.endpoints[:, 1]
+        p0, p1 = edges.endpoints[ids, 0], edges.endpoints[ids, 1]
         t = rule.points[None, :, None]
         return p0[:, None, :] + t * (p1 - p0)[:, None, :]
 

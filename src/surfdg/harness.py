@@ -8,6 +8,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import geometry
 from .assembly import (PenaltyParams, assemble_rhs, assemble_system,
                        normalize_choice)
 from .dgspace import DgFunction, DgSpace, _ref_grads, _values, get_quadrature
@@ -118,27 +119,50 @@ class _ErrorReference(NamedTuple):
     plus: np.ndarray  # (E, k, n) plus traces at the jump points
 
 
+def _chunks(count: int, points: int) -> list:
+    """Slices of ``count`` items of ``points`` points each, about
+    ``geometry._LIFT_BATCH`` points (and at least one item) per slice."""
+    step = max(1, geometry._LIFT_BATCH // points)
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
 def _error_reference(space: DgSpace, problem: TestProblem) -> _ErrorReference:
     """The space's error reference, built on first use and rebuilt when
-    ``problem`` is not the object it was built for."""
+    ``problem`` is not the object it was built for.
+
+    Its arrays are preallocated and filled per chunk of elements or of
+    intersections, so the lift's temporaries stay chunk sized; each point
+    is handled on its own, so the chunks change no value.
+    """
     ref = space.error_reference
     if ref is not None and ref.problem is problem:
         return ref
     space.error_reference = None  # free the stale one before building
     tv, _, _, normals = space.frames
     rule = get_quadrature("triangle", 6)
-    pts = np.einsum("qk,mkd->mqd", rule.points, tv)
-    m, q = pts.shape[:2]
-    exact_val, exact_tang = exact_u_on_gammah(problem, pts.reshape(-1, 3))
-    # project the exact surface gradient into the element plane
-    exact_tang = exact_tang.reshape(m, q, 3)
-    exact_tang = exact_tang - np.einsum(
-        "mqd,md->mq", exact_tang, normals)[:, :, None] * normals[:, None, :]
+    m, q = len(tv), len(rule.weights)
+    values = np.empty((m, q))
+    gradients = np.empty((m, q, 3))
+    for part in _chunks(m, q):
+        pts = np.einsum("qk,mkd->mqd", rule.points, tv[part])
+        val, tang = exact_u_on_gammah(problem, pts.reshape(-1, 3))
+        values[part] = val.reshape(-1, q)
+        # project the exact surface gradient into the element plane
+        grad = gradients[part]
+        grad[...] = tang.reshape(-1, q, 3)
+        del pts, val, tang
+        grad -= np.einsum("mqd,md->mq", grad, normals[part])[:, :, None] \
+            * normals[part][:, None, :]
     edges = space.mesh.edges
-    x = space.face_points(get_quadrature("segment", 6))
-    space.error_reference = _ErrorReference(
-        problem, exact_val.reshape(m, q), exact_tang,
-        space.trace(edges.minus, x), space.trace(edges.plus, x))
+    seg = get_quadrature("segment", 6)
+    minus = np.empty((len(edges), len(seg.weights), space.dofs_per_element))
+    plus = np.empty_like(minus)
+    for part in _chunks(len(edges), len(seg.weights)):
+        x = space.face_points(seg, part)
+        minus[part] = space.trace(edges.minus[part], x)
+        plus[part] = space.trace(edges.plus[part], x)
+    space.error_reference = _ErrorReference(problem, values, gradients,
+                                            minus, plus)
     return space.error_reference
 
 
@@ -151,6 +175,10 @@ def compute_errors(u_h: DgFunction, problem: TestProblem) -> tuple:
     into the element plane, and the jump term carries weight 1/h_e.
     The exact values, gradients and jump-point traces are kept on the
     space and reused by later calls with the same problem object.
+
+    Each norm's integrand is filled per chunk of elements into one
+    (m, q) array and then summed at once, so the sum runs in the order of
+    the whole array and the chunks change no bit.
     """
     space = u_h.space
     if space.mesh.edges is None:
@@ -159,29 +187,39 @@ def compute_errors(u_h: DgFunction, problem: TestProblem) -> tuple:
     _, tmap, areas, _ = space.frames
     rule = get_quadrature("triangle", 6)
     w = rule.weights
-    m = len(areas)
+    m, q = ref.values.shape
 
     coeff = u_h.coefficients.reshape(m, space.dofs_per_element)
     vref = _values(space.degree, rule.points)
     gref = _ref_grads(space.degree, rule.points)
-    uh_val = np.einsum("mi,qi->mq", coeff, vref)
-    uh_grad = np.einsum("mqa,mad->mqd",
-                        np.einsum("mi,qia->mqa", coeff, gref), tmap)
-
-    diff = uh_val - ref.values
-    l2_sq = np.sum(2.0 * areas[:, None] * w[None, :] * diff**2)
-    gdiff = uh_grad - ref.gradients
-    h1_sq = np.sum(2.0 * areas[:, None] * w[None, :]
-                   * np.einsum("mqd,mqd->mq", gdiff, gdiff))
+    chunks = _chunks(m, q)
+    integrand = np.empty((m, q))
+    for part in chunks:
+        diff = np.einsum("mi,qi->mq", coeff[part], vref) - ref.values[part]
+        integrand[part] = 2.0 * areas[part, None] * w[None, :] * diff**2
+    l2_sq = np.sum(integrand)
+    for part in chunks:
+        uh_grad = np.einsum("mqa,mad->mqd",
+                            np.einsum("mi,qia->mqa", coeff[part], gref),
+                            tmap[part])
+        gdiff = uh_grad - ref.gradients[part]
+        integrand[part] = 2.0 * areas[part, None] * w[None, :] \
+            * np.einsum("mqd,mqd->mq", gdiff, gdiff)
+    h1_sq = np.sum(integrand)
+    del integrand
 
     # jump seminorm: the lifted exact solution is single valued, so only
     # u_h jumps across intersections
     edges = space.mesh.edges
-    jump = (np.einsum("ei,eki->ek", coeff[edges.plus], ref.plus)
-            - np.einsum("ei,eki->ek", coeff[edges.minus], ref.minus))
-    # weights: w_k * |e| per point, then the 1/h_e jump factor
     seg = get_quadrature("segment", 6)
-    jump_sq = np.sum(seg.weights[None, :] * jump**2, axis=1)
+    jump_sq = np.empty(len(edges))
+    for part in _chunks(len(edges), len(seg.weights)):
+        jump = (np.einsum("ei,eki->ek", coeff[edges.plus[part]],
+                          ref.plus[part])
+                - np.einsum("ei,eki->ek", coeff[edges.minus[part]],
+                            ref.minus[part]))
+        # weights: w_k * |e| per point, then the 1/h_e jump factor
+        jump_sq[part] = np.sum(seg.weights[None, :] * jump**2, axis=1)
     star_sq = np.sum(jump_sq)  # lengths cancel: |e| * (1/|e|)
     dg_sq = l2_sq + h1_sq + star_sq
     return float(np.sqrt(l2_sq)), float(np.sqrt(dg_sq))

@@ -1,4 +1,7 @@
-"""Shared fixtures: flat reference patches and tube-point sampling."""
+"""Shared fixtures: flat reference patches, tube-point sampling and
+numpy memory tracing."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +90,29 @@ def tube_points(surface, n=100, seed=0, width=None):
     nu = g / np.linalg.norm(g, axis=1, keepdims=True)
     t = rng.uniform(-width, width, size=(n, 1))
     return base + t * nu
+
+
+def _numpy_bytes() -> int:
+    snap = tracemalloc.take_snapshot().filter_traces(
+        [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    return sum(stat.size for stat in snap.statistics("filename"))
+
+
+def traced_bytes(fn):
+    """Run ``fn()`` under tracemalloc; returns (result, peak, kept): the
+    traced peak above the bytes allocated at the call, and the bytes of
+    numpy data the call leaves allocated (tracemalloc's numpy domain)."""
+    tracemalloc.start()
+    try:
+        before = _numpy_bytes()
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1] - start
+        kept = _numpy_bytes() - before
+    finally:
+        tracemalloc.stop()
+    return out, peak, kept
 
 
 @pytest.fixture

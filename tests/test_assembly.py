@@ -1,13 +1,13 @@
 """IP matrix assembly: penalty bounds, conormal choices, oracles."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from conftest import flat_grid, flat_pair
-from surfdg import geometry
+from conftest import flat_grid, flat_pair, traced_bytes
+from surfdg import assembly, geometry
 from surfdg.assembly import (
+    CHOICES,
     PenaltyError,
     PenaltyParams,
     _quad_degrees,
@@ -388,32 +388,121 @@ def test_rhs_batches_do_not_change_values(monkeypatch, name, degree,
     assert np.array_equal(batched, assemble_rhs(space, surf, problem.f))
 
 
-def _numpy_bytes():
-    snap = tracemalloc.take_snapshot().filter_traces(
-        [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
-    return sum(stat.size for stat in snap.statistics("filename"))
-
-
-@pytest.mark.parametrize("degree", [1, 2])
-def test_assemble_system_memory(degree):
-    """On a 4-refinement Dziuk mesh the assembly peaks at no more than six
-    times the bytes of the CSR it returns, and keeps exactly those."""
+def _dziuk_space(refinements, degree):
     surf = make_dziuk()
     mesh = initial_mesh(surf, "icosahedron")
-    for _ in range(4):
+    for _ in range(refinements):
         mesh = refine_uniform(mesh, surf)
     space = DgSpace(mesh, degree)
     space.frames  # the cached geometry is not part of the assembly
-    tracemalloc.start()
-    try:
-        before = _numpy_bytes()
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        a = assemble_system(space, 2, PenaltyParams()).matrix
-        peak = tracemalloc.get_traced_memory()[1] - start
-        kept = _numpy_bytes() - before
-    finally:
-        tracemalloc.stop()
-    csr_bytes = a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
-    assert peak <= 6 * csr_bytes
-    assert kept == csr_bytes
+    return space
+
+
+def _csr_bytes(a):
+    return a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_assemble_system_memory(monkeypatch, degree):
+    """Assembled in 16 row chunks, the 4-refinement Dziuk matrix peaks at
+    no more than twice the bytes of the CSR it returns (about one matrix
+    plus one chunk), and the call keeps exactly those bytes."""
+    space = _dziuk_space(4, degree)
+    n = space.dofs_per_element
+    triplets = n * n * (len(space.mesh.triangles) + 4 * len(space.mesh.edges))
+    monkeypatch.setattr(assembly, "_CHUNK_TRIPLETS", triplets // 16)
+    chunks = []
+    convert = assembly._chunk_csr
+
+    def counted(*args):
+        chunks.append(args[1:3])  # lo, hi
+        return convert(*args)
+
+    monkeypatch.setattr(assembly, "_chunk_csr", counted)
+    system, peak, kept = traced_bytes(
+        lambda: assemble_system(space, 2, PenaltyParams()))
+    a = system.matrix
+    del system
+    assert len(chunks) >= 8
+    assert peak <= 2 * _csr_bytes(a)
+    assert kept == _csr_bytes(a)
+
+
+def test_chunk_off_the_pattern_is_refused(monkeypatch):
+    """A row chunk whose summed entries do not fill the preallocated
+    pattern raises and names the chunk."""
+    space = DgSpace(sphere_mesh(1), 1)
+    convert = assembly._chunk_csr
+
+    def drop_last_block(blocks, lo, *rest):
+        if lo > 0:
+            blocks.pop()
+        return convert(blocks, lo, *rest)
+
+    monkeypatch.setattr(assembly, "_CHUNK_TRIPLETS", 2000)
+    monkeypatch.setattr(assembly, "_chunk_csr", drop_last_block)
+    with pytest.raises(RuntimeError, match=r"row chunk 1 \(elements \d+ to"):
+        assemble_system(space, 2, PenaltyParams())
+
+
+def _listed_defect(a) -> float:
+    diff = (a - a.T).tocoo()
+    return float(np.abs(diff.data).max()) if diff.nnz else 0.0
+
+
+def _random_csr(rng, kind):
+    n = int(rng.integers(1, 30))
+    a = sp.random(n, n, density=rng.uniform(0.05, 0.6), format="csr",
+                  random_state=rng)
+    if kind in ("symmetric pattern", "symmetric", "explicit zeros"):
+        a = (a + a.T).tocsr()
+    if kind == "symmetric pattern":
+        a.data = rng.standard_normal(a.nnz)
+    elif kind == "explicit zeros":
+        a.data[rng.random(a.nnz) < 0.4] = 0.0
+    elif kind == "cyclic":  # the rows of A and A^T hold one entry each
+        a = sp.csr_matrix((rng.standard_normal(n),
+                           ((np.arange(n) + 1) % n, np.arange(n))),
+                          shape=(n, n))
+    elif kind == "unsorted":
+        for i in range(n):
+            row = slice(a.indptr[i], a.indptr[i + 1])
+            perm = rng.permutation(row.stop - row.start)
+            a.indices[row] = a.indices[row][perm]
+            a.data[row] = a.data[row][perm]
+        a.has_sorted_indices = False
+    return a
+
+
+@pytest.mark.parametrize("seed, kind", enumerate([
+    "general", "symmetric pattern", "symmetric", "explicit zeros",
+    "cyclic", "unsorted"]))
+def test_check_symmetry_equals_listed_difference(seed, kind):
+    """The in-place comparison with one transposed copy returns, bit for
+    bit, the largest entry of the listed difference A - A^T."""
+    rng = np.random.default_rng(seed)
+    for _ in range(40):
+        a = _random_csr(rng, kind)
+        got = check_symmetry(a)
+        assert np.float64(got).tobytes() == np.float64(
+            _listed_defect(a)).tobytes()
+
+
+def test_check_symmetry_empty_and_assembled():
+    for a in (sp.csr_matrix((0, 0)), sp.csr_matrix((5, 5))):
+        assert check_symmetry(a) == 0.0
+    space = DgSpace(sphere_mesh(1), 1)
+    for choice in CHOICES:
+        a = assemble_system(space, choice, PenaltyParams()).matrix
+        assert np.float64(check_symmetry(a)).tobytes() == np.float64(
+            _listed_defect(a)).tobytes()
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_check_symmetry_memory(degree):
+    """The symmetry check of the 4-refinement Dziuk matrix peaks at no
+    more than 1.25 times the bytes of the matrix: one transposed copy."""
+    a = assemble_system(_dziuk_space(4, degree), 2, PenaltyParams()).matrix
+    _, peak, kept = traced_bytes(lambda: check_symmetry(a))
+    assert peak <= 1.25 * _csr_bytes(a)
+    assert kept == 0

@@ -1,5 +1,7 @@
 """Property tests of the IP matrix assembly on perturbed seed meshes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -10,7 +12,7 @@ from surfdg.assembly import (PenaltyParams, assemble_mass_stiffness,
                              check_symmetry)
 from surfdg.dgspace import DgSpace
 from surfdg.geometry import get_surface, grad_phi, project_points
-from surfdg.mesh import (SurfaceMesh, build_edges, initial_mesh,
+from surfdg.mesh import (EdgeSet, SurfaceMesh, build_edges, initial_mesh,
                          refine_nonconforming)
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -42,18 +44,55 @@ def perturbed_mesh(name, seed, amplitude, nonconforming):
     return mesh
 
 
-def recorded(stream, build):
-    """``build()`` with every block family handed to the triplet writer
-    appended to ``stream`` as (block, row elements, column elements)."""
-    write = assembly._TripletWriter.write
+def flipped_sides(mesh, seed):
+    """``mesh`` with the minus and the plus side of about half of its
+    intersections swapped, so minus elements also follow plus ones."""
+    e = mesh.edges
+    flip = np.random.default_rng(seed).random(len(e)) < 0.5
 
-    def spy(self, block, row_elems, col_elems):
-        stream.append((block.copy(), row_elems, col_elems))
-        write(self, block, row_elems, col_elems)
+    def pick(a, b):
+        return np.where(flip.reshape((-1,) + (1,) * (a.ndim - 1)), b, a)
+
+    edges = EdgeSet(e.endpoints, pick(e.plus, e.minus), pick(e.minus, e.plus),
+                    e.lengths, pick(e.conormal_plus, e.conormal_minus),
+                    pick(e.conormal_minus, e.conormal_plus), e.conforming)
+    return dataclasses.replace(mesh, edges=edges)
+
+
+def recorded(calls, build):
+    """``build()`` with the arguments of every ``_assemble_by_rows`` call
+    appended to ``calls`` as (positional, keyword)."""
+    assemble = assembly._assemble_by_rows
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return assemble(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(assembly._TripletWriter, "write", spy)
+        mp.setattr(assembly, "_assemble_by_rows", spy)
         return build()
+
+
+def whole_stream(space, volume, faces, face_rule=None, grads=False):
+    """The whole matrix's block stream, (block, row elements, column
+    elements), in the written order of a one-shot assembly: the volume
+    blocks of all elements, then the minus-diagonal, minus-off,
+    plus-diagonal and plus-off blocks of all intersections."""
+    m = len(space.mesh.triangles)
+    elems = np.arange(m)
+    stream = [] if volume is None else [(volume(slice(None)), elems, elems)]
+    if faces is not None:
+        edges = space.mesh.edges
+        ids = np.arange(len(edges))
+        x = space.face_points(face_rule)
+        tr_minus = space.trace(edges.minus, x, grads)
+        tr_plus = space.trace(edges.plus, x, grads)
+        for minus, own, other, own_tr, other_tr in (
+                (True, edges.minus, edges.plus, tr_minus, tr_plus),
+                (False, edges.plus, edges.minus, tr_plus, tr_minus)):
+            diag, off = faces(ids, minus, own_tr, other_tr)
+            stream += [(diag, own, own), (off, own, other)]
+    return stream
 
 
 def listed_csr(space, stream):
@@ -74,23 +113,29 @@ def listed_csr(space, stream):
 @settings(max_examples=50, deadline=None)
 @given(name=st.sampled_from(("sphere", "dziuk")), degree=st.sampled_from((1, 2)),
        nonconforming=st.booleans(), seed=st.integers(0, 2**32 - 1),
-       amplitude=st.floats(0.0, 0.15))
-def test_triplet_writer_matches_listed_conversion(name, degree, nonconforming,
-                                                  seed, amplitude):
-    """Every assembler's CSR is, array for array, scipy's conversion of the
-    block stream its writer received, and Choices 2, 3 and 4 are
-    symmetric."""
-    space = DgSpace(perturbed_mesh(name, seed, amplitude, nonconforming),
-                    degree)
+       amplitude=st.floats(0.0, 0.15), chunk=st.integers(1, 1 << 14),
+       flip=st.booleans())
+def test_row_chunks_match_one_shot_conversion(name, degree, nonconforming,
+                                              seed, amplitude, chunk, flip):
+    """Every assembler's CSR, built in row chunks of about ``chunk``
+    triplets (down to one element per chunk, up to a single chunk), is,
+    array for array, scipy's one-shot conversion of the whole block stream
+    in its written order, and Choices 2, 3 and 4 are symmetric; also when
+    some minus elements follow their plus elements."""
+    mesh = perturbed_mesh(name, seed, amplitude, nonconforming)
+    space = DgSpace(flipped_sides(mesh, seed) if flip else mesh, degree)
     penalty = PenaltyParams()
     builds = {c: (lambda c=c: assemble_system(space, c, penalty))
               for c in assembly.CHOICES}
     builds["mass-stiffness"] = lambda: assemble_mass_stiffness(space)
     builds["penalty"] = lambda: assemble_penalty_matrix(space, penalty)
     for what, build in builds.items():
-        stream = []
-        got = recorded(stream, build).matrix
-        want = listed_csr(space, stream)
+        calls = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(assembly, "_CHUNK_TRIPLETS", chunk)
+            got = recorded(calls, build).matrix
+        ((args, kwargs),) = calls
+        want = listed_csr(space, whole_stream(*args, **kwargs))
         assert got.has_sorted_indices, what
         for part in ("indptr", "indices", "data"):
             g, w = getattr(got, part), getattr(want, part)

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import surfdg.harness as harness
-from conftest import flat_grid
+from conftest import flat_grid, traced_bytes
+from surfdg import geometry
 from surfdg.assembly import PenaltyParams, assemble_rhs, assemble_system
-from surfdg.dgspace import DgFunction, DgSpace, interpolate
+from surfdg.dgspace import DgFunction, DgSpace, get_quadrature, interpolate
 from surfdg.geometry import ScalarField3, make_plane, make_sphere
 from surfdg.harness import (
     HarnessError,
@@ -26,7 +27,8 @@ from surfdg.harness import (
     run_convergence,
     write_csv,
 )
-from surfdg.mesh import initial_mesh, refine_uniform, triangle_areas
+from surfdg.mesh import (initial_mesh, refine_nonconforming, refine_uniform,
+                         triangle_areas)
 from surfdg.problems import TestProblem, make_problem
 from surfdg.solvers import bicgstab, cg
 
@@ -184,6 +186,75 @@ def test_compute_errors_other_problem_not_stale():
     assert other == compute_errors(fresh, x3)
     assert other != own
     assert compute_errors(u_h, prob) == own
+
+
+def _error_mesh(name, nonconforming, refinements):
+    prob = make_problem(name)
+    surf = prob.surface
+    if name == "dziuk":
+        mesh = initial_mesh(surf, "icosahedron")
+    else:
+        mesh = initial_mesh(surf, "octahedron", scale=1.25)
+    for _ in range(refinements):
+        mesh = refine_uniform(mesh, surf)
+    if nonconforming:
+        cent = mesh.triangle_vertices().mean(axis=1)
+        mesh = refine_nonconforming(mesh, np.flatnonzero(cent[:, 0] > 0.0),
+                                    surf)
+    return prob, mesh
+
+
+@pytest.mark.parametrize("name, degree, nonconforming, refinements", [
+    ("dziuk", 1, True, 0),
+    ("dziuk", 2, True, 0),
+    ("enzensberger-stern", 1, False, 2),  # generic-LB forcing
+])
+def test_error_chunks_do_not_change_values(monkeypatch, name, degree,
+                                           nonconforming, refinements):
+    """Lifting and integrating per chunk of elements, the last chunk
+    holding a single element, gives exactly the one-chunk reference
+    arrays and errors."""
+    prob, mesh = _error_mesh(name, nonconforming, refinements)
+    rule_points = len(get_quadrature("triangle", 6).weights)
+
+    def errors():
+        space = DgSpace(mesh, degree)
+        u_h = DgFunction(space, np.random.default_rng(3).standard_normal(
+            space.total_dofs))
+        return compute_errors(u_h, prob), space.error_reference
+
+    m = len(mesh.triangles)
+    step = next(b for b in range(2, m) if (m - 1) % b == 0)
+    monkeypatch.setattr(geometry, "_LIFT_BATCH", step * rule_points)
+    assert len(harness._chunks(m, rule_points)) == (m - 1) // step + 1
+    chunked, chunked_ref = errors()  # first, so no freed buffer helps it
+    monkeypatch.undo()
+    whole, whole_ref = errors()
+    assert chunked == whole
+    for part in harness._ErrorReference._fields[1:]:
+        assert np.array_equal(getattr(chunked_ref, part),
+                              getattr(whole_ref, part)), part
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_first_errors_call_memory_does_not_grow(monkeypatch, degree):
+    """At a fixed chunk size, the first error call's peak above the
+    reference it keeps does not grow from 4 to 5 Dziuk refinements: the
+    lift and the traces are built chunk by chunk."""
+    monkeypatch.setattr(geometry, "_LIFT_BATCH", 2048 * 12)
+    prob = make_problem("dziuk")
+    mesh = initial_mesh(prob.surface, "icosahedron")
+    above = []
+    for level in range(1, 6):
+        mesh = refine_uniform(mesh, prob.surface)
+        if level < 4:
+            continue
+        space = DgSpace(mesh, degree)
+        space.frames  # the cached geometry is not part of the error pass
+        u_h = DgFunction(space, np.zeros(space.total_dofs))
+        _, peak, kept = traced_bytes(lambda: compute_errors(u_h, prob))
+        above.append(peak - kept)
+    assert above[1] <= above[0]
 
 
 # ------------------------------------------------------- run_convergence

@@ -54,6 +54,19 @@ def test_cg_rejects_nonsymmetric():
         cg(a, np.ones(2))
 
 
+def test_cg_choice1_message_names_listed_defect():
+    """CG refuses the non-symmetric Choice 1 matrix with the defect of the
+    listed difference A - A^T in its message."""
+    space = DgSpace(initial_mesh(make_sphere(), "icosahedron"), 1)
+    a = assemble_system(space, 1, PenaltyParams()).matrix
+    defect = float(np.abs((a - a.T).tocoo().data).max())
+    scale = np.abs(a.data).max()
+    with pytest.raises(NonSymmetricMatrixError) as err:
+        cg(a, np.ones(a.shape[0]))
+    assert str(err.value) == (f"matrix not symmetric: defect {defect:.3e} "
+                              f"> 1e-10 * {scale:.3e}")
+
+
 def test_cg_reports_indefiniteness():
     a = np.diag([1.0, -1.0])
     with pytest.raises(IndefiniteSystemError, match="stability bound"):
