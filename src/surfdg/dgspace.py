@@ -131,21 +131,6 @@ def basis_eval(degree: int, ref_point) -> np.ndarray:
     return _values(degree, _as_barycentric(ref_point))
 
 
-def tangential_basis_gradient(tri_vertices, degree: int, ref_point):
-    """Physical basis gradients, tangential to the (flat) triangle.
-
-    Returns an (n_basis, 3) array of in-plane vectors.
-    """
-    tri = np.asarray(tri_vertices, dtype=float).reshape(3, 3)
-    lam = _as_barycentric(ref_point)
-    jac = np.stack([tri[1] - tri[0], tri[2] - tri[0]], axis=1)  # 3x2
-    gram = jac.T @ jac
-    if abs(np.linalg.det(gram)) < 1e-28:
-        raise ValueError("degenerate triangle")
-    gref = _ref_grads(degree, lam)  # (n, 2)
-    return gref @ np.linalg.solve(gram, jac.T)
-
-
 class ElementFrames(NamedTuple):
     """Per-element affine data of a flat triangulation.  The pushforward
     T = G^-1 J^T maps reference gradients to in-plane physical ones."""
@@ -154,6 +139,42 @@ class ElementFrames(NamedTuple):
     pushforward: np.ndarray  # (m, 2, 3)
     areas: np.ndarray  # (m,)
     normals: np.ndarray  # (m, 3), unit
+
+
+def _element_frames(tv) -> ElementFrames:
+    """Frames of the flat triangles with vertices tv (m, 3, 3)."""
+    jac = np.stack([tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0]], axis=2)
+    gram = np.einsum("mda,mdb->mab", jac, jac)
+    det = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 1, 0]
+    if np.any(det <= 0.0):
+        raise MeshError("degenerate element")
+    inv = np.empty_like(gram)
+    inv[:, 0, 0] = gram[:, 1, 1]
+    inv[:, 1, 1] = gram[:, 0, 0]
+    inv[:, 0, 1] = -gram[:, 0, 1]
+    inv[:, 1, 0] = -gram[:, 1, 0]
+    inv /= det[:, None, None]
+    t = np.einsum("mab,mdb->mad", inv, jac)
+    normals = np.cross(tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0])
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    return ElementFrames(tv, t, 0.5 * np.sqrt(det), normals)
+
+
+def tangential_basis_gradient(tri_vertices, degree: int, ref_point):
+    """Physical basis gradients, tangential to the (flat) triangle.
+
+    Returns an (n_basis, 3) array of in-plane vectors.
+    """
+    tri = np.asarray(tri_vertices, dtype=float).reshape(1, 3, 3)
+    lam = _as_barycentric(ref_point)
+    try:
+        frames = _element_frames(tri)
+    except MeshError:
+        frames = None
+    # area 0.5e-14 is a Gram determinant of 1e-28
+    if frames is None or frames.areas[0] < 0.5e-14:
+        raise ValueError("degenerate triangle")
+    return _ref_grads(degree, lam) @ frames.pushforward[0]
 
 
 @dataclass
@@ -197,22 +218,7 @@ class DgSpace:
     @cached_property
     def frames(self) -> ElementFrames:
         """Element frames of the mesh, computed on first use."""
-        tv = self.mesh.triangle_vertices()
-        jac = np.stack([tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0]], axis=2)
-        gram = np.einsum("mda,mdb->mab", jac, jac)
-        det = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 1, 0]
-        if np.any(det <= 0.0):
-            raise MeshError("degenerate element")
-        inv = np.empty_like(gram)
-        inv[:, 0, 0] = gram[:, 1, 1]
-        inv[:, 1, 1] = gram[:, 0, 0]
-        inv[:, 0, 1] = -gram[:, 0, 1]
-        inv[:, 1, 0] = -gram[:, 1, 0]
-        inv /= det[:, None, None]
-        t = np.einsum("mab,mdb->mad", inv, jac)
-        normals = np.cross(tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0])
-        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        return ElementFrames(tv, t, 0.5 * np.sqrt(det), normals)
+        return _element_frames(self.mesh.triangle_vertices())
 
     def trace(self, elems, x, grads: bool = False):
         """Basis values (E, k, n) of elements ``elems`` (E,) at physical
@@ -295,11 +301,9 @@ def ref_coords(tri_vertices, pts) -> np.ndarray:
     it, so slightly cracked neighbour segments of nonconforming meshes can
     still be expressed in the element's frame.
     """
-    tri = np.asarray(tri_vertices, dtype=float).reshape(3, 3)
+    tri = np.asarray(tri_vertices, dtype=float).reshape(1, 3, 3)
     pts = np.asarray(pts, dtype=float).reshape(-1, 3)
-    jac = np.stack([tri[1] - tri[0], tri[2] - tri[0]], axis=1)
-    rhs = (pts - tri[0]) @ jac
-    xi_eta = np.linalg.solve(jac.T @ jac, rhs.T).T
+    xi_eta = (pts - tri[0, 0]) @ _element_frames(tri).pushforward[0].T
     lam = np.empty((pts.shape[0], 3))
     lam[:, 1:] = xi_eta
     lam[:, 0] = 1.0 - xi_eta.sum(axis=1)

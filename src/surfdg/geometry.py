@@ -7,8 +7,9 @@ axis of length 3, i.e. they accept arrays of shape (..., 3).
 
 Two projection algorithms are provided: a first-order fixed-point scheme
 that needs only phi and grad phi, and a Newton iteration on the stationarity
-system of  min |x - x0|^2  s.t. phi(x) = 0.  Both share the stopping
-criterion
+system of  min |x - x0|^2  s.t. phi(x) = 0.  Both run through one loop,
+``_project_batch``, and differ only in the step it takes; they share its
+fallback phases, its epilogue and its stopping criterion
 
     ( phi(x)^2 / |grad phi(x)|^2
       + | grad phi(x)/|grad phi(x)| - (x - x0)/|x - x0| |^2 )^(1/2)  <  tol
@@ -157,13 +158,8 @@ def grad_phi(surface: LevelSetSurface, x) -> np.ndarray:
     if surface.grad_phi is not None:
         g = np.asarray(surface.grad_phi(pts), dtype=float)
     else:
-        h = surface.fd_step
-        g = np.empty_like(pts)
-        for i in range(3):
-            shift = np.zeros(3)
-            shift[i] = h
-            g[:, i] = (eval_phi(surface, pts + shift)
-                       - eval_phi(surface, pts - shift)) / (2.0 * h)
+        g = field_gradient(ScalarField3(lambda y: eval_phi(surface, y)), pts,
+                           surface.fd_step)
     if not np.all(np.isfinite(g)):
         raise EvaluationError(
             f"grad phi returned a non-finite value on surface {surface.name!r}")
@@ -176,46 +172,33 @@ def grad_phi(surface: LevelSetSurface, x) -> np.ndarray:
 
 
 def _hess_phi(surface: LevelSetSurface, x: np.ndarray) -> np.ndarray:
-    """Hessian of phi at a single point, analytic or by central differences."""
+    """Hessians (n, 3, 3) of phi at (n, 3) points: analytic, else central
+    differences of grad phi (symmetrized) or, without it, of phi."""
     if surface.hess_phi is not None:
-        return np.asarray(surface.hess_phi(x), dtype=float).reshape(3, 3)
+        return np.asarray(surface.hess_phi(x), dtype=float)
     h = surface.fd_step
-    H = np.empty((3, 3))
     if surface.grad_phi is not None:
-        for i in range(3):
-            shift = np.zeros(3)
-            shift[i] = h
-            H[:, i] = (grad_phi(surface, x + shift)
-                       - grad_phi(surface, x - shift)) / (2.0 * h)
-        return 0.5 * (H + H.T)
-    p0 = eval_phi(surface, x)
-    for i in range(3):
-        ei = np.zeros(3)
-        ei[i] = h
-        H[i, i] = (eval_phi(surface, x + ei) - 2.0 * p0
-                   + eval_phi(surface, x - ei)) / h**2
-        for j in range(i + 1, 3):
-            ej = np.zeros(3)
-            ej[j] = h
-            H[i, j] = H[j, i] = (
-                eval_phi(surface, x + ei + ej) - eval_phi(surface, x + ei - ej)
-                - eval_phi(surface, x - ei + ej) + eval_phi(surface, x - ei - ej)
-            ) / (4.0 * h**2)
-    return H
+        H = field_gradient(ScalarField3(lambda y: grad_phi(surface, y)), x, h)
+        return 0.5 * (H + np.swapaxes(H, -1, -2))
+    return field_hessian(ScalarField3(lambda y: eval_phi(surface, y)), x, h)
 
 
 def field_gradient(f: ScalarField3, x, step: float = 1e-5) -> np.ndarray:
-    """Gradient of a scalar field, analytic if the field carries one."""
+    """Gradient of a scalar field, analytic if the field carries one.
+
+    The central differences also take a vector field (values (..., k)),
+    whose Jacobian they stack as (..., k, 3).
+    """
     x = np.asarray(x, dtype=float)
     if f.gradient is not None:
         return np.asarray(f.gradient(x), dtype=float)
-    g = np.empty(x.shape)
+    cols = []
     for i in range(3):
         shift = np.zeros(3)
         shift[i] = step
-        g[..., i] = (np.asarray(f.value(x + shift), float)
-                     - np.asarray(f.value(x - shift), float)) / (2.0 * step)
-    return g
+        cols.append((np.asarray(f.value(x + shift), float)
+                     - np.asarray(f.value(x - shift), float)) / (2.0 * step))
+    return np.stack(cols, axis=-1)
 
 
 def field_hessian(f: ScalarField3, x, step: float = 1e-5) -> np.ndarray:
@@ -335,9 +318,37 @@ class _BatchProjection:
     gradients: np.ndarray  # grad phi at points
 
 
+def _newton_deltas(surface, x, x0, p, g, lam):
+    """Newton steps (n, 4) for (x, lam) on the stationarity system of
+    F(x, lam) = |x - x0|^2 + lam * phi(x), at points x with phi p and
+    grad phi g, and the mask of points whose 4x4 Newton matrix is regular
+    (the rows of the others are left unset)."""
+    n = len(x)
+    J = np.zeros((n, 4, 4))
+    J[:, :3, :3] = 2.0 * np.eye(3) + lam[:, None, None] * _hess_phi(surface, x)
+    J[:, :3, 3] = g
+    J[:, 3, :3] = g
+    F = np.empty((n, 4))
+    F[:, :3] = 2.0 * (x - x0) + lam[:, None] * g
+    F[:, 3] = p
+    delta = np.empty((n, 4))
+    ok = np.ones(n, dtype=bool)
+    try:
+        delta[:] = np.linalg.solve(J, -F[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        # one singular matrix fails the whole stack: find it point by point
+        for i in range(n):
+            try:
+                delta[i] = np.linalg.solve(J[i], -F[i])
+            except np.linalg.LinAlgError:
+                ok[i] = False
+    return delta, ok
+
+
 def _project_batch(surface, seeds, tol, max_iter,
-                   seed_phi=None) -> _BatchProjection:
-    """First-order projection of an (n, 3) batch of seed points.
+                   seed_phi=None, newton=False) -> _BatchProjection:
+    """Project an (n, 3) batch of seed points, by the first-order scheme or,
+    with ``newton``, by Newton steps (see ``project_newton``).
 
     Per-point phases: 0 = full criterion, 1 = direction term dropped (the
     iterate must then also settle in place before stopping), 2 = plain
@@ -345,7 +356,10 @@ def _project_batch(surface, seeds, tol, max_iter,
     itself cycles).  Phase bumps happen after _STALL_WINDOW iterations
     without relative progress, or immediately when the update step is
     pinned below tol.  Points still live at max_iter fall through to a
-    descent epilogue that certifies |phi| only.
+    descent epilogue that certifies |phi| only.  The two algorithms differ
+    only in the step of phases 0 and 1: the first-order scheme re-anchors
+    at the seed, Newton solves its KKT system and re-anchors only where
+    that system is singular.
 
     The state of the live points is kept in compacted arrays that shrink
     as points finish, and each iterate is evaluated once: phi at the seeds
@@ -364,7 +378,8 @@ def _project_batch(surface, seeds, tol, max_iter,
     dropped = np.zeros(n, dtype=bool)
 
     # the live set: position in the batch, iterate, previous iterate, seed,
-    # sign of phi at the seed, phase, stall count, best criterion, age
+    # sign of phi at the seed, phase, stall count, best criterion, age and
+    # Newton's multiplier (set at iteration 0)
     lid = np.arange(n)
     x = prev = s = seeds
     sgn = np.sign(p)
@@ -395,6 +410,10 @@ def _project_batch(surface, seeds, tol, max_iter,
             relstep = _norm(x - prev) / (1.0 + _norm(x))
         else:
             relstep = np.full(len(lid), np.inf)
+            # Newton's multiplier; matmul sums |grad phi|^2 as a scalar
+            # g @ g does, not as the einsum of g2, whose last bit far seeds
+            # would amplify into points other than Newton's recorded ones
+            lam = 2.0 * p / (g[:, None, :] @ g[:, :, None])[:, 0, 0]
         # with the direction term dropped the phi residual alone would stop
         # the foot-point iteration while it is still moving tangentially;
         # require the update step to settle too so both projection routes
@@ -412,8 +431,9 @@ def _project_batch(surface, seeds, tol, max_iter,
             its[fin] = k
             dropped[fin] = phase[done] >= 1
             keep = np.flatnonzero(~done)
-            lid, x, s, sgn, phase, stall, best, age = (
-                a[keep] for a in (lid, x, s, sgn, phase, stall, best, age))
+            lid, x, s, sgn, phase, stall, best, age, lam = (
+                a[keep] for a in (lid, x, s, sgn, phase, stall, best, age,
+                                  lam))
             p, g, g2, crit, relstep = (
                 a[keep] for a in (p, g, g2, crit, relstep))
         if k == max_iter or not len(lid):
@@ -434,6 +454,14 @@ def _project_batch(surface, seeds, tol, max_iter,
         prev = x
         x = x - (p / g2)[:, None] * g
         anchored = phase < 2
+        if newton and np.any(anchored):
+            a = np.flatnonzero(anchored)
+            delta, ok = _newton_deltas(surface, prev[a], s[a], p[a], g[a],
+                                       lam[a])
+            a = a[ok]
+            x[a] = prev[a] + delta[ok, :3]
+            lam[a] += delta[ok, 3]
+            anchored[a] = False
         if np.any(anchored):
             # a slice spares the gathers when every live point is anchored
             a = slice(None) if np.all(anchored) else anchored
@@ -449,7 +477,8 @@ def _project_batch(surface, seeds, tol, max_iter,
         if np.any(off):
             worst = xe[off][int(np.argmax(_phi_residual(pe[off], ge[off])))]
             raise ProjectionError(
-                f"projection did not converge within {max_iter} iterations "
+                ("Newton " if newton else "")
+                + f"projection did not converge within {max_iter} iterations "
                 f"for {int(off.sum())} point(s) on "
                 f"{surface.name!r}; worst near {worst.tolist()}")
         x_out[lid] = xe
@@ -494,18 +523,35 @@ def project_points(surface: LevelSetSurface, seeds, tol: float = 1e-10,
     return out
 
 
-def _projection_normal(surface, seed, point, g, tol):
-    """Unit normal associated with a projection, oriented along grad phi,
-    the gradient g at point."""
-    disp = np.asarray(seed, float) - point
-    dn = np.linalg.norm(disp)
-    if dn > 10.0 * tol * (1.0 + np.linalg.norm(seed)):
-        sgn = 1.0 if eval_phi(surface, seed) >= 0 else -1.0
-        n = sgn * disp / dn
-        if np.dot(n, g) < 0.0:
-            n = -n
-        return n
-    return g / np.linalg.norm(g)
+def _projection_normals(seeds, p, proj, tol):
+    """Unit normals (n, 3) of the projections ``proj`` of seeds with phi p:
+    along sign(phi) * (seed - point), oriented along grad phi."""
+    disp = seeds - proj.points
+    dn = _norm(disp)
+    g = proj.gradients
+    n = np.where(p >= 0, 1.0, -1.0)[:, None] * disp
+    # a seed sitting within polish distance of the surface gives no
+    # usable displacement direction; fall back to the gradient there
+    tiny = dn <= 10.0 * tol * (1.0 + _norm(seeds))
+    n[tiny] = g[tiny]
+    n /= _norm(n)[:, None]
+    flip = np.einsum("ij,ij->i", n, g) < 0.0
+    n[flip] = -n[flip]
+    return n
+
+
+def _project_one(surface, x0, tol, max_iter, newton):
+    """One seed through ``_project_batch``, with its projection normal."""
+    x0 = np.asarray(x0, dtype=float).reshape(1, 3)
+    p0 = np.atleast_1d(eval_phi(surface, x0))
+    br = _project_batch(surface, x0, tol, max_iter, p0, newton=newton)
+    return ProjectionResult(
+        point=br.points[0],
+        normal=_projection_normals(x0, p0, br, tol)[0],
+        iterations=int(br.iterations[0]),
+        residual=float(br.residuals[0]),
+        normal_check_dropped=bool(br.dropped[0]),
+    )
 
 
 def project_first_order(surface: LevelSetSurface, x0, tol: float = 1e-10,
@@ -524,16 +570,7 @@ def project_first_order(surface: LevelSetSurface, x0, tol: float = 1e-10,
     Stops when the verbatim criterion passes tol, falling back per the
     module docstring when the direction term blocks termination.
     """
-    x0 = np.asarray(x0, dtype=float).reshape(3)
-    br = _project_batch(surface, x0[None, :], tol, max_iter)
-    point = br.points[0]
-    return ProjectionResult(
-        point=point,
-        normal=_projection_normal(surface, x0, point, br.gradients[0], tol),
-        iterations=int(br.iterations[0]),
-        residual=float(br.residuals[0]),
-        normal_check_dropped=bool(br.dropped[0]),
-    )
+    return _project_one(surface, x0, tol, max_iter, newton=False)
 
 
 def project_newton(surface: LevelSetSurface, x0, tol: float = 1e-10,
@@ -545,110 +582,7 @@ def project_newton(surface: LevelSetSurface, x0, tol: float = 1e-10,
     matrix triggers a single first-order step instead.  Stopping criterion
     and stagnation fallback match ``project_first_order``.
     """
-    x0 = np.asarray(x0, dtype=float).reshape(3)
-    p0 = eval_phi(surface, x0)
-    g0 = grad_phi(surface, x0)
-    lam = 2.0 * p0 / float(g0 @ g0)
-    sgn0 = 1.0 if p0 >= 0 else -1.0
-
-    x = x0.copy()
-    prev = x.copy()
-    phase = 0
-    best = np.inf
-    stall = 0
-    age = 0
-    iterations = max_iter
-
-    for k in range(max_iter + 1):
-        p = eval_phi(surface, x)
-        g = grad_phi(surface, x)
-        gn = np.linalg.norm(g)
-        phi_term = abs(p) / gn
-        d = x - x0
-        dn = np.linalg.norm(d)
-        dir2 = 0.0
-        if dn > 1e-14:
-            diff = g / gn - d / dn
-            dir2 = float(diff @ diff)
-        if phase == 0 and phi_term < tol and dir2 >= 2.0:
-            phase = 1  # on surface but antiparallel displacement: blocked
-        relstep = (np.linalg.norm(x - prev) / (1.0 + np.linalg.norm(x))
-                   if k > 0 else np.inf)
-        if phase == 0:
-            crit = np.sqrt(phi_term**2 + dir2)
-        elif phase == 1:
-            # see _project_batch: wait for the iterate to settle, not just
-            # for phi to vanish, so both routes land on the same point
-            crit = max(phi_term, relstep)
-        else:
-            crit = phi_term
-        if crit < tol:
-            iterations = k
-            break
-        if k == max_iter:
-            # last resort: descend onto the level set, keep |phi| guarantee
-            x, p, g, off = _descend(surface, x[None, :], np.array([p]),
-                                    g[None, :], tol, _EPILOGUE_STEPS)
-            if off[0]:
-                raise ProjectionError(
-                    f"Newton projection did not converge within {max_iter} "
-                    f"iterations from {x0.tolist()} on "
-                    f"{surface.name!r}")
-            x, p, g = x[0], p[0], g[0]
-            phase = 2
-            iterations = k
-            break
-
-        if crit < (1.0 - _STALL_RTOL) * best:
-            stall = 0
-        else:
-            stall += 1
-        best = min(best, crit)
-        age += 1
-        pinned = relstep <= tol
-        overdue = phase >= 1 and age >= _FALLBACK_BUDGET
-        if stall >= _STALL_WINDOW or pinned or overdue:
-            phase = min(phase + 1, 2)
-            stall = 0
-            age = 0
-            best = np.inf
-
-        prev = x.copy()
-        if phase >= 2:
-            x = x - (p / float(g @ g)) * g
-            continue
-        J = np.zeros((4, 4))
-        J[:3, :3] = 2.0 * np.eye(3) + lam * _hess_phi(surface, x)
-        J[:3, 3] = g
-        J[3, :3] = g
-        F = np.empty(4)
-        F[:3] = 2.0 * (x - x0) + lam * g
-        F[3] = p
-        try:
-            delta = np.linalg.solve(J, -F)
-        except np.linalg.LinAlgError:
-            # singular Newton matrix: take one first-order step instead
-            xt = x - (p / float(g @ g)) * g
-            gt = grad_phi(surface, xt)
-            dist = sgn0 * np.linalg.norm(xt - x0)
-            x = x0 - dist * gt / np.linalg.norm(gt)
-        else:
-            x = x + delta[:3]
-            lam += float(delta[3])
-
-    xs, ps, gs = _polish_onto_surface(surface, x[None, :], np.array([p]),
-                                      g[None, :], tol)
-    if phase >= 1:
-        final = float(_phi_residual(ps, gs)[0])
-    else:
-        final = float(_criterion(ps, gs, xs, x0[None, :])[0])
-    return ProjectionResult(
-        point=xs[0],
-        normal=_projection_normal(surface, x0, xs[0], gs[0], tol),
-        iterations=iterations,
-        residual=final,
-        normal_check_dropped=phase >= 1,
-    )
+    return _project_one(surface, x0, tol, max_iter, newton=True)
 
 
 def _approx_normal_batch(surface, pts, tol, max_iter=100, phi=None):
@@ -667,18 +601,7 @@ def _approx_normal_batch(surface, pts, tol, max_iter=100, phi=None):
     off = ~on
     if np.any(off):
         proj = _project_batch(surface, pts[off], tol, max_iter, p[off])
-        disp = pts[off] - proj.points
-        dn = _norm(disp)
-        g = proj.gradients
-        n = np.sign(p[off])[:, None] * disp
-        # a seed sitting within polish distance of the surface gives no
-        # usable displacement direction; fall back to the gradient there
-        tiny = dn <= 10.0 * tol * (1.0 + _norm(pts[off]))
-        n[tiny] = g[tiny]
-        n /= _norm(n)[:, None]
-        flip = np.einsum("ij,ij->i", n, g) < 0.0
-        n[flip] = -n[flip]
-        out[off] = n
+        out[off] = _projection_normals(pts[off], p[off], proj, tol)
     return out
 
 

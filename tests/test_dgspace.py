@@ -131,9 +131,11 @@ def test_tangential_gradient_equivariance():
 
 
 def test_tangential_gradient_degenerate_triangle():
-    tri = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
-    with pytest.raises(ValueError, match="degenerate"):
-        tangential_basis_gradient(tri, 1, (1 / 3, 1 / 3, 1 / 3))
+    collinear = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
+    tiny = 1e-8 * np.eye(3)  # Gram determinant 3e-32, below the 1e-28 floor
+    for tri in (collinear, tiny):
+        with pytest.raises(ValueError, match="degenerate triangle"):
+            tangential_basis_gradient(tri, 1, (1 / 3, 1 / 3, 1 / 3))
 
 
 def test_space_dof_layout():
