@@ -450,6 +450,13 @@ def assemble_rhs(space: DgSpace, surface: LevelSetSurface, f) -> np.ndarray:
     return rhs.ravel()
 
 
+def _sparse(matrix):
+    """The matrix of a ``SparseSystem``; any other non-sparse input (a
+    dense array or nested lists) as a float CSR matrix."""
+    a = matrix.matrix if isinstance(matrix, SparseSystem) else matrix
+    return a if sp.issparse(a) else sp.csr_matrix(np.asarray(a, dtype=float))
+
+
 def check_symmetry(matrix) -> float:
     """Largest absolute entry of A - A^T.
 
@@ -458,8 +465,8 @@ def check_symmetry(matrix) -> float:
     no third matrix is formed.  Stored differences that are zero are the
     entries ``A - A^T`` drops, so the result is the same float either way.
     """
-    a = matrix.matrix if isinstance(matrix, SparseSystem) else matrix
-    if (sp.issparse(a) and a.format == "csr" and a.dtype.kind == "f"
+    a = _sparse(matrix)
+    if (a.format == "csr" and a.dtype.kind == "f"
             and a.has_canonical_format):
         at = a.T.tocsr()
         if (np.array_equal(a.indptr, at.indptr)
@@ -474,5 +481,4 @@ def check_symmetry(matrix) -> float:
 def write_matrix_market(system, path) -> None:
     """Dump the matrix in MatrixMarket coordinate format."""
     from scipy.io import mmwrite
-    a = system.matrix if isinstance(system, SparseSystem) else system
-    mmwrite(path, a)
+    mmwrite(path, _sparse(system))

@@ -508,16 +508,15 @@ def project_points(surface: LevelSetSurface, seeds, tol: float = 1e-10,
     """
     seeds = np.asarray(seeds, dtype=float).reshape(-1, 3)
     n = len(seeds)
-    if n <= _LIFT_BATCH:
-        return _project_batch(surface, seeds, tol, max_iter)
-    out = _BatchProjection(points=np.empty((n, 3)),
-                           iterations=np.empty(n, dtype=np.int64),
-                           residuals=np.empty(n),
-                           dropped=np.empty(n, dtype=bool),
-                           gradients=np.empty((n, 3)))
-    for start in range(0, n, _LIFT_BATCH):
+    out = None
+    for start in range(0, max(n, 1), _LIFT_BATCH):
         part = _project_batch(surface, seeds[start:start + _LIFT_BATCH],
                               tol, max_iter)
+        if out is None:
+            # allocated once the first batch has freed its temporaries, so
+            # the output does not add to a single batch's peak
+            out = _BatchProjection(*(np.empty((n,) + a.shape[1:], a.dtype)
+                                     for a in vars(part).values()))
         for name, arr in vars(part).items():
             getattr(out, name)[start:start + len(arr)] = arr
     return out
@@ -619,19 +618,6 @@ def approx_normal(surface: LevelSetSurface, x0, tol: float = 1e-10) -> np.ndarra
     return out[0] if single else out.reshape(x0.shape)
 
 
-def _grad_normal_batch(surface, pts, tol=1e-10):
-    pts = np.asarray(pts, dtype=float).reshape(-1, 3)
-    h = surface.normal_fd_step
-    J = np.empty(pts.shape + (3,))
-    for i in range(3):
-        shift = np.zeros(3)
-        shift[i] = h
-        nplus = _approx_normal_batch(surface, pts + shift, tol)
-        nminus = _approx_normal_batch(surface, pts - shift, tol)
-        J[:, :, i] = (nplus - nminus) / (2.0 * h)
-    return J
-
-
 def grad_normal(surface: LevelSetSurface, x) -> np.ndarray:
     """Jacobian of the approximate normal field by central differences.
 
@@ -639,20 +625,26 @@ def grad_normal(surface: LevelSetSurface, x) -> np.ndarray:
     projection failures at stencil points propagate.  The trace approximates
     the sum of principal curvatures (e.g. 2 on the unit sphere).
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    J = _grad_normal_batch(surface, x.reshape(-1, 3))
-    return J[0] if single else J.reshape(x.shape + (3,))
+    return field_gradient(ScalarField3(lambda y: approx_normal(surface, y)),
+                          x, surface.normal_fd_step)
 
 
-def _laplace_beltrami_core(nu, Jnu, u, pts, step):
+def _surface_laplacian(x, nu, normal, u, step):
+    """Delta u - nu . (H u) nu - tr(grad nu) (grad u . nu)  at the points x
+    (one point or (..., 3)), from the unit normals nu (n, 3) there and the
+    unit normal field ``normal``.  The Jacobian of the normal field and the
+    derivatives of u are central differences of step ``step`` (u's own
+    derivatives when it has them)."""
+    pts = x.reshape(-1, 3)
+    Jnu = field_gradient(ScalarField3(normal), pts, step)
     gu = field_gradient(u, pts, step)
     Hu = field_hessian(u, pts, step)
     lap = np.trace(Hu, axis1=-2, axis2=-1)
     nHn = np.einsum("...i,...ij,...j->...", nu, Hu, nu)
     trJ = np.trace(Jnu, axis1=-2, axis2=-1)
     gdotn = np.einsum("...i,...i->...", gu, nu)
-    return lap - nHn - trJ * gdotn
+    out = lap - nHn - trJ * gdotn
+    return float(out[0]) if x.ndim == 1 else out.reshape(x.shape[:-1])
 
 
 def laplace_beltrami_levelset(surface: LevelSetSurface, u: ScalarField3, x,
@@ -664,16 +656,14 @@ def laplace_beltrami_levelset(surface: LevelSetSurface, u: ScalarField3, x,
     Points must lie on the surface (|phi(x)| < 1e-8).
     """
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
     pts = x.reshape(-1, 3)
     p = np.atleast_1d(eval_phi(surface, pts))
     if np.any(np.abs(p) >= 1e-8):
         raise ValueError("laplace_beltrami_levelset requires on-surface "
                          "points (|phi| < 1e-8)")
-    nu = _approx_normal_batch(surface, pts, tol, phi=p)
-    Jnu = _grad_normal_batch(surface, pts, tol)
-    out = _laplace_beltrami_core(nu, Jnu, u, pts, surface.normal_fd_step)
-    return float(out[0]) if single else out.reshape(x.shape[:-1])
+    return _surface_laplacian(
+        x, _approx_normal_batch(surface, pts, tol, phi=p),
+        lambda y: approx_normal(surface, y, tol), u, surface.normal_fd_step)
 
 
 def laplace_beltrami_normal_field(normal_field: Callable, u: ScalarField3, x,
@@ -685,21 +675,12 @@ def laplace_beltrami_normal_field(normal_field: Callable, u: ScalarField3, x,
     normal is known (it avoids any projection work in the FD stencils).
     """
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = x.reshape(-1, 3)
 
     def unit(q):
         v = np.asarray(normal_field(q), dtype=float)
         return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
-    nu = unit(pts)
-    J = np.empty(pts.shape + (3,))
-    for i in range(3):
-        shift = np.zeros(3)
-        shift[i] = step
-        J[:, :, i] = (unit(pts + shift) - unit(pts - shift)) / (2.0 * step)
-    out = _laplace_beltrami_core(nu, J, u, pts, step)
-    return float(out[0]) if single else out.reshape(x.shape[:-1])
+    return _surface_laplacian(x, unit(x.reshape(-1, 3)), unit, u, step)
 
 
 # ---------------------------------------------------------------------------

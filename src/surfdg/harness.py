@@ -59,6 +59,9 @@ class RunConfig:
             raise HarnessError(f"unknown marking {self.marking!r}")
         if self.solver not in ("auto", "cg", "bicgstab"):
             raise HarnessError(f"unknown solver {self.solver!r}")
+        if not (isinstance(self.tol, (int, float)) and 0 < self.tol < np.inf):
+            raise HarnessError(
+                f"tol must be a positive finite number, got {self.tol!r}")
 
 
 @dataclass

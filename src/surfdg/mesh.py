@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (LevelSetSurface, _project_batch, eval_phi, grad_phi,
-                       project_points)
+from .geometry import LevelSetSurface, eval_phi, grad_phi, project_points
 
 # a triangle with less area than this is considered degenerate
 _AREA_FLOOR = 1e-14
@@ -395,7 +394,7 @@ def _edge_split_points(surface: LevelSetSurface, pa: np.ndarray,
     ok &= ~active  # line search that never met tol is a failure too
     fb = ~ok
     if np.any(fb):
-        x[fb] = _project_batch(surface, mid[fb], tol, 100).points
+        x[fb] = project_points(surface, mid[fb], tol).points
     return x
 
 

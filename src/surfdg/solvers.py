@@ -10,9 +10,8 @@ certified against the true residual b - Ax, not the recurrence residual.
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .assembly import SparseSystem, check_symmetry
+from .assembly import _sparse, check_symmetry
 
 _SYM_RTOL = 1e-10
 
@@ -52,8 +51,7 @@ class JacobiPreconditioner:
 
 
 def jacobi_precondition(matrix) -> JacobiPreconditioner:
-    a = matrix.matrix if isinstance(matrix, SparseSystem) else matrix
-    d = a.diagonal()
+    d = _sparse(matrix).diagonal()
     if np.any(d == 0.0):
         raise SolverError("zero diagonal entry; Jacobi preconditioner "
                           "undefined")
@@ -61,9 +59,7 @@ def jacobi_precondition(matrix) -> JacobiPreconditioner:
 
 
 def _setup(system, b, precond):
-    a = system.matrix if isinstance(system, SparseSystem) else system
-    if not sp.issparse(a):
-        a = sp.csr_matrix(np.asarray(a, dtype=float))
+    a = _sparse(system)
     if b is None:
         rhs = getattr(system, "rhs", None)
         if rhs is None:

@@ -6,8 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from surfdg.geometry import eval_phi, grad_phi, make_plane, project_points
-from surfdg.mesh import SurfaceMesh, build_edges
+from surfdg.geometry import (eval_phi, get_surface, grad_phi, make_plane,
+                             project_points)
+from surfdg.mesh import (SurfaceMesh, build_edges, initial_mesh,
+                         refine_nonconforming)
 from surfdg.problems import TestProblem
 
 # a domain dataclass, not a test case
@@ -68,6 +70,30 @@ def flat_pair() -> SurfaceMesh:
                        levels=np.zeros(2, dtype=np.int32),
                        allow_boundary=True)
     return build_edges(mesh)
+
+
+def perturbed_mesh(name, seed, amplitude, nonconforming):
+    """Icosahedral seed mesh of surface ``name`` with every vertex moved
+    tangentially by up to ``amplitude`` times the shortest edge and put
+    back onto the surface; optionally its x1 > 0 half refined once."""
+    surface = get_surface(name)
+    mesh = initial_mesh(surface, "icosahedron")
+    v = mesh.vertices
+    nu = grad_phi(surface, v)
+    nu /= np.linalg.norm(nu, axis=1, keepdims=True)
+    rng = np.random.default_rng(seed)
+    d = rng.standard_normal(v.shape)
+    d -= np.einsum("ij,ij->i", d, nu)[:, None] * nu
+    d *= (amplitude * mesh.edges.lengths.min()
+          / np.linalg.norm(d, axis=1, keepdims=True))
+    moved = project_points(surface, v + d).points
+    mesh = build_edges(SurfaceMesh(vertices=moved, triangles=mesh.triangles,
+                                   levels=mesh.levels))
+    if nonconforming:
+        cent = mesh.triangle_vertices().mean(axis=1)
+        mesh = refine_nonconforming(mesh, np.flatnonzero(cent[:, 0] > 0.0),
+                                    surface)
+    return mesh
 
 
 def tube_points(surface, n=100, seed=0, width=None):

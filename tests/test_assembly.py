@@ -498,6 +498,11 @@ def test_check_symmetry_empty_and_assembled():
             _listed_defect(a)).tobytes()
 
 
+def test_check_symmetry_dense():
+    """Dense input is checked like the solvers take it, as CSR."""
+    assert check_symmetry(np.array([[1.0, 2.0], [3.0, 4.0]])) == 1.0
+
+
 @pytest.mark.parametrize("degree", [1, 2])
 def test_check_symmetry_memory(degree):
     """The symmetry check of the 4-refinement Dziuk matrix peaks at no

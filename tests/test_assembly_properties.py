@@ -6,42 +6,18 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import flat_grid, perturbed_mesh
 from surfdg import assembly
 from surfdg.assembly import (PenaltyParams, assemble_mass_stiffness,
                              assemble_penalty_matrix, assemble_system,
                              check_symmetry)
 from surfdg.dgspace import DgSpace
-from surfdg.geometry import get_surface, grad_phi, project_points
-from surfdg.mesh import (EdgeSet, SurfaceMesh, build_edges, initial_mesh,
-                         refine_nonconforming)
+from surfdg.geometry import make_plane
+from surfdg.mesh import EdgeSet, SurfaceMesh, build_edges, refine_nonconforming
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
-
-
-def perturbed_mesh(name, seed, amplitude, nonconforming):
-    """Icosahedral seed mesh of surface ``name`` with every vertex moved
-    tangentially by up to ``amplitude`` times the shortest edge and put
-    back onto the surface; optionally its x1 > 0 half refined once."""
-    surface = get_surface(name)
-    mesh = initial_mesh(surface, "icosahedron")
-    v = mesh.vertices
-    nu = grad_phi(surface, v)
-    nu /= np.linalg.norm(nu, axis=1, keepdims=True)
-    rng = np.random.default_rng(seed)
-    d = rng.standard_normal(v.shape)
-    d -= np.einsum("ij,ij->i", d, nu)[:, None] * nu
-    d *= (amplitude * mesh.edges.lengths.min()
-          / np.linalg.norm(d, axis=1, keepdims=True))
-    moved = project_points(surface, v + d).points
-    mesh = build_edges(SurfaceMesh(vertices=moved, triangles=mesh.triangles,
-                                   levels=mesh.levels))
-    if nonconforming:
-        cent = mesh.triangle_vertices().mean(axis=1)
-        mesh = refine_nonconforming(mesh, np.flatnonzero(cent[:, 0] > 0.0),
-                                    surface)
-    return mesh
 
 
 def flipped_sides(mesh, seed):
@@ -143,3 +119,36 @@ def test_row_chunks_match_one_shot_conversion(name, degree, nonconforming,
             assert np.array_equal(g, w), (what, part)
         if what in ("2", "3", "4"):
             assert check_symmetry(got) <= 1e-12 * np.abs(got.data).max()
+
+
+@settings(max_examples=30, deadline=None)
+@given(cells=st.integers(1, 4), degree=st.sampled_from((1, 2)),
+       seed=st.integers(0, 2**32 - 1), amplitude=st.floats(0.0, 0.3),
+       nonconforming=st.booleans())
+def test_flat_choices_assemble_equal_matrices(cells, degree, seed, amplitude,
+                                              nonconforming):
+    """On a planar grid with every vertex moved in the plane by up to
+    ``amplitude`` times the grid spacing (which keeps every triangle's
+    orientation), and optionally some elements refined with hanging
+    nodes, the conormals of each intersection are opposite, so Choices
+    1-4 (and 4T) assemble the same matrix."""
+    grid = flat_grid(cells)
+    rng = np.random.default_rng(seed)
+    angle = rng.uniform(0.0, 2.0 * np.pi, len(grid.vertices))
+    radius = amplitude / cells * rng.random(len(grid.vertices))
+    v = grid.vertices.copy()
+    v[:, 0] += radius * np.cos(angle)
+    v[:, 1] += radius * np.sin(angle)
+    mesh = build_edges(SurfaceMesh(vertices=v, triangles=grid.triangles,
+                                   levels=grid.levels, allow_boundary=True))
+    if nonconforming:
+        marked = np.flatnonzero(rng.random(len(mesh.triangles)) < 0.3)
+        mesh = refine_nonconforming(mesh, marked if len(marked) else [0],
+                                    make_plane())
+    space = DgSpace(mesh, degree)
+    penalty = PenaltyParams(sigma=2.0)
+    mats = {c: assemble_system(space, c, penalty).matrix.toarray()
+            for c in assembly.CHOICES}
+    scale = np.abs(mats["2"]).max()
+    for c, a in mats.items():
+        assert np.abs(a - mats["2"]).max() <= 1e-12 * scale, c

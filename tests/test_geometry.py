@@ -256,6 +256,19 @@ def test_grad_normal_sphere_trace():
         assert np.linalg.norm(J @ p) < 1e-6
 
 
+def test_grad_normal_is_central_difference_of_approx_normal():
+    """grad_normal is field_gradient of approx_normal, bit for bit, on a
+    batch and on a single point."""
+    rng = np.random.default_rng(5)
+    for surf in (make_sphere(), make_dziuk()):
+        pts = project_points(surf, rng.uniform(-1.2, 1.2, (20, 3))).points
+        field = ScalarField3(lambda y: approx_normal(surf, y))
+        for x in (pts, pts[0]):
+            assert np.array_equal(
+                grad_normal(surf, x),
+                field_gradient(field, x, surf.normal_fd_step))
+
+
 def test_laplace_beltrami_sphere_exact():
     """For u = x1 x2 restricted to the unit sphere (a degree-2 spherical
     harmonic), Delta_Gamma u = -6 x1 x2."""

@@ -487,4 +487,7 @@ def test_runconfig_validation():
         RunConfig(marking="random")
     with pytest.raises(HarnessError, match="solver"):
         RunConfig(solver="gmres")
+    for tol in (0.0, -1e-10, float("nan"), float("inf"), "1e-10"):
+        with pytest.raises(HarnessError, match="tol"):
+            RunConfig(tol=tol)
     assert RunConfig(choice="4t").choice == "4T"
