@@ -22,7 +22,7 @@ surface.  ``normal_check_dropped`` on the result records that this happened.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
