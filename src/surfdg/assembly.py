@@ -188,9 +188,9 @@ def _volume_block(space: DgSpace, rule, part=slice(None)) -> np.ndarray:
         + mass_ref[None, :, :])
 
 
-# about this many COO triplets per row chunk of an assembled matrix; the
-# chunk's triplets and their conversion are the assembly's temporaries
-# beyond the matrix it returns
+# about this many COO triplets per row chunk of an assembled matrix, and
+# stored entries per row chunk of the symmetry check; a chunk's triplets
+# or lookups are the temporaries beyond the matrix
 _CHUNK_TRIPLETS = 1 << 18
 
 
@@ -460,22 +460,37 @@ def _sparse(matrix):
 def check_symmetry(matrix) -> float:
     """Largest absolute entry of A - A^T.
 
-    A canonical real CSR matrix is transposed once; when A^T has the same
-    pattern, the entries are compared in place in the transposed copy, so
-    no third matrix is formed.  Stored differences that are zero are the
-    entries ``A - A^T`` drops, so the result is the same float either way.
+    A canonical real CSR matrix is walked in row chunks of about
+    ``_CHUNK_TRIPLETS`` stored entries: each stored a_ij is compared with
+    the stored a_ji, or with 0 where A holds none, looked up by scipy in
+    row j.  Every entry of the listed difference A - A^T is one of these
+    differences up to sign, and the zero differences are the entries it
+    drops, so the result is the same float; only one chunk's lookups are
+    held at a time.
     """
     a = _sparse(matrix)
-    if (a.format == "csr" and a.dtype.kind == "f"
+    if not (a.format == "csr" and a.dtype.kind == "f"
             and a.has_canonical_format):
-        at = a.T.tocsr()
-        if (np.array_equal(a.indptr, at.indptr)
-                and np.array_equal(a.indices, at.indices)):
-            d = np.subtract(a.data, at.data, out=at.data)
-            return float(np.abs(d, out=d).max()) if d.size else 0.0
-        del at
-    diff = (a - a.T).tocoo()
-    return float(np.abs(diff.data).max()) if diff.nnz else 0.0
+        diff = (a - a.T).tocoo()
+        return float(np.abs(diff.data).max()) if diff.nnz else 0.0
+    indptr, rows = a.indptr, a.shape[0]
+    worst = 0.0
+    lo = 0
+    while lo < rows:
+        hi = max(lo + 1, int(np.searchsorted(
+            indptr, indptr[lo] + _CHUNK_TRIPLETS, side="right")) - 1)
+        part = slice(indptr[lo], indptr[hi])
+        cols = a.indices[part]
+        if cols.size:
+            own = np.repeat(np.arange(lo, hi, dtype=cols.dtype),
+                            np.diff(indptr[lo:hi + 1]))
+            d = np.asarray(a[cols, own]).ravel()  # a_ji, 0 where not stored
+            del own
+            np.subtract(a.data[part], d, out=d)
+            # np.maximum keeps a NaN that Python's max would drop
+            worst = np.maximum(worst, np.abs(d, out=d).max())
+        lo = hi
+    return float(worst)
 
 
 def write_matrix_market(system, path) -> None:

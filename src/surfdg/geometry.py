@@ -318,11 +318,15 @@ class _BatchProjection:
     gradients: np.ndarray  # grad phi at points
 
 
-def _newton_deltas(surface, x, x0, p, g, lam):
+def _newton_deltas(surface, x, x0, p, g, lam, reach, tol):
     """Newton steps (n, 4) for (x, lam) on the stationarity system of
     F(x, lam) = |x - x0|^2 + lam * phi(x), at points x with phi p and
-    grad phi g, and the mask of points whose 4x4 Newton matrix is regular
-    (the rows of the others are left unset)."""
+    grad phi g, and the mask of the steps to take (the rows of the others
+    are left unset).  A step is taken where the 4x4 Newton matrix is
+    regular and the step lands on the surface (within the band of
+    ``_off_surface``) or no farther from it than the seed, by the algebraic
+    distance |phi| / |grad phi| (``reach``).  Far from the surface an
+    indefinite Newton matrix can send the iterate off to infinity."""
     n = len(x)
     J = np.zeros((n, 4, 4))
     J[:, :3, :3] = 2.0 * np.eye(3) + lam[:, None, None] * _hess_phi(surface, x)
@@ -342,6 +346,12 @@ def _newton_deltas(surface, x, x0, p, g, lam):
                 delta[i] = np.linalg.solve(J[i], -F[i])
             except np.linalg.LinAlgError:
                 ok[i] = False
+    a = np.flatnonzero(ok)
+    land = x[a] + delta[a, :3]
+    p_new = np.atleast_1d(eval_phi(surface, land))
+    gn_new = _norm(grad_phi(surface, land))
+    ok[a] = (~_off_surface(p_new, gn_new, tol)
+             | (np.abs(p_new) / gn_new <= reach[a]))
     return delta, ok
 
 
@@ -359,7 +369,7 @@ def _project_batch(surface, seeds, tol, max_iter,
     descent epilogue that certifies |phi| only.  The two algorithms differ
     only in the step of phases 0 and 1: the first-order scheme re-anchors
     at the seed, Newton solves its KKT system and re-anchors only where
-    that system is singular.
+    that system is singular or its step is refused (``_newton_deltas``).
 
     The state of the live points is kept in compacted arrays that shrink
     as points finish, and each iterate is evaluated once: phi at the seeds
@@ -410,10 +420,14 @@ def _project_batch(surface, seeds, tol, max_iter,
             relstep = _norm(x - prev) / (1.0 + _norm(x))
         else:
             relstep = np.full(len(lid), np.inf)
+        if k == 0 and newton:
             # Newton's multiplier; matmul sums |grad phi|^2 as a scalar
             # g @ g does, not as the einsum of g2, whose last bit far seeds
             # would amplify into points other than Newton's recorded ones
             lam = 2.0 * p / (g[:, None, :] @ g[:, :, None])[:, 0, 0]
+            # the seed's algebraic distance, which a Newton step may not
+            # exceed off the surface
+            reach = phi_term
         # with the direction term dropped the phi residual alone would stop
         # the foot-point iteration while it is still moving tangentially;
         # require the update step to settle too so both projection routes
@@ -431,11 +445,12 @@ def _project_batch(surface, seeds, tol, max_iter,
             its[fin] = k
             dropped[fin] = phase[done] >= 1
             keep = np.flatnonzero(~done)
-            lid, x, s, sgn, phase, stall, best, age, lam = (
-                a[keep] for a in (lid, x, s, sgn, phase, stall, best, age,
-                                  lam))
+            lid, x, s, sgn, phase, stall, best, age = (
+                a[keep] for a in (lid, x, s, sgn, phase, stall, best, age))
             p, g, g2, crit, relstep = (
                 a[keep] for a in (p, g, g2, crit, relstep))
+            if newton:
+                lam, reach = lam[keep], reach[keep]
         if k == max_iter or not len(lid):
             break
 
@@ -452,16 +467,24 @@ def _project_batch(surface, seeds, tol, max_iter,
             best[bump] = np.inf
 
         prev = x
-        x = x - (p / g2)[:, None] * g
-        anchored = phase < 2
-        if newton and np.any(anchored):
-            a = np.flatnonzero(anchored)
-            delta, ok = _newton_deltas(surface, prev[a], s[a], p[a], g[a],
-                                       lam[a])
-            a = a[ok]
-            x[a] = prev[a] + delta[ok, :3]
-            lam[a] += delta[ok, 3]
-            anchored[a] = False
+        # the points that start from the descent step xt = x - phi grad phi
+        # / |grad phi|^2: all but those taking a Newton step
+        plain = np.ones(len(lid), dtype=bool)
+        if newton:
+            x = np.empty_like(prev)
+            a = np.flatnonzero(phase < 2)
+            if len(a):
+                delta, ok = _newton_deltas(surface, prev[a], s[a], p[a],
+                                           g[a], lam[a], reach[a], tol)
+                a = a[ok]
+                x[a] = prev[a] + delta[ok, :3]
+                lam[a] += delta[ok, 3]
+                plain[a] = False
+        if np.all(plain):
+            x = prev - (p / g2)[:, None] * g
+        else:
+            x[plain] = prev[plain] - (p[plain] / g2[plain])[:, None] * g[plain]
+        anchored = plain & (phase < 2)
         if np.any(anchored):
             # a slice spares the gathers when every live point is anchored
             a = slice(None) if np.all(anchored) else anchored
@@ -578,8 +601,10 @@ def project_newton(surface: LevelSetSurface, x0, tol: float = 1e-10,
 
     Seeks a stationary point of F(x, lam) = |x - x0|^2 + lam * phi(x),
     starting from (x0, 2 phi(x0)/|grad phi(x0)|^2).  A singular Newton
-    matrix triggers a single first-order step instead.  Stopping criterion
-    and stagnation fallback match ``project_first_order``.
+    matrix, or a Newton step that lands off the surface and farther from
+    it than the seed (by |phi| / |grad phi|), triggers a single first-order
+    step instead.  Stopping criterion and stagnation fallback match
+    ``project_first_order``.
     """
     return _project_one(surface, x0, tol, max_iter, newton=True)
 

@@ -4,6 +4,7 @@ CSV/VTK output and cross-choice comparisons."""
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from numbers import Integral, Real
 from typing import NamedTuple
 
 import numpy as np
@@ -51,6 +52,16 @@ class RunConfig:
 
     def __post_init__(self):
         self.choice = normalize_choice(self.choice)
+        # a JSON config hands over strings and bools as they are written
+        for name, kind, what in (
+                ("degree", Integral, "an integer"),
+                ("refinements", Integral, "an integer"),
+                ("sigma", Real, "a finite real number"),
+                ("seed_scale", Real, "a finite real number")):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, kind)
+                    or not -np.inf < value < np.inf):
+                raise HarnessError(f"{name} must be {what}, got {value!r}")
         if self.degree not in (1, 2):
             raise HarnessError(f"degree must be 1 or 2, got {self.degree}")
         if self.refinements < 1:

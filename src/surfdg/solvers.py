@@ -88,7 +88,8 @@ def cg(system, b=None, tol: float = 1e-10, max_iter: int | None = None,
     """
     a, b, m = _setup(system, b, precond)
     defect = check_symmetry(a)
-    scale = np.abs(a.data).max() if a.nnz else 0.0
+    # max |a_ij| without an |A| copy of the entries
+    scale = np.maximum(a.data.max(), -a.data.min()) if a.nnz else 0.0
     if defect > _SYM_RTOL * scale:
         raise NonSymmetricMatrixError(
             f"matrix not symmetric: defect {defect:.3e} > "
@@ -100,6 +101,9 @@ def cg(system, b=None, tol: float = 1e-10, max_iter: int | None = None,
     x = np.zeros(n)
     if bnorm == 0.0:
         return SolveReport(x, 0, 0.0, True)
+    # the work vectors x, r and p are updated in place, in the operations
+    # of x += alpha p, r -= alpha Ap and p = z + beta p; Ap and z are the
+    # only vectors made per iteration (z may be r itself)
     r = b.copy()
     z = m(r)
     p = z.copy()
@@ -114,21 +118,22 @@ def cg(system, b=None, tol: float = 1e-10, max_iter: int | None = None,
                 "not positive definite (penalty weight below the "
                 "stability bound?)")
         alpha = rz / pap
-        x += alpha * p
-        r -= alpha * ap
+        r -= np.multiply(ap, alpha, out=ap)
+        x += np.multiply(p, alpha, out=ap)  # Ap is spent: the scratch
+        del ap
         it += 1
         if np.linalg.norm(r) <= tol * bnorm:
-            true_r = b - a @ x
-            rel = np.linalg.norm(true_r) / bnorm
+            np.subtract(b, a @ x, out=r)
+            rel = np.linalg.norm(r) / bnorm
             if rel <= tol:
                 return SolveReport(x, it, float(rel), True)
-            # recurrence drifted; restart from the true residual
-            r = true_r
+            # recurrence drifted; restart from the true residual in r
         z = m(r)
         rz_new = float(r @ z)
         beta = rz_new / rz
         rz = rz_new
-        p = z + beta * p
+        p *= beta
+        p += z
     rel = float(np.linalg.norm(b - a @ x) / bnorm)
     return SolveReport(x, it, rel, rel <= tol)
 
@@ -149,25 +154,35 @@ def bicgstab(system, b=None, tol: float = 1e-10,
     if bnorm == 0.0:
         return SolveReport(x, 0, 0.0, True)
 
+    # the work vectors x, r, r_hat, p, s and w are updated in place, in
+    # the operations of the textbook updates; v = A ph and t = A sh are
+    # made per iteration, and ph and sh may be p and s themselves
     restarts = 0
     r = b.copy()
     r_hat = r.copy()
     rho = alpha = omega = 1.0
     v = np.zeros(n)
     p = np.zeros(n)
+    s = np.empty(n)
+    w = np.empty(n)
     it = 0
 
+    def true_residual():
+        """r = b - A x, and its norm relative to |b|."""
+        np.subtract(b, a @ x, out=r)
+        return float(np.linalg.norm(r) / bnorm)
+
     def breakdown(what):
-        nonlocal restarts, r, r_hat, rho, alpha, omega, v, p
+        nonlocal restarts, rho, alpha, omega
         if restarts >= 1:
             raise BreakdownError(
                 f"{what} breakdown at iteration {it} after restart")
         restarts += 1
-        r = b - a @ x
-        r_hat = r.copy()
+        true_residual()
+        r_hat[:] = r
         rho = alpha = omega = 1.0
-        v = np.zeros(n)
-        p = np.zeros(n)
+        v.fill(0.0)
+        p.fill(0.0)
 
     while it < max_iter:
         rho_new = float(r_hat @ r)
@@ -176,7 +191,10 @@ def bicgstab(system, b=None, tol: float = 1e-10,
             continue
         beta = (rho_new / rho) * (alpha / omega)
         rho = rho_new
-        p = r + beta * (p - omega * v)
+        # p = r + beta (p - omega v)
+        p -= np.multiply(v, omega, out=w)
+        p *= beta
+        p += r
         ph = m(p)
         v = a @ ph
         rv = float(r_hat @ v)
@@ -184,14 +202,13 @@ def bicgstab(system, b=None, tol: float = 1e-10,
             breakdown("rho")
             continue
         alpha = rho / rv
-        s = r - alpha * v
+        np.subtract(r, np.multiply(v, alpha, out=s), out=s)
         it += 1
         if np.linalg.norm(s) <= tol * bnorm:
-            x += alpha * ph
-            rel = float(np.linalg.norm(b - a @ x) / bnorm)
+            x += np.multiply(ph, alpha, out=w)
+            rel = true_residual()
             if rel <= tol:
                 return SolveReport(x, it, rel, True)
-            r = b - a @ x
             continue
         sh = m(s)
         t = a @ sh
@@ -203,12 +220,16 @@ def bicgstab(system, b=None, tol: float = 1e-10,
         if omega == 0.0:
             breakdown("omega")
             continue
-        x += alpha * ph + omega * sh
-        r = s - omega * t
+        # x += alpha ph + omega sh, then r = s - omega t; r is spent and
+        # serves as the second scratch vector
+        np.multiply(ph, alpha, out=w)
+        w += np.multiply(sh, omega, out=r)
+        x += w
+        np.subtract(s, np.multiply(t, omega, out=t), out=r)
+        del t
         if np.linalg.norm(r) <= tol * bnorm:
-            rel = float(np.linalg.norm(b - a @ x) / bnorm)
+            rel = true_residual()
             if rel <= tol:
                 return SolveReport(x, it, rel, True)
-            r = b - a @ x
     rel = float(np.linalg.norm(b - a @ x) / bnorm)
     return SolveReport(x, it, rel, rel <= tol)

@@ -1,15 +1,16 @@
-"""Shared fixtures: flat reference patches, tube-point sampling and
-numpy memory tracing."""
+"""Shared fixtures: flat reference patches, Dziuk spaces, tube-point
+sampling and numpy memory tracing."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from surfdg.geometry import (eval_phi, get_surface, grad_phi, make_plane,
-                             project_points)
+from surfdg.dgspace import DgSpace
+from surfdg.geometry import (eval_phi, get_surface, grad_phi, make_dziuk,
+                             make_plane, project_points)
 from surfdg.mesh import (SurfaceMesh, build_edges, initial_mesh,
-                         refine_nonconforming)
+                         refine_nonconforming, refine_uniform)
 from surfdg.problems import TestProblem
 
 # a domain dataclass, not a test case
@@ -70,6 +71,18 @@ def flat_pair() -> SurfaceMesh:
                        levels=np.zeros(2, dtype=np.int32),
                        allow_boundary=True)
     return build_edges(mesh)
+
+
+def dziuk_space(refinements, degree):
+    """DgSpace on the icosahedral Dziuk mesh after uniform refinements,
+    with its element geometry already cached."""
+    surf = make_dziuk()
+    mesh = initial_mesh(surf, "icosahedron")
+    for _ in range(refinements):
+        mesh = refine_uniform(mesh, surf)
+    space = DgSpace(mesh, degree)
+    space.frames  # the cached geometry is not part of an assembly
+    return space
 
 
 def perturbed_mesh(name, seed, amplitude, nonconforming):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import flat_grid, flat_pair, traced_bytes
+from conftest import dziuk_space, flat_grid, flat_pair, traced_bytes
 from surfdg import assembly, geometry
 from surfdg.assembly import (
     CHOICES,
@@ -23,7 +23,7 @@ from surfdg.assembly import (
     write_matrix_market,
 )
 from surfdg.dgspace import DgSpace, get_quadrature
-from surfdg.geometry import make_dziuk, make_plane, make_sphere
+from surfdg.geometry import make_plane, make_sphere
 from surfdg.mesh import (MeshError, SurfaceMesh, build_edges, initial_mesh,
                          refine_nonconforming, refine_uniform)
 from surfdg.problems import make_problem
@@ -388,16 +388,6 @@ def test_rhs_batches_do_not_change_values(monkeypatch, name, degree,
     assert np.array_equal(batched, assemble_rhs(space, surf, problem.f))
 
 
-def _dziuk_space(refinements, degree):
-    surf = make_dziuk()
-    mesh = initial_mesh(surf, "icosahedron")
-    for _ in range(refinements):
-        mesh = refine_uniform(mesh, surf)
-    space = DgSpace(mesh, degree)
-    space.frames  # the cached geometry is not part of the assembly
-    return space
-
-
 def _csr_bytes(a):
     return a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
 
@@ -407,7 +397,7 @@ def test_assemble_system_memory(monkeypatch, degree):
     """Assembled in 16 row chunks, the 4-refinement Dziuk matrix peaks at
     no more than twice the bytes of the CSR it returns (about one matrix
     plus one chunk), and the call keeps exactly those bytes."""
-    space = _dziuk_space(4, degree)
+    space = dziuk_space(4, degree)
     n = space.dofs_per_element
     triplets = n * n * (len(space.mesh.triangles) + 4 * len(space.mesh.edges))
     monkeypatch.setattr(assembly, "_CHUNK_TRIPLETS", triplets // 16)
@@ -477,15 +467,18 @@ def _random_csr(rng, kind):
 @pytest.mark.parametrize("seed, kind", enumerate([
     "general", "symmetric pattern", "symmetric", "explicit zeros",
     "cyclic", "unsorted"]))
-def test_check_symmetry_equals_listed_difference(seed, kind):
-    """The in-place comparison with one transposed copy returns, bit for
-    bit, the largest entry of the listed difference A - A^T."""
-    rng = np.random.default_rng(seed)
-    for _ in range(40):
-        a = _random_csr(rng, kind)
-        got = check_symmetry(a)
-        assert np.float64(got).tobytes() == np.float64(
-            _listed_defect(a)).tobytes()
+def test_check_symmetry_equals_listed_difference(monkeypatch, seed, kind):
+    """The row-chunk comparison returns, bit for bit, the largest entry of
+    the listed difference A - A^T, with the default chunk and with chunks
+    of 5 entries, which cross rows."""
+    for chunk in (assembly._CHUNK_TRIPLETS, 5):
+        monkeypatch.setattr(assembly, "_CHUNK_TRIPLETS", chunk)
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            a = _random_csr(rng, kind)
+            got = check_symmetry(a)
+            assert np.float64(got).tobytes() == np.float64(
+                _listed_defect(a)).tobytes()
 
 
 def test_check_symmetry_empty_and_assembled():
@@ -504,10 +497,13 @@ def test_check_symmetry_dense():
 
 
 @pytest.mark.parametrize("degree", [1, 2])
-def test_check_symmetry_memory(degree):
-    """The symmetry check of the 4-refinement Dziuk matrix peaks at no
-    more than 1.25 times the bytes of the matrix: one transposed copy."""
-    a = assemble_system(_dziuk_space(4, degree), 2, PenaltyParams()).matrix
+def test_check_symmetry_memory(monkeypatch, degree):
+    """With chunks of 1/16 of the 4-refinement Dziuk matrix, the symmetry
+    check peaks at no more than twice the bytes of one chunk's entries and
+    column indices: it holds no transposed copy."""
+    a = assemble_system(dziuk_space(4, degree), 2, PenaltyParams()).matrix
+    chunk = a.nnz // 16
+    monkeypatch.setattr(assembly, "_CHUNK_TRIPLETS", chunk)
     _, peak, kept = traced_bytes(lambda: check_symmetry(a))
-    assert peak <= 1.25 * _csr_bytes(a)
+    assert peak <= 2 * chunk * (a.data.itemsize + a.indices.itemsize)
     assert kept == 0

@@ -74,6 +74,18 @@ def test_unknown_config_key_fails(tmp_path, capsys):
     assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("refinements", "1"), ("degree", True), ("sigma", "2.0"),
+    ("seed_scale", None)])
+def test_mistyped_config_value_fails(tmp_path, capsys, key, value):
+    """A config value of the wrong type gives the error line naming its
+    key and exit code 1, not a traceback from inside the ladder."""
+    cfg = write_config(tmp_path, **{key: value})
+    assert main(["run", "--config", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} must be")
+
+
 def test_missing_config_file_fails(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
     assert "error:" in capsys.readouterr().err

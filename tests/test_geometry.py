@@ -127,6 +127,20 @@ def test_project_methods_agree_dziuk():
     assert np.allclose(a.point, (0.5, np.sqrt(0.5), np.sqrt(0.5)), atol=1e-9)
 
 
+def test_newton_far_dziuk_seed_lands_near_seed():
+    """A far Dziuk seed whose Newton iterate ran off to about
+    [15.1, 1.49, -0.78] and raised: the steps that would land farther from
+    the surface than the seed are replaced by first-order steps, and the
+    projection lands on the surface near the seed."""
+    dz = make_dziuk()
+    x0 = np.array([-0.5475857342377127, 0.11998869380188738,
+                   0.08805535963240971])
+    b = project_newton(dz, x0)
+    assert abs(eval_phi(dz, b.point)) < 1e-10
+    # the first-order projection lies 0.37 from the seed, Newton's 0.47
+    assert np.linalg.norm(b.point - x0) < 0.5
+
+
 @pytest.mark.parametrize("name", SURFACES)
 def test_far_seeds_land_on_surface(name):
     surf = get_surface(name)

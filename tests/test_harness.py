@@ -490,4 +490,15 @@ def test_runconfig_validation():
     for tol in (0.0, -1e-10, float("nan"), float("inf"), "1e-10"):
         with pytest.raises(HarnessError, match="tol"):
             RunConfig(tol=tol)
+    for name, bad in (("degree", ("1", 1.0, True, None)),
+                      ("refinements", ("1", 1.5, True, False)),
+                      ("sigma", ("2", True, None, float("nan"),
+                                 float("inf"))),
+                      ("seed_scale", ("1", False, float("-inf")))):
+        for value in bad:
+            with pytest.raises(HarnessError, match=f"^{name} must be"):
+                RunConfig(**{name: value})
+    ok = RunConfig(degree=np.int64(2), refinements=np.int32(3),
+                   sigma=3, seed_scale=np.float32(1.5))
+    assert (ok.degree, ok.refinements, ok.sigma) == (2, 3, 3)
     assert RunConfig(choice="4t").choice == "4T"

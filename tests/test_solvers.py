@@ -2,11 +2,15 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from conftest import dziuk_space, traced_bytes
 
+from surfdg import assembly
 from surfdg.assembly import PenaltyParams, assemble_rhs, assemble_system
 from surfdg.dgspace import DgSpace
 from surfdg.geometry import make_sphere
 from surfdg.mesh import initial_mesh
+from surfdg.problems import make_problem
 from surfdg.solvers import (
     BreakdownError,
     IndefiniteSystemError,
@@ -121,7 +125,7 @@ def test_jacobi_speeds_up_diagonal_dominance():
 def test_jacobi_zero_diagonal():
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(SolverError, match="diagonal"):
-        jacobi_precondition(__import__("scipy.sparse", fromlist=["csr_matrix"]).csr_matrix(a))
+        jacobi_precondition(sp.csr_matrix(a))
     with pytest.raises(SolverError, match="diagonal"):
         bicgstab(a, np.ones(2), precond="jacobi")
 
@@ -169,3 +173,131 @@ def test_solvers_consume_assembled_system():
     assert rep_cg.converged and rep_bi.converged
     gap = np.linalg.norm(rep_cg.solution - rep_bi.solution)
     assert gap <= 1e-8 * np.linalg.norm(rep_cg.solution)
+
+
+def _dziuk_system(refinements, degree, choice):
+    space = dziuk_space(refinements, degree)
+    problem = make_problem("dziuk")
+    system = assemble_system(space, choice, PenaltyParams())
+    system.rhs = assemble_rhs(space, problem.surface, problem.f)
+    return system
+
+
+def _textbook_cg(a, b, tol, max_iter, m):
+    """The CG loop with a new vector for every update: the reference for
+    the in-place loop of ``cg``."""
+    bnorm = np.linalg.norm(b)
+    x = np.zeros(len(b))
+    r = b.copy()
+    z = m(r)
+    p = z.copy()
+    rz = float(r @ z)
+    it = 0
+    while it < max_iter:
+        ap = a @ p
+        alpha = rz / float(p @ ap)
+        x += alpha * p
+        r -= alpha * ap
+        it += 1
+        if np.linalg.norm(r) <= tol * bnorm:
+            true_r = b - a @ x
+            rel = np.linalg.norm(true_r) / bnorm
+            if rel <= tol:
+                return x, it, float(rel)
+            r = true_r
+        z = m(r)
+        rz_new = float(r @ z)
+        beta = rz_new / rz
+        rz = rz_new
+        p = z + beta * p
+    return x, it, float(np.linalg.norm(b - a @ x) / bnorm)
+
+
+def _textbook_bicgstab(a, b, tol, max_iter, m):
+    """The BiCGSTAB loop with a new vector for every update (no breakdown
+    handling): the reference for the in-place loop of ``bicgstab``."""
+    bnorm = np.linalg.norm(b)
+    x = np.zeros(len(b))
+    r = b.copy()
+    r_hat = r.copy()
+    rho = alpha = omega = 1.0
+    v = np.zeros(len(b))
+    p = np.zeros(len(b))
+    it = 0
+    while it < max_iter:
+        rho_new = float(r_hat @ r)
+        beta = (rho_new / rho) * (alpha / omega)
+        rho = rho_new
+        p = r + beta * (p - omega * v)
+        ph = m(p)
+        v = a @ ph
+        alpha = rho / float(r_hat @ v)
+        s = r - alpha * v
+        it += 1
+        if np.linalg.norm(s) <= tol * bnorm:
+            x += alpha * ph
+            rel = float(np.linalg.norm(b - a @ x) / bnorm)
+            if rel <= tol:
+                return x, it, rel
+            r = b - a @ x
+            continue
+        sh = m(s)
+        t = a @ sh
+        omega = float(t @ s) / float(t @ t)
+        x += alpha * ph + omega * sh
+        r = s - omega * t
+        if np.linalg.norm(r) <= tol * bnorm:
+            rel = float(np.linalg.norm(b - a @ x) / bnorm)
+            if rel <= tol:
+                return x, it, rel
+            r = b - a @ x
+    return x, it, float(np.linalg.norm(b - a @ x) / bnorm)
+
+
+@pytest.mark.parametrize("solve, textbook, choice", [
+    (cg, _textbook_cg, 2), (bicgstab, _textbook_bicgstab, 1)])
+@pytest.mark.parametrize("precond", ["jacobi", "none"])
+def test_solvers_equal_textbook_loops(solve, textbook, choice, precond):
+    """On a 3-refinement Dziuk system the in-place loops give the textbook
+    loops' solution, iteration count and residual bit for bit, also when
+    the preconditioner hands back its argument."""
+    system = _dziuk_system(3, 1, choice)
+    a, b = system.matrix, system.rhs
+    m = jacobi_precondition(a) if precond == "jacobi" else (lambda v: v)
+    rep = solve(system, tol=1e-10, precond=precond)
+    x, it, rel = textbook(a, b, 1e-10, 10 * len(b), m)
+    assert rep.converged
+    assert np.array_equal(rep.solution, x)
+    assert (rep.iterations, rep.final_relative_residual) == (it, rel)
+
+
+@pytest.mark.parametrize("solve, textbook", [
+    (cg, _textbook_cg), (bicgstab, _textbook_bicgstab)])
+def test_restarts_equal_textbook_loops(solve, textbook):
+    """A tolerance near roundoff sends the solvers through their restarts
+    from the true residual; the in-place restarts match the textbook
+    ones."""
+    for seed in range(3):
+        dense, b = random_spd(40, seed, cond=1e4)
+        a = sp.csr_matrix(dense)  # the matrix the solvers multiply with
+        rep = solve(a, b, tol=1e-13, max_iter=400)
+        x, it, rel = textbook(a, b, 1e-13, 400, lambda v: v)
+        assert np.array_equal(rep.solution, x)
+        assert (rep.iterations, rep.final_relative_residual) == (it, rel)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_cg_holds_no_matrix_sized_temporary(monkeypatch, degree):
+    """With the symmetry check's chunk at 1/16 of the 4-refinement Dziuk
+    matrix, Jacobi-CG peaks at two chunks plus eight vectors: it makes no
+    copy of the matrix or of its entries, and keeps only the solution."""
+    a = _dziuk_system(4, degree, 2).matrix
+    chunk = a.nnz // 16
+    monkeypatch.setattr(assembly, "_CHUNK_TRIPLETS", chunk)
+    b = np.ones(a.shape[0])
+    rep, peak, kept = traced_bytes(
+        lambda: cg(a, b, max_iter=50, precond="jacobi"))
+    assert rep.iterations == 50
+    chunk_bytes = chunk * (a.data.itemsize + a.indices.itemsize)
+    assert peak <= 2 * chunk_bytes + 8 * b.nbytes
+    assert kept == b.nbytes
