@@ -257,8 +257,7 @@ def _solve_level(space, choice, penalty, rhs, solver, tol) -> SolveReport:
 
 def _marked_halfspace(mesh: SurfaceMesh):
     cent = mesh.triangle_vertices().mean(axis=1)
-    idx = np.flatnonzero(cent[:, 0] > 0.0)
-    return idx.tolist()
+    return np.flatnonzero(cent[:, 0] > 0.0)
 
 
 def _build_ladder_step(mesh, surface, cfg: RunConfig, step: int):
@@ -267,7 +266,7 @@ def _build_ladder_step(mesh, surface, cfg: RunConfig, step: int):
     if cfg.marking == "halfspace-x" and step == 0:
         marked = _marked_halfspace(mesh)
     else:
-        marked = list(range(len(mesh.triangles)))
+        marked = np.arange(len(mesh.triangles))
     return refine_nonconforming(mesh, marked, surface)
 
 

@@ -10,7 +10,7 @@ mesh and never mutates its input.
 """
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -83,18 +83,19 @@ class EdgeSet(Sequence):
 class SurfaceMesh:
     """Flat triangulation of a closed surface, vertices on the surface.
 
-    ``edge_midpoints`` maps a sorted vertex-index pair to the index of the
-    projected midpoint vertex created when that edge was last split; it
-    persists across refinements so a hanging vertex and the matching
-    midpoint of a later-refined neighbour are the same vertex.
+    ``edge_midpoints`` holds one row ``(i, j, midpoint)`` per edge ever
+    split, ``i < j``, sorted by edge key: the index of the projected
+    midpoint vertex created when edge (i, j) was split.  It persists across
+    refinements so a hanging vertex and the matching midpoint of a
+    later-refined neighbour are the same vertex.
     """
 
     vertices: np.ndarray  # (n, 3)
     triangles: np.ndarray  # (m, 3) int
     levels: np.ndarray  # (m,) per-triangle refinement level
-    generation: int = 0
     edges: EdgeSet | None = None
-    edge_midpoints: dict = field(default_factory=dict)
+    edge_midpoints: np.ndarray = field(
+        default_factory=lambda: np.empty((0, 3), dtype=np.int64))
     # closed surfaces have no boundary; planar test patches opt out
     allow_boundary: bool = False
 
@@ -146,6 +147,23 @@ def _conormals(verts, tris, elems, p0, p1):
     return c
 
 
+def _edge_keys(i, j):
+    """int64 key ``min(i, j) << 32 | max(i, j)`` of each vertex pair (indices
+    below 2**32); numeric key order is the lexicographic order of the
+    sorted pairs, and ``key >> 32``, ``key & _LOW`` give the pair back."""
+    return np.minimum(i, j).astype(np.int64) << 32 | np.maximum(i, j)
+
+
+_LOW = (1 << 32) - 1
+
+
+def _find(table, keys):
+    """Positions of ``keys`` in the sorted key array ``table``, and whether
+    each key is there."""
+    pos = np.searchsorted(table, keys)
+    return pos, np.append(table, -1)[pos] == keys
+
+
 def build_edges(mesh: SurfaceMesh) -> SurfaceMesh:
     """Return a mesh with the full intersection list attached.
 
@@ -160,77 +178,64 @@ def build_edges(mesh: SurfaceMesh) -> SurfaceMesh:
         bad = int(np.argmin(areas))
         raise MeshError(f"degenerate triangle {bad} (area {areas[bad]:.3e})")
 
-    # one row per directed triangle edge, key sorted so shared edges match
-    raw = np.concatenate([tris[:, (0, 1)], tris[:, (1, 2)], tris[:, (2, 0)]])
-    raw = np.sort(raw, axis=1)
+    # one key per triangle edge, all (0, 1) edges first, then (1, 2), (2, 0)
+    raw = _edge_keys(tris, tris[:, (1, 2, 0)]).T.ravel()
     owner = np.tile(np.arange(len(tris), dtype=np.int64), 3)
-    uniq, inv, counts = np.unique(raw, axis=0, return_inverse=True,
+    uniq, inv, counts = np.unique(raw, return_inverse=True,
                                   return_counts=True)
-    inv = inv.ravel()
     if np.any(counts > 2):
-        bad = uniq[int(np.argmax(counts))]
-        raise NonManifoldError(
-            f"edge {tuple(bad)} shared by {int(counts.max())} triangles")
+        bad = int(uniq[int(np.argmax(counts))])
+        raise NonManifoldError(f"edge {(bad >> 32, bad & _LOW)} shared by "
+                               f"{int(counts.max())} triangles")
     order = np.argsort(inv, kind="stable")
     shared = counts == 2
     two = order[shared[inv[order]]].reshape(-1, 2)
     both = np.sort(owner[two], axis=1)
-    full = np.concatenate([uniq[shared], both], axis=1)
 
-    # singletons: either the coarse side of a hanging pair, a half edge
-    # claimed by its coarse partner, or (if allowed) a boundary edge
+    # singletons, in key order: either the coarse side of a hanging pair,
+    # a half edge claimed by its coarse partner, or (if allowed) a
+    # boundary edge
     single_rows = order[~shared[inv[order]]]
-    singles = {(int(i), int(j)): int(t)
-               for (i, j), t in zip(raw[single_rows], owner[single_rows])}
-    pairs = []
-    consumed = set()
-    for key in sorted(singles):
-        m = mesh.edge_midpoints.get(key)
-        if m is None:
-            continue
-        halves = []
-        for i, j in ((key[0], m), (m, key[1])):
-            hkey = (i, j) if i < j else (j, i)
-            if hkey not in singles:
-                halves = None
-                break
-            halves.append((hkey, singles[hkey]))
-        if halves is None:
-            continue
-        coarse = singles[key]
-        for hkey, fine in halves:
-            a, b = sorted((coarse, fine))
-            pairs.append((hkey[0], hkey[1], a, b))
-            consumed.add(hkey)
-        consumed.add(key)
-    hanging = len(pairs)
+    skeys, sowner = raw[single_rows], owner[single_rows]
+    registry = mesh.edge_midpoints
+    at, known = _find(_edge_keys(registry[:, 0], registry[:, 1]), skeys)
+    coarse = np.flatnonzero(known)
+    mid = registry[at[coarse], 2]
+    ends = skeys[coarse]
+    halves = np.stack([_edge_keys(ends >> 32, mid),
+                       _edge_keys(mid, ends & _LOW)], axis=1)
+    hpos, hfound = _find(skeys, halves)
+    split = hfound.all(axis=1)
+    coarse, halves, hpos = coarse[split], halves[split], hpos[split]
 
-    leftovers = [k for k in singles if k not in consumed]
-    if leftovers and not mesh.allow_boundary:
+    leftovers = np.delete(skeys, np.concatenate([coarse, hpos.ravel()]))
+    if leftovers.size and not mesh.allow_boundary:
+        first = int(leftovers[0])
         raise NonManifoldError(
-            f"{len(leftovers)} unmatched boundary segment(s), first "
-            f"{sorted(leftovers)[0]}; surface must be closed")
+            f"{leftovers.size} unmatched boundary segment(s), first "
+            f"{(first >> 32, first & _LOW)}; surface must be closed")
 
-    arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 4)
-    arr = np.concatenate([full, arr], axis=0)
-    p0 = mesh.vertices[arr[:, 0]]
-    p1 = mesh.vertices[arr[:, 1]]
+    # each coarse edge meets its two halves, first half first
+    fine = sowner[hpos].ravel()
+    near = np.repeat(sowner[coarse], 2)
+    keys = np.concatenate([uniq[shared], halves.ravel()])
+    minus = np.concatenate([both[:, 0], np.minimum(near, fine)])
+    plus = np.concatenate([both[:, 1], np.maximum(near, fine)])
+    p0 = mesh.vertices[keys >> 32]
+    p1 = mesh.vertices[keys & _LOW]
     lengths = np.linalg.norm(p1 - p0, axis=1)
     if np.any(lengths <= 0.0):
         raise MeshError("zero-length intersection segment")
     edges = EdgeSet(
         endpoints=np.stack([p0, p1], axis=1),
-        plus=arr[:, 3].copy(),
-        minus=arr[:, 2].copy(),
+        plus=plus,
+        minus=minus,
         lengths=lengths,
-        conormal_plus=_conormals(mesh.vertices, tris, arr[:, 3], p0, p1),
-        conormal_minus=_conormals(mesh.vertices, tris, arr[:, 2], p0, p1),
-        conforming=hanging == 0,
+        conormal_plus=_conormals(mesh.vertices, tris, plus, p0, p1),
+        conormal_minus=_conormals(mesh.vertices, tris, minus, p0, p1),
+        conforming=len(halves) == 0,
     )
-    return SurfaceMesh(vertices=mesh.vertices, triangles=mesh.triangles,
-                       levels=mesh.levels, generation=mesh.generation,
-                       edges=edges, edge_midpoints=mesh.edge_midpoints,
-                       allow_boundary=mesh.allow_boundary)
+    return replace(mesh, edges=edges)
 
 
 def mesh_width(mesh: SurfaceMesh) -> float:
@@ -401,60 +406,36 @@ def _edge_split_points(surface: LevelSetSurface, pa: np.ndarray,
 def _split(mesh: SurfaceMesh, surface: LevelSetSurface, marked) -> SurfaceMesh:
     """Quadrisect the marked triangles, projecting new midpoints onto the
     surface and reusing any midpoint the registry already knows."""
-    tris = mesh.triangles
-    registry = dict(mesh.edge_midpoints)
     midx = np.flatnonzero(marked)
+    a, b, c = mesh.triangles[midx].T
+    keys = _edge_keys([a, b, c], [b, c, a])  # rows ab, bc, ca
 
-    sub = tris[midx]
-    raw = np.concatenate([sub[:, (0, 1)], sub[:, (1, 2)], sub[:, (2, 0)]])
-    raw = np.sort(raw, axis=1)
-    uniq = np.unique(raw, axis=0)
-    keys = [key for key in map(tuple, uniq.tolist()) if key not in registry]
+    # register the missing midpoints in key order, keeping rows sorted
+    registry = mesh.edge_midpoints
+    reg_keys = _edge_keys(registry[:, 0], registry[:, 1])
+    uniq = np.unique(keys)
+    at, known = _find(reg_keys, uniq)
+    new, at = uniq[~known], at[~known]
+    lo, hi = new >> 32, new & _LOW
     verts = mesh.vertices
-    if keys:
-        ij = np.asarray(keys, dtype=np.int64)
-        mids = _edge_split_points(surface, verts[ij[:, 0]], verts[ij[:, 1]])
-        base = verts.shape[0]
-        verts = np.vstack([verts, mids])
-        for k, key in enumerate(keys):
-            registry[key] = base + k
-
-    a, b, c = sub[:, 0], sub[:, 1], sub[:, 2]
-    look = np.empty((3, len(midx)), dtype=np.int64)
-    for slot, (i, j) in enumerate(((a, b), (b, c), (c, a))):
-        lo, hi = np.minimum(i, j), np.maximum(i, j)
-        look[slot] = [registry[key] for key in zip(lo.tolist(), hi.tolist())]
-    ab, bc, ca = look
+    rows = np.stack([lo, hi, len(verts) + np.arange(len(new))], axis=1)
+    verts = np.vstack([verts,
+                       _edge_split_points(surface, verts[lo], verts[hi])])
+    registry = np.insert(registry, at, rows, axis=0)
+    ab, bc, ca = registry[np.searchsorted(np.insert(reg_keys, at, new),
+                                          keys), 2]
     # children keep the parent orientation
-    children = np.stack([
-        np.stack([a, ab, ca], axis=1),
-        np.stack([ab, b, bc], axis=1),
-        np.stack([ca, bc, c], axis=1),
-        np.stack([ab, bc, ca], axis=1),
-    ], axis=1)  # (n_marked, 4, 3)
+    children = np.stack([a, ab, ca, ab, b, bc, ca, bc, c, ab, bc, ca],
+                        axis=1).reshape(-1, 4, 3)
 
-    # interleave kept parents and child quadruples in parent order
+    # each parent becomes itself or its four children, in parent order
     counts = np.where(marked, 4, 1)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    total = int(offsets[-1])
-    new_tris = np.empty((total, 3), dtype=np.int64)
-    new_levels = np.empty(total, dtype=np.int32)
-    keep = np.flatnonzero(~marked)
-    new_tris[offsets[keep]] = tris[keep]
-    new_levels[offsets[keep]] = mesh.levels[keep]
-    starts = offsets[midx]
-    for k in range(4):
-        new_tris[starts + k] = children[:, k]
-    new_levels[(starts[:, None] + np.arange(4)).ravel()] = \
-        np.repeat(mesh.levels[midx] + 1, 4)
-
-    out = SurfaceMesh(vertices=verts,
-                      triangles=new_tris,
-                      levels=new_levels,
-                      generation=mesh.generation + 1,
-                      edge_midpoints=registry,
-                      allow_boundary=mesh.allow_boundary)
-    return build_edges(out)
+    new_tris = np.repeat(mesh.triangles, counts, axis=0)
+    new_tris[(np.cumsum(counts) - 4)[midx, None] + np.arange(4)] = children
+    new_levels = np.repeat(mesh.levels + marked, counts)
+    return build_edges(SurfaceMesh(verts, new_tris, new_levels,
+                                   edge_midpoints=registry,
+                                   allow_boundary=mesh.allow_boundary))
 
 
 def refine_uniform(mesh: SurfaceMesh, surface: LevelSetSurface) -> SurfaceMesh:
@@ -472,12 +453,26 @@ def refine_nonconforming(mesh: SurfaceMesh, marked,
     """Quadrisect the marked triangles only, leaving hanging nodes.
 
     Closure marking keeps the refinement-level difference across any
-    intersection at most one.
+    intersection at most one.  ``marked`` is any sequence, array or set
+    of element indices.
     """
-    flags = np.zeros(len(mesh.triangles), dtype=bool)
-    flags[np.asarray(sorted(marked), dtype=np.int64)] = True
-    if not flags.any():
+    if not isinstance(marked, (Sequence, np.ndarray)):
+        marked = list(marked)
+    idx = np.asarray(marked)
+    if idx.size == 0:
         raise MeshError("marked set is empty")
+    m = len(mesh.triangles)
+    if idx.dtype.kind in "iu":
+        bad = idx[(idx < 0) | (idx >= m)].tolist()
+    else:  # name the first non-integer entry, else the first entry
+        bad = [x for x in np.asarray(marked, dtype=object).ravel()
+               if isinstance(x, bool) or not isinstance(x, (int, np.integer))
+               ] or idx.ravel().tolist()
+    if bad:
+        raise MeshError(
+            f"marked element {bad[0]} is not an element index in [0, {m})")
+    flags = np.zeros(m, dtype=bool)
+    flags[idx] = True
     if mesh.edges is None:
         mesh = build_edges(mesh)
     plus, minus = mesh.edges.plus, mesh.edges.minus

@@ -137,6 +137,44 @@ def test_refine_empty_mark_set():
         refine_nonconforming(flat_pair(), [], make_plane())
 
 
+@pytest.mark.parametrize("marked, named", [
+    ([-1], r"element -1 is not an element index in \[0, 20\)"),
+    ([1.5], "element 1.5 is not"),
+    ([20], "element 20 is not"),
+    ([3, 25, -2], "element 25 is not"),
+])
+def test_refine_rejects_bad_marked_index(marked, named):
+    """A negative, out-of-range or non-integer index is refused by name
+    instead of wrapping, truncating or escaping as an IndexError."""
+    sph = make_sphere()
+    with pytest.raises(MeshError, match=named):
+        refine_nonconforming(initial_mesh(sph, "icosahedron"), marked, sph)
+
+
+@pytest.mark.parametrize("nonconforming", [False, True])
+def test_registry_rows_sorted_with_one_row_per_new_vertex(nonconforming):
+    """The midpoint registry holds rows (i, j, midpoint) with i < j,
+    unique and in lexicographic order, and names every vertex added since
+    the seed exactly once."""
+    sph = make_sphere()
+    seed = initial_mesh(sph, "icosahedron")
+    m = seed
+    for _ in range(3):
+        if nonconforming:
+            cent = m.triangle_vertices().mean(axis=1)
+            m = refine_nonconforming(m, np.flatnonzero(cent[:, 0] > 0.0), sph)
+        else:
+            m = refine_uniform(m, sph)
+    assert not nonconforming or not m.conforming
+    reg = m.edge_midpoints
+    assert reg.dtype == np.int64 and reg.shape[1] == 3
+    assert np.all(reg[:, 0] < reg[:, 1])
+    step = np.diff(reg[:, :2], axis=0)
+    assert np.all((step[:, 0] > 0) | ((step[:, 0] == 0) & (step[:, 1] > 0)))
+    assert np.array_equal(np.sort(reg[:, 2]),
+                          np.arange(len(seed.vertices), len(m.vertices)))
+
+
 def test_uniform_refinement_rejects_hanging_nodes():
     nc = refine_nonconforming(flat_pair(), [0], make_plane())
     with pytest.raises(MeshError, match="conforming"):
@@ -231,7 +269,8 @@ def test_nonmanifold_fan_rejected():
     tris = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]], dtype=np.int64)
     fan = SurfaceMesh(vertices=verts, triangles=tris,
                       levels=np.zeros(3, np.int32), allow_boundary=True)
-    with pytest.raises(NonManifoldError, match="3 triangles"):
+    with pytest.raises(NonManifoldError,
+                       match=r"^edge \(0, 1\) shared by 3 triangles$"):
         build_edges(fan)
 
 

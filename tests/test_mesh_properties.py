@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from conftest import perturbed_mesh
-from surfdg.geometry import get_surface
-from surfdg.mesh import initial_mesh, refine_nonconforming, refine_uniform
+from conftest import flat_grid, perturbed_mesh
+from surfdg.geometry import get_surface, make_plane
+from surfdg.mesh import (_conormals, _edge_split_points, initial_mesh,
+                         refine_nonconforming, refine_uniform)
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -54,3 +55,122 @@ def test_conforming_intersections_cover_half_the_perimeter(
                                    axis=1).sum() for k in range(3))
     total = mesh.edges.lengths.sum()
     assert abs(total - 0.5 * perimeter) <= 1e-12 * perimeter
+
+
+# Reference: the intersection matching and registry update written with
+# vertex-pair rows, tuple keys and a dict registry, one Python loop per
+# edge or triangle.  The mesh module names an edge by one integer key; the
+# property below checks that both give the same mesh, bit for bit.
+
+def _pair_rows(tris):
+    return np.sort(np.concatenate(
+        [tris[:, (0, 1)], tris[:, (1, 2)], tris[:, (2, 0)]]), axis=1)
+
+
+def reference_intersections(tris, registry):
+    """Rows (i, j, minus, plus): full shared edges in pair order, then each
+    coarse edge with its two registered halves."""
+    raw = _pair_rows(tris)
+    owner = np.tile(np.arange(len(tris)), 3)
+    uniq, inv, counts = np.unique(raw, axis=0, return_inverse=True,
+                                  return_counts=True)
+    inv = inv.ravel()
+    order = np.argsort(inv, kind="stable")
+    shared = counts == 2
+    both = np.sort(owner[order[shared[inv[order]]].reshape(-1, 2)], axis=1)
+    rows = [tuple(r) for r in
+            np.concatenate([uniq[shared], both], axis=1).tolist()]
+    single = ~shared[inv]
+    singles = {tuple(k): t for k, t in
+               zip(raw[single].tolist(), owner[single].tolist())}
+    for key in sorted(singles):
+        if key not in registry:
+            continue
+        mid = registry[key]
+        halves = [tuple(sorted(p)) for p in ((key[0], mid), (mid, key[1]))]
+        if all(h in singles for h in halves):
+            rows += [(*h, *sorted((singles[key], singles[h])))
+                     for h in halves]
+    return np.array(rows, dtype=np.int64).reshape(-1, 4)
+
+
+def reference_closure(levels, rows, marked):
+    flags = np.zeros(len(levels), dtype=bool)
+    flags[list(marked)] = True
+    while True:
+        post = levels + flags
+        grow = np.zeros_like(flags)
+        for _, _, minus, plus in rows:
+            grow[minus] |= post[plus] - post[minus] > 1
+            grow[plus] |= post[minus] - post[plus] > 1
+        grow &= ~flags
+        if not grow.any():
+            return flags
+        flags |= grow
+
+
+def reference_split(verts, tris, levels, registry, flags, surface):
+    registry = dict(registry)
+    uniq = np.unique(_pair_rows(tris[flags]), axis=0)
+    new = [k for k in map(tuple, uniq.tolist()) if k not in registry]
+    ij = np.array(new, dtype=np.int64).reshape(-1, 2)
+    registry.update({k: len(verts) + n for n, k in enumerate(new)})
+    verts = np.vstack([verts, _edge_split_points(
+        surface, verts[ij[:, 0]], verts[ij[:, 1]])])
+    out_tris, out_levels = [], []
+    for (a, b, c), level, split in zip(tris.tolist(), levels.tolist(), flags):
+        if not split:
+            out_tris.append((a, b, c))
+            out_levels.append(level)
+            continue
+        ab, bc, ca = (registry[tuple(sorted(p))]
+                      for p in ((a, b), (b, c), (c, a)))
+        out_tris += [(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)]
+        out_levels += [level + 1] * 4
+    return (verts, np.array(out_tris, dtype=np.int64),
+            np.array(out_levels, dtype=np.int32), registry)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.sampled_from(("sphere", "flat")), steps=st.integers(2, 3),
+       data=st.data())
+def test_integer_edge_keys_match_tuple_reference(seed, steps, data):
+    """Random nonconforming markings, closed by the level-gap rule, give
+    the same vertices, triangles, levels, intersection arrays and midpoint
+    registry as the tuple/dict reference."""
+    if seed == "sphere":
+        surface = get_surface("sphere")
+        mesh = initial_mesh(surface, "icosahedron")
+    else:
+        surface = make_plane()
+        mesh = flat_grid(4)
+    verts, tris, levels, registry = (mesh.vertices, mesh.triangles,
+                                     mesh.levels, {})
+    for _ in range(steps):
+        m = len(tris)
+        marked = data.draw(st.lists(st.integers(0, m - 1), min_size=1,
+                                    max_size=min(m, 12)))
+        flags = reference_closure(
+            levels, reference_intersections(tris, registry), marked)
+        verts, tris, levels, registry = reference_split(
+            verts, tris, levels, registry, flags, surface)
+        mesh = refine_nonconforming(mesh, marked, surface)
+
+        assert np.array_equal(mesh.vertices, verts)
+        assert np.array_equal(mesh.triangles, tris)
+        assert np.array_equal(mesh.levels, levels)
+        rows = np.array(sorted((*k, v) for k, v in registry.items()),
+                        dtype=np.int64)
+        assert np.array_equal(mesh.edge_midpoints, rows)
+        ref = reference_intersections(tris, registry)
+        p0, p1 = verts[ref[:, 0]], verts[ref[:, 1]]
+        edges = mesh.edges
+        assert np.array_equal(edges.minus, ref[:, 2])
+        assert np.array_equal(edges.plus, ref[:, 3])
+        assert np.array_equal(edges.endpoints, np.stack([p0, p1], axis=1))
+        assert np.array_equal(edges.lengths,
+                              np.linalg.norm(p1 - p0, axis=1))
+        assert np.array_equal(edges.conormal_plus,
+                              _conormals(verts, tris, ref[:, 3], p0, p1))
+        assert np.array_equal(edges.conormal_minus,
+                              _conormals(verts, tris, ref[:, 2], p0, p1))
