@@ -25,7 +25,7 @@ import scipy.sparse as sp
 from . import geometry
 from .dgspace import DgSpace, _ref_grads, _values, get_quadrature
 from .geometry import LevelSetSurface, project_points
-from .mesh import EdgeIntersection, MeshError, SurfaceMesh, triangle_areas
+from .mesh import EdgeIntersection, MeshError, SurfaceMesh
 
 CHOICES = ("1", "2", "3", "4", "4T")
 
@@ -85,20 +85,17 @@ class PenaltyParams:
 
 def _element_penalty_terms(mesh: SurfaceMesh) -> np.ndarray:
     """Per element: half the sum of squared full-edge lengths over area."""
+    if mesh.areas is None:
+        raise MeshError("edges not built")
     tv = mesh.triangle_vertices()
     e2 = ((np.linalg.norm(tv[:, 1] - tv[:, 0], axis=1) ** 2)
           + (np.linalg.norm(tv[:, 2] - tv[:, 1], axis=1) ** 2)
           + (np.linalg.norm(tv[:, 0] - tv[:, 2], axis=1) ** 2))
-    areas = triangle_areas(mesh)
-    if np.any(areas <= 0.0):
-        raise MeshError("degenerate element")
-    return 0.5 * e2 / areas
+    return 0.5 * e2 / mesh.areas
 
 
 def penalty_bounds(mesh: SurfaceMesh) -> np.ndarray:
     """Stability lower bound for omega_e on every intersection."""
-    if mesh.edges is None:
-        raise MeshError("edges not built")
     term = _element_penalty_terms(mesh)
     return np.maximum(term[mesh.edges.minus], term[mesh.edges.plus])
 
@@ -177,7 +174,7 @@ def _quad_degrees(degree: int):
 
 def _volume_block(space: DgSpace, rule, part=slice(None)) -> np.ndarray:
     """Broken stiffness + mass on the elements ``part``, shape (E, n, n)."""
-    _, tmap, areas, _ = space.frames
+    _, tmap, areas = space.frames
     w = rule.weights
     vref = _values(space.degree, rule.points)
     gref = _ref_grads(space.degree, rule.points)
@@ -436,7 +433,7 @@ def assemble_rhs(space: DgSpace, surface: LevelSetSurface, f) -> np.ndarray:
     """
     deg = space.degree
     tri_rule = get_quadrature("triangle", _quad_degrees(deg)[0])
-    tv, _, areas, _ = space.frames
+    tv, _, areas = space.frames
     w = tri_rule.weights
     vref = _values(deg, tri_rule.points)
     pts = np.einsum("qk,mkd->mqd", tri_rule.points, tv).reshape(-1, 3)

@@ -531,8 +531,10 @@ def project_points(surface: LevelSetSurface, seeds, tol: float = 1e-10,
     """
     seeds = np.asarray(seeds, dtype=float).reshape(-1, 3)
     n = len(seeds)
+    if n <= _LIFT_BATCH:
+        return _project_batch(surface, seeds, tol, max_iter)
     out = None
-    for start in range(0, max(n, 1), _LIFT_BATCH):
+    for start in range(0, n, _LIFT_BATCH):
         part = _project_batch(surface, seeds[start:start + _LIFT_BATCH],
                               tol, max_iter)
         if out is None:

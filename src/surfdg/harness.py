@@ -106,20 +106,15 @@ class ConvergenceReport:
 
 
 def compute_eoc(errors, hs) -> list:
-    """eoc_k = ln(e_{k-1}/e_k) / ln(h_{k-1}/h_k); first entry None, as is
-    any entry whose error pair is not positive."""
+    """eoc_k = ln(e_{k-1}/e_k) / ln(h_{k-1}/h_k); None first and where an
+    error of the pair is not positive or h does not shrink."""
     if len(errors) != len(hs):
         raise HarnessError("errors and hs must have equal length")
     if len(errors) < 2:
         raise HarnessError("need at least two levels")
-    out = [None]
-    for k in range(1, len(errors)):
-        if errors[k - 1] <= 0.0 or errors[k] <= 0.0:
-            out.append(None)
-            continue
-        out.append(float(np.log(errors[k - 1] / errors[k])
-                         / np.log(hs[k - 1] / hs[k])))
-    return out
+    return [None] + [None if e0 <= 0.0 or e1 <= 0.0 or h1 >= h0
+                     else float(np.log(e0 / e1) / np.log(h0 / h1))
+                     for e0, e1, h0, h1 in zip(errors, errors[1:], hs, hs[1:])]
 
 
 class _ErrorReference(NamedTuple):
@@ -152,7 +147,7 @@ def _error_reference(space: DgSpace, problem: TestProblem) -> _ErrorReference:
     if ref is not None and ref.problem is problem:
         return ref
     space.error_reference = None  # free the stale one before building
-    tv, _, _, normals = space.frames
+    tv, normals = space.frames.vertices, space.mesh.normals
     rule = get_quadrature("triangle", 6)
     m, q = len(tv), len(rule.weights)
     values = np.empty((m, q))
@@ -198,7 +193,7 @@ def compute_errors(u_h: DgFunction, problem: TestProblem) -> tuple:
     if space.mesh.edges is None:
         raise HarnessError("mesh edges not built")
     ref = _error_reference(space, problem)
-    _, tmap, areas, _ = space.frames
+    _, tmap, areas = space.frames
     rule = get_quadrature("triangle", 6)
     w = rule.weights
     m, q = ref.values.shape

@@ -98,6 +98,9 @@ class SurfaceMesh:
         default_factory=lambda: np.empty((0, 3), dtype=np.int64))
     # closed surfaces have no boundary; planar test patches opt out
     allow_boundary: bool = False
+    # 0.5 |n| and n / |n| of each area vector n, set by build_edges
+    areas: np.ndarray | None = field(default=None, init=False, repr=False)
+    normals: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @property
     def conforming(self) -> bool:
@@ -105,16 +108,15 @@ class SurfaceMesh:
             raise MeshError("edges not built; call build_edges first")
         return self.edges.conforming
 
-    def triangle_vertices(self, order=None):
+    def triangle_vertices(self):
         """Vertex coordinate array of shape (m, 3, 3)."""
-        tri = self.triangles if order is None else self.triangles[:, order]
-        return self.vertices[tri]
+        return self.vertices[self.triangles]
 
 
-def triangle_areas(mesh: SurfaceMesh) -> np.ndarray:
-    v = mesh.triangle_vertices()
-    n = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
-    return 0.5 * np.linalg.norm(n, axis=1)
+def _planes(tv):
+    """Area vectors (v1 - v0) x (v2 - v0) and centroids of the triangles
+    tv (m, 3, 3)."""
+    return np.cross(tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0]), tv.mean(axis=1)
 
 
 def conormal(tri_vertices, edge_endpoints) -> np.ndarray:
@@ -123,26 +125,23 @@ def conormal(tri_vertices, edge_endpoints) -> np.ndarray:
     The result is orthogonal to the segment, lies in the triangle plane,
     and points away from the triangle interior.
     """
-    tri = np.asarray(tri_vertices, dtype=float).reshape(3, 3)
+    tri = np.asarray(tri_vertices, dtype=float).reshape(1, 3, 3)
     e = np.asarray(edge_endpoints, dtype=float).reshape(2, 3)
-    nrm = np.cross(tri[1] - tri[0], tri[2] - tri[0])
+    nrm, cent = _planes(tri)
     if np.linalg.norm(nrm) < 2.0 * _AREA_FLOOR:
         raise MeshError("degenerate triangle")
-    return _conormals(tri, np.array([[0, 1, 2]]), np.array([0]),
-                      e[:1], e[1:])[0]
+    return _conormals(nrm, cent, e[:1], e[1:])[0]
 
 
-def _conormals(verts, tris, elems, p0, p1):
+def _conormals(nrm, cent, p0, p1):
     """Vectorized outward conormals for segments (p0[i], p1[i]) on the
-    boundaries of triangles elems[i]."""
-    tv = verts[tris[elems]]
-    nrm = np.cross(tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0])
+    triangles of area vectors nrm[i] and centroids cent[i]."""
     c = np.cross(p1 - p0, nrm)
     ln = np.linalg.norm(c, axis=1)
     if np.any(ln == 0.0):
         raise MeshError("degenerate edge segment")
     c /= ln[:, None]
-    out = np.einsum("ij,ij->i", c, tv.mean(axis=1) - 0.5 * (p0 + p1))
+    out = np.einsum("ij,ij->i", c, cent - 0.5 * (p0 + p1))
     c[out > 0.0] *= -1.0
     return c
 
@@ -165,7 +164,7 @@ def _find(table, keys):
 
 
 def build_edges(mesh: SurfaceMesh) -> SurfaceMesh:
-    """Return a mesh with the full intersection list attached.
+    """Return a mesh with the intersection list, areas and normals set.
 
     Full shared edges pair up directly.  A leftover edge must be a coarse
     edge whose registered midpoint splits it into two refined-neighbour
@@ -173,10 +172,13 @@ def build_edges(mesh: SurfaceMesh) -> SurfaceMesh:
     beyond one) is a non-manifold error.
     """
     tris = np.asarray(mesh.triangles)
-    areas = triangle_areas(mesh)
+    nrm, cent = _planes(mesh.triangle_vertices())
+    size = np.linalg.norm(nrm, axis=1)
+    areas = 0.5 * size
     if np.any(areas <= _AREA_FLOOR):
         bad = int(np.argmin(areas))
         raise MeshError(f"degenerate triangle {bad} (area {areas[bad]:.3e})")
+    normals = nrm / size[:, None]
 
     # one key per triangle edge, all (0, 1) edges first, then (1, 2), (2, 0)
     raw = _edge_keys(tris, tris[:, (1, 2, 0)]).T.ravel()
@@ -231,11 +233,13 @@ def build_edges(mesh: SurfaceMesh) -> SurfaceMesh:
         plus=plus,
         minus=minus,
         lengths=lengths,
-        conormal_plus=_conormals(mesh.vertices, tris, plus, p0, p1),
-        conormal_minus=_conormals(mesh.vertices, tris, minus, p0, p1),
+        conormal_plus=_conormals(nrm[plus], cent[plus], p0, p1),
+        conormal_minus=_conormals(nrm[minus], cent[minus], p0, p1),
         conforming=len(halves) == 0,
     )
-    return replace(mesh, edges=edges)
+    out = replace(mesh, edges=edges)
+    out.areas, out.normals = areas, normals
+    return out
 
 
 def mesh_width(mesh: SurfaceMesh) -> float:

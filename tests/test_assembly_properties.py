@@ -1,6 +1,6 @@
 """Property tests of the IP matrix assembly on perturbed seed meshes."""
 
-import dataclasses
+import copy
 
 import numpy as np
 import pytest
@@ -32,7 +32,9 @@ def flipped_sides(mesh, seed):
     edges = EdgeSet(e.endpoints, pick(e.plus, e.minus), pick(e.minus, e.plus),
                     e.lengths, pick(e.conormal_plus, e.conormal_minus),
                     pick(e.conormal_minus, e.conormal_plus), e.conforming)
-    return dataclasses.replace(mesh, edges=edges)
+    flipped = copy.copy(mesh)  # keeps the mesh's areas and normals
+    flipped.edges = edges
+    return flipped
 
 
 def recorded(calls, build):

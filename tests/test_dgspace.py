@@ -18,7 +18,7 @@ from surfdg.dgspace import (
     tangential_basis_gradient,
 )
 from surfdg.geometry import make_sphere
-from surfdg.mesh import initial_mesh, mesh_width, refine_uniform, triangle_areas
+from surfdg.mesh import initial_mesh, mesh_width, refine_uniform
 
 
 def tri_monomial_integral(a: int, b: int) -> float:
@@ -190,7 +190,7 @@ def test_interpolation_eoc_on_sphere():
         vals = np.einsum("qi,mi->mq",
                          np.array([basis_eval(1, lam) for lam in rule.points]),
                          f.coefficients.reshape(len(mesh.triangles), 3))
-        err2 = 2.0 * np.einsum("m,q,mq->", triangle_areas(mesh), rule.weights,
+        err2 = 2.0 * np.einsum("m,q,mq->", mesh.areas, rule.weights,
                                (vals - u(pts)) ** 2)
         errs.append(np.sqrt(err2))
         hs.append(mesh_width(mesh))

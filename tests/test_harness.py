@@ -27,8 +27,7 @@ from surfdg.harness import (
     run_convergence,
     write_csv,
 )
-from surfdg.mesh import (initial_mesh, refine_nonconforming, refine_uniform,
-                         triangle_areas)
+from surfdg.mesh import initial_mesh, refine_nonconforming, refine_uniform
 from surfdg.problems import TestProblem, make_problem
 from surfdg.solvers import bicgstab, cg
 
@@ -83,6 +82,17 @@ def test_compute_eoc_undefined_markers():
     assert eocs[2] is None
 
 
+@pytest.mark.filterwarnings("error")
+def test_no_eoc_where_h_does_not_shrink():
+    """The first halfspace-x step keeps the seed's longest edge, so h does
+    not shrink and neither EOC of that level is defined (nor warns)."""
+    assert compute_eoc([0.5, 0.25, 0.1], [1.0, 1.0, 2.0]) == [None] * 3
+    report = run_convergence({"surface": "sphere", "refinements": 1,
+                              "nonconforming": True})
+    assert report.hs[1] == report.hs[0]
+    assert report.rows[1].l2_eoc is None and report.rows[1].dg_eoc is None
+
+
 def test_compute_eoc_validation():
     with pytest.raises(HarnessError, match="equal length"):
         compute_eoc([1.0, 0.5], [1.0])
@@ -125,7 +135,7 @@ def test_dg_error_of_constant():
                        exact_u=zero_field(), forcing_mode="analytic",
                        f=lambda p: np.zeros(len(p)))
     l2, dg = compute_errors(c, prob)
-    expect = 3.0 * np.sqrt(triangle_areas(mesh).sum())
+    expect = 3.0 * np.sqrt(mesh.areas.sum())
     assert dg == pytest.approx(expect, abs=1e-12)
     assert l2 == pytest.approx(expect, abs=1e-12)
 

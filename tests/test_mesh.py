@@ -17,7 +17,6 @@ from surfdg.mesh import (
     read_off,
     refine_nonconforming,
     refine_uniform,
-    triangle_areas,
     write_off,
 )
 
@@ -88,10 +87,10 @@ def test_sphere_mesh_width_halves():
 def test_sphere_area_converges_quadratically():
     sph = make_sphere()
     m = initial_mesh(sph, "icosahedron")
-    defects = [4.0 * np.pi - triangle_areas(m).sum()]
+    defects = [4.0 * np.pi - m.areas.sum()]
     for _ in range(5):
         m = refine_uniform(m, sph)
-        defects.append(4.0 * np.pi - triangle_areas(m).sum())
+        defects.append(4.0 * np.pi - m.areas.sum())
     assert defects[-1] < 4e-3
     for i in range(2, len(defects) - 1):
         assert 3.7 <= defects[i] / defects[i + 1] <= 4.3

@@ -170,7 +170,73 @@ def test_integer_edge_keys_match_tuple_reference(seed, steps, data):
         assert np.array_equal(edges.endpoints, np.stack([p0, p1], axis=1))
         assert np.array_equal(edges.lengths,
                               np.linalg.norm(p1 - p0, axis=1))
+        tv = verts[tris]
+        nrm = np.cross(tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0])
+        cent = tv.mean(axis=1)
+        plus, minus = ref[:, 3], ref[:, 2]
         assert np.array_equal(edges.conormal_plus,
-                              _conormals(verts, tris, ref[:, 3], p0, p1))
+                              _conormals(nrm[plus], cent[plus], p0, p1))
         assert np.array_equal(edges.conormal_minus,
-                              _conormals(verts, tris, ref[:, 2], p0, p1))
+                              _conormals(nrm[minus], cent[minus], p0, p1))
+
+
+def reference_conormals(verts, tris, elems, p0, p1):
+    """Outward conormals computed per intersection, from an (E, 3, 3)
+    gather of the triangles ``elems`` and each row's own cross product and
+    centroid."""
+    tv = verts[tris[elems]]
+    nrm = np.cross(tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0])
+    c = np.cross(p1 - p0, nrm)
+    c /= np.linalg.norm(c, axis=1)[:, None]
+    out = np.einsum("ij,ij->i", c, tv.mean(axis=1) - 0.5 * (p0 + p1))
+    c[out > 0.0] *= -1.0
+    return c
+
+
+def reference_planes(mesh):
+    """Per-triangle areas 0.5 |n| and unit normals n / |n|, n the area
+    vector."""
+    v = mesh.triangle_vertices()
+    n = np.cross(v[:, 1] - v[:, 0], v[:, 2] - v[:, 0])
+    return (0.5 * np.linalg.norm(n, axis=1),
+            n / np.linalg.norm(n, axis=1, keepdims=True))
+
+
+def planes_ladder(kind):
+    """Meshes of a short ladder: the sphere seed, a flat grid and its
+    nonconforming refinement, or the nonconforming Dziuk ladder (x1 > 0
+    half, then everything)."""
+    if kind == "sphere":
+        return [initial_mesh(get_surface("sphere"), "icosahedron")]
+    if kind == "flat":
+        mesh = flat_grid(4)
+        return [mesh, refine_nonconforming(mesh, [0, 5, 17], make_plane())]
+    surface = get_surface("dziuk")
+    mesh = initial_mesh(surface, "icosahedron")
+    cent = mesh.triangle_vertices().mean(axis=1)
+    meshes = [mesh, refine_nonconforming(
+        mesh, np.flatnonzero(cent[:, 0] > 0.0), surface)]
+    meshes.append(refine_nonconforming(
+        meshes[-1], np.arange(len(meshes[-1].triangles)), surface))
+    return meshes
+
+
+@pytest.mark.parametrize("kind", ("sphere", "flat", "dziuk-nc"))
+def test_mesh_planes_match_per_intersection_reference(kind):
+    """The conormals, areas and normals read from the planes that
+    ``build_edges`` computes once per triangle are bit for bit those of
+    the per-intersection and per-use formulas."""
+    for mesh in planes_ladder(kind):
+        verts, tris, edges = mesh.vertices, mesh.triangles, mesh.edges
+        p0, p1 = edges.endpoints[:, 0], edges.endpoints[:, 1]
+        assert np.array_equal(
+            edges.conormal_plus,
+            reference_conormals(verts, tris, edges.plus, p0, p1))
+        assert np.array_equal(
+            edges.conormal_minus,
+            reference_conormals(verts, tris, edges.minus, p0, p1))
+        areas, normals = reference_planes(mesh)
+        assert np.array_equal(mesh.areas, areas)
+        assert np.array_equal(mesh.normals, normals)
+    # the flat and Dziuk ladders end with hanging segments
+    assert mesh.conforming == (kind == "sphere")
