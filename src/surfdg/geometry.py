@@ -106,7 +106,9 @@ class LevelSetSurface:
     callables; missing derivatives fall back to central differences with step
     ``fd_step``.  ``normal_fd_step`` is the separate stencil step used when
     differencing normal fields (the normals themselves are O(h) accurate, so
-    a larger step is appropriate).
+    a larger step is appropriate).  ``analytic_normal`` serves only the
+    closed-form Dziuk forcing of ``problems.py`` and the tests; this module's
+    normal on the surface is grad phi / |grad phi|.
     """
 
     phi: Callable
@@ -172,15 +174,13 @@ def grad_phi(surface: LevelSetSurface, x) -> np.ndarray:
 
 
 def _hess_phi(surface: LevelSetSurface, x: np.ndarray) -> np.ndarray:
-    """Hessians (n, 3, 3) of phi at (n, 3) points: analytic, else central
-    differences of grad phi (symmetrized) or, without it, of phi."""
+    """Hessians (n, 3, 3) of phi at (n, 3) points: analytic, else
+    ``field_hessian`` of phi with ``grad_phi`` as its gradient."""
     if surface.hess_phi is not None:
         return np.asarray(surface.hess_phi(x), dtype=float)
-    h = surface.fd_step
-    if surface.grad_phi is not None:
-        H = field_gradient(ScalarField3(lambda y: grad_phi(surface, y)), x, h)
-        return 0.5 * (H + np.swapaxes(H, -1, -2))
-    return field_hessian(ScalarField3(lambda y: eval_phi(surface, y)), x, h)
+    phi = ScalarField3(lambda y: eval_phi(surface, y),
+                       lambda y: grad_phi(surface, y))
+    return field_hessian(phi, x, surface.fd_step)
 
 
 def field_gradient(f: ScalarField3, x, step: float = 1e-5) -> np.ndarray:
@@ -202,27 +202,14 @@ def field_gradient(f: ScalarField3, x, step: float = 1e-5) -> np.ndarray:
 
 
 def field_hessian(f: ScalarField3, x, step: float = 1e-5) -> np.ndarray:
-    """Hessian of a scalar field, analytic if available, else FD of value."""
+    """Hessian of a scalar field, analytic if available, else the
+    symmetrized central-difference Jacobian of its ``field_gradient``."""
     x = np.asarray(x, dtype=float)
     if f.hessian is not None:
         return np.asarray(f.hessian(x), dtype=float)
-    H = np.empty(x.shape + (3,))
-    p0 = np.asarray(f.value(x), float)
-    for i in range(3):
-        ei = np.zeros(3)
-        ei[i] = step
-        H[..., i, i] = (np.asarray(f.value(x + ei), float) - 2.0 * p0
-                        + np.asarray(f.value(x - ei), float)) / step**2
-        for j in range(i + 1, 3):
-            ej = np.zeros(3)
-            ej[j] = step
-            mixed = (np.asarray(f.value(x + ei + ej), float)
-                     - np.asarray(f.value(x + ei - ej), float)
-                     - np.asarray(f.value(x - ei + ej), float)
-                     + np.asarray(f.value(x - ei - ej), float)) / (4.0 * step**2)
-            H[..., i, j] = mixed
-            H[..., j, i] = mixed
-    return H
+    H = field_gradient(ScalarField3(lambda y: field_gradient(f, y, step)),
+                       x, step)
+    return 0.5 * (H + np.swapaxes(H, -1, -2))
 
 
 def stopping_residual(surface: LevelSetSurface, x, x0) -> np.ndarray | float:
@@ -243,17 +230,23 @@ def stopping_residual(surface: LevelSetSurface, x, x0) -> np.ndarray | float:
     return float(out[0]) if single else out.reshape(x.shape[:-1])
 
 
-def _criterion(p, g, x, x0):
-    """``stopping_residual`` from phi and grad phi already evaluated at x."""
-    gn = _norm(g)
-    out = (p / gn) ** 2
+def _criterion_terms(p, g, gn, x, x0):
+    """|phi| / |grad phi| and the squared direction misfit (0 within 1e-14
+    of the seed x0) at x, from phi p, grad phi g and |grad phi| gn there.
+    ``_project_batch``'s loop passes sqrt(g . g), ``_criterion`` ``_norm(g)``:
+    they differ in the last bit, so changing either one moves results."""
+    phi_term = np.abs(p) / gn
     d = x - x0
     dn = _norm(d)
     far = dn > 1e-14
-    if np.any(far):
-        diff = g[far] / gn[far, None] - d[far] / dn[far, None]
-        out[far] += np.einsum("ij,ij->i", diff, diff)
-    return np.sqrt(out)
+    diff = g / gn[:, None] - d / np.where(far, dn, 1.0)[:, None]
+    return phi_term, np.where(far, np.einsum("ij,ij->i", diff, diff), 0.0)
+
+
+def _criterion(p, g, x, x0):
+    """``stopping_residual`` from phi and grad phi already evaluated at x."""
+    phi_term, dir2 = _criterion_terms(p, g, _norm(g), x, x0)
+    return np.sqrt(phi_term**2 + dir2)
 
 
 def _phi_residual(p, g):
@@ -404,13 +397,7 @@ def _project_batch(surface, seeds, tol, max_iter,
             p = np.atleast_1d(eval_phi(surface, x))
         g = grad_phi(surface, x)
         g2 = np.einsum("ij,ij->i", g, g)
-        gn = np.sqrt(g2)
-        phi_term = np.abs(p) / gn
-        d = x - s
-        dn = _norm(d)
-        far = dn > 1e-14
-        diff = g / gn[:, None] - d / np.where(far, dn, 1.0)[:, None]
-        dir2 = np.where(far, np.einsum("ij,ij->i", diff, diff), 0.0)
+        phi_term, dir2 = _criterion_terms(p, g, np.sqrt(g2), x, s)
         # a point already on the surface whose displacement points against
         # the gradient (the outside-seed case) can never pass the verbatim
         # criterion; drop its direction term right away
@@ -619,10 +606,7 @@ def _approx_normal_batch(surface, pts, tol, max_iter=100, phi=None):
     out = np.empty_like(pts)
     on = np.abs(p) < tol
     if np.any(on):
-        if surface.analytic_normal is not None:
-            n = np.asarray(surface.analytic_normal(pts[on]), dtype=float)
-        else:
-            n = grad_phi(surface, pts[on])
+        n = grad_phi(surface, pts[on])
         out[on] = n / _norm(n)[:, None]
     off = ~on
     if np.any(off):
@@ -634,10 +618,10 @@ def _approx_normal_batch(surface, pts, tol, max_iter=100, phi=None):
 def approx_normal(surface: LevelSetSurface, x0, tol: float = 1e-10) -> np.ndarray:
     """Approximate the outward unit normal at (the projection of) x0.
 
-    On the surface (|phi| < tol) the analytic normal is used when available,
-    else grad phi normalized.  Off the surface the point is projected and the
-    unit vector along sign(phi(x0)) * (x0 - proj(x0)) is returned, with the
-    sign corrected so the result points in the direction of increasing phi.
+    On the surface (|phi| < tol) this is grad phi / |grad phi|.  Off the
+    surface the point is projected and the unit vector along
+    sign(phi(x0)) * (x0 - proj(x0)) is returned, with the sign corrected so
+    the result points in the direction of increasing phi.
     """
     x0 = np.asarray(x0, dtype=float)
     single = x0.ndim == 1
@@ -842,11 +826,8 @@ def make_plane() -> LevelSetSurface:
         x = np.asarray(x, dtype=float)
         return np.zeros(x.shape + (3,))
 
-    def normal(x):
-        return grad(x)
-
     return LevelSetSurface(phi=phi, grad_phi=grad, hess_phi=hess,
-                           analytic_normal=normal, name="plane")
+                           name="plane")
 
 
 _SURFACE_FACTORIES = {

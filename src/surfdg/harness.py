@@ -52,16 +52,21 @@ class RunConfig:
 
     def __post_init__(self):
         self.choice = normalize_choice(self.choice)
-        # a JSON config hands over strings and bools as they are written
-        for name, kind, what in (
-                ("degree", Integral, "an integer"),
-                ("refinements", Integral, "an integer"),
-                ("sigma", Real, "a finite real number"),
-                ("seed_scale", Real, "a finite real number")):
+        # a JSON config hands over strings and bools as they are written;
+        # each number must lie above its lower bound and be finite
+        for name, kind, low, what in (
+                ("degree", Integral, -np.inf, "an integer"),
+                ("refinements", Integral, -np.inf, "an integer"),
+                ("sigma", Real, -np.inf, "a finite real number"),
+                ("seed_scale", Real, -np.inf, "a finite real number"),
+                ("tol", Real, 0.0, "a positive finite number")):
             value = getattr(self, name)
             if (isinstance(value, bool) or not isinstance(value, kind)
-                    or not -np.inf < value < np.inf):
+                    or not low < value < np.inf):
                 raise HarnessError(f"{name} must be {what}, got {value!r}")
+        if not isinstance(self.nonconforming, (bool, np.bool_)):
+            raise HarnessError("nonconforming must be true or false, got "
+                               f"{self.nonconforming!r}")
         if self.degree not in (1, 2):
             raise HarnessError(f"degree must be 1 or 2, got {self.degree}")
         if self.refinements < 1:
@@ -70,9 +75,6 @@ class RunConfig:
             raise HarnessError(f"unknown marking {self.marking!r}")
         if self.solver not in ("auto", "cg", "bicgstab"):
             raise HarnessError(f"unknown solver {self.solver!r}")
-        if not (isinstance(self.tol, (int, float)) and 0 < self.tol < np.inf):
-            raise HarnessError(
-                f"tol must be a positive finite number, got {self.tol!r}")
 
 
 @dataclass
@@ -396,6 +398,9 @@ def compare_choices(config, choices) -> ChoiceComparison:
     is refused, as are the ``output_csv`` and ``output_vtk`` artifacts.
     """
     tags = [normalize_choice(c) for c in choices]
+    for i, tag in enumerate(tags):
+        if tag in tags[:i]:
+            raise HarnessError(f"choice {tag} is given more than once")
     if len(tags) < 2:
         raise HarnessError("need at least two choices to compare")
     if "2" not in tags:

@@ -44,6 +44,13 @@ def test_compare_serves_nonsymmetric_choice(tmp_path, capsys):
     assert "l2(1)/l2(2)" in capsys.readouterr().out
 
 
+def test_compare_refuses_a_repeated_choice(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert main(["compare", "--config", cfg, "--choices", "1", "1"]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: choice 1 is given more than once")
+
+
 def test_project_reports_point(capsys):
     rc = main(["project", "--surface", "sphere", "--point", "2", "0", "0"])
     assert rc == 0
@@ -76,7 +83,7 @@ def test_unknown_config_key_fails(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("refinements", "1"), ("degree", True), ("sigma", "2.0"),
-    ("seed_scale", None)])
+    ("seed_scale", None), ("tol", True), ("nonconforming", "false")])
 def test_mistyped_config_value_fails(tmp_path, capsys, key, value):
     """A config value of the wrong type gives the error line naming its
     key and exit code 1, not a traceback from inside the ladder."""

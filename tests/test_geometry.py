@@ -70,6 +70,69 @@ def test_gradients_match_finite_differences():
             assert np.max(np.abs(H - H_fd)) < 1e-4 * (1.0 + np.max(np.abs(H)))
 
 
+def test_field_hessian_differences_a_given_gradient():
+    """Without an analytic Hessian, field_hessian differences the field's
+    gradient; for u = x1 x2 with its gradient given, that is the exact
+    Hessian up to roundoff (measured 6.6e-12), and exactly symmetric."""
+    u = ScalarField3(value=lambda x: x[..., 0] * x[..., 1],
+                     gradient=lambda x: np.stack(
+                         [x[..., 1], x[..., 0], np.zeros(x.shape[:-1])], -1))
+    pts = np.random.default_rng(41).uniform(-1.5, 1.5, (200, 3))
+    H = field_hessian(u, pts)
+    exact = np.zeros((3, 3))
+    exact[0, 1] = exact[1, 0] = 1.0
+    assert np.max(np.abs(H - exact)) < 1e-9
+    assert np.array_equal(H, np.swapaxes(H, -1, -2))
+
+
+def _listed_criterion(p, g, x, x0):
+    """The stopping criterion as it was written before its terms were
+    shared with the projection loop, kept as a reference."""
+    gn = geometry._norm(g)
+    out = (p / gn) ** 2
+    d = x - x0
+    dn = geometry._norm(d)
+    far = dn > 1e-14
+    if np.any(far):
+        diff = g[far] / gn[far, None] - d[far] / dn[far, None]
+        out[far] += np.einsum("ij,ij->i", diff, diff)
+    return np.sqrt(out)
+
+
+@pytest.mark.parametrize("name", SURFACES)
+def test_reported_residuals_match_listed_criterion(name):
+    """stopping_residual and the residuals project_points reports equal the
+    listed criterion bit for bit (|phi| / |grad phi| for dropped points),
+    on tube seeds and on far seeds inside and outside the surface."""
+    surf = get_surface(name)
+    rng = np.random.default_rng(43)
+    far = rng.standard_normal((200, 3))
+    far *= rng.uniform(0.4, 2.5, (200, 1)) / np.linalg.norm(far, axis=1,
+                                                             keepdims=True)
+    for seeds in (tube_points(surf, n=200, seed=43), far):
+        proj = project_points(surf, seeds)
+        x = proj.points
+        p, g = eval_phi(surf, x), grad_phi(surf, x)
+        ref = _listed_criterion(p, g, x, seeds)
+        assert np.array_equal(stopping_residual(surf, x, seeds), ref)
+        kept = ~proj.dropped
+        assert np.array_equal(proj.residuals[kept], ref[kept])
+        assert np.array_equal(proj.residuals[~kept],
+                              (np.abs(p) / geometry._norm(g))[~kept])
+
+
+def test_on_surface_normal_is_the_normalized_gradient():
+    """On the surface approx_normal is grad phi / |grad phi|, bit for bit,
+    also where the surface has a closed-form normal."""
+    rng = np.random.default_rng(47)
+    for surf in (make_sphere(), make_dziuk()):
+        pts = project_points(surf, rng.uniform(-1.2, 1.2, (100, 3))).points
+        assert np.all(np.abs(eval_phi(surf, pts)) < 1e-10)
+        g = grad_phi(surf, pts)
+        assert np.array_equal(approx_normal(surf, pts),
+                              g / geometry._norm(g)[:, None])
+
+
 def test_eval_phi_rejects_nonfinite():
     bad = LevelSetSurface(phi=lambda x: np.full(np.asarray(x).shape[:-1], np.nan),
                           name="bad")

@@ -388,6 +388,17 @@ def test_compare_choices_errors_equal_single_choice_runs():
         assert comp.dg_errors[tag] == alone.dg_errors
 
 
+def test_compare_choices_refuses_a_repeated_choice():
+    """A choice given twice would fill its error lists twice per level and
+    misalign every ratio; 4t and 4T name the same choice."""
+    cfg = {"surface": "sphere", "refinements": 2}
+    for choices, tag in ((["1", "1"], "1"), (["4t", "3", "4T"], "4T"),
+                         (["2", "2"], "2")):
+        with pytest.raises(HarnessError,
+                           match=f"^choice {tag} is given more than once"):
+            compare_choices(cfg, choices)
+
+
 def test_compare_choices_needs_two():
     with pytest.raises(HarnessError, match="two choices"):
         compare_choices(RunConfig(surface="sphere", refinements=1), ["2"])
@@ -497,14 +508,15 @@ def test_runconfig_validation():
         RunConfig(marking="random")
     with pytest.raises(HarnessError, match="solver"):
         RunConfig(solver="gmres")
-    for tol in (0.0, -1e-10, float("nan"), float("inf"), "1e-10"):
-        with pytest.raises(HarnessError, match="tol"):
-            RunConfig(tol=tol)
+    # the string "false" is truthy and would select a nonconforming ladder
     for name, bad in (("degree", ("1", 1.0, True, None)),
                       ("refinements", ("1", 1.5, True, False)),
                       ("sigma", ("2", True, None, float("nan"),
                                  float("inf"))),
-                      ("seed_scale", ("1", False, float("-inf")))):
+                      ("seed_scale", ("1", False, float("-inf"))),
+                      ("tol", (0.0, -1e-10, float("nan"), float("inf"),
+                               "1e-10", True)),
+                      ("nonconforming", ("false", "true", 0, 1, None))):
         for value in bad:
             with pytest.raises(HarnessError, match=f"^{name} must be"):
                 RunConfig(**{name: value})
@@ -512,3 +524,4 @@ def test_runconfig_validation():
                    sigma=3, seed_scale=np.float32(1.5))
     assert (ok.degree, ok.refinements, ok.sigma) == (2, 3, 3)
     assert RunConfig(choice="4t").choice == "4T"
+    assert RunConfig(tol=1, nonconforming=np.bool_(True)).tol == 1
