@@ -22,10 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from . import geometry
 from .dgspace import DgSpace, _ref_grads, _values, get_quadrature
-from .geometry import LevelSetSurface, project_points
-from .mesh import EdgeIntersection, MeshError, SurfaceMesh
+from .geometry import LevelSetSurface, _chunks, project_points
+from .mesh import EdgeIntersection, SurfaceMesh, _require_edges
 
 CHOICES = ("1", "2", "3", "4", "4T")
 
@@ -83,27 +82,16 @@ class PenaltyParams:
         return om
 
 
-def _element_penalty_terms(mesh: SurfaceMesh) -> np.ndarray:
-    """Per element: half the sum of squared full-edge lengths over area."""
-    if mesh.areas is None:
-        raise MeshError("edges not built")
-    tv = mesh.triangle_vertices()
-    e2 = ((np.linalg.norm(tv[:, 1] - tv[:, 0], axis=1) ** 2)
-          + (np.linalg.norm(tv[:, 2] - tv[:, 1], axis=1) ** 2)
-          + (np.linalg.norm(tv[:, 0] - tv[:, 2], axis=1) ** 2))
-    return 0.5 * e2 / mesh.areas
-
-
 def penalty_bounds(mesh: SurfaceMesh) -> np.ndarray:
     """Stability lower bound for omega_e on every intersection."""
-    term = _element_penalty_terms(mesh)
+    term = _require_edges(mesh).edge_area_ratios
     return np.maximum(term[mesh.edges.minus], term[mesh.edges.plus])
 
 
 def penalty_lower_bound(mesh: SurfaceMesh, e: EdgeIntersection) -> float:
     """Stability lower bound for a single intersection: the larger of the
     two incident elements' (sum of squared edge lengths) / (2 area)."""
-    term = _element_penalty_terms(mesh)
+    term = _require_edges(mesh).edge_area_ratios
     return float(max(term[e.minus_element], term[e.plus_element]))
 
 
@@ -174,7 +162,7 @@ def _quad_degrees(degree: int):
 
 def _volume_block(space: DgSpace, rule, part=slice(None)) -> np.ndarray:
     """Broken stiffness + mass on the elements ``part``, shape (E, n, n)."""
-    _, tmap, areas = space.frames
+    tmap, areas = space.mesh.pushforward, space.mesh.jacobian_areas
     w = rule.weights
     vref = _values(space.degree, rule.points)
     gref = _ref_grads(space.degree, rule.points)
@@ -215,7 +203,7 @@ def _assemble_by_rows(space: DgSpace, volume, faces, face_rule=None,
     """
     n, dofs = space.dofs_per_element, space.total_dofs
     m = len(space.mesh.triangles)
-    edges = space.mesh.edges
+    edges = _require_edges(space.mesh).edges
     elems = np.arange(m)
     pairs = [(elems, elems)] if volume is not None else []
     if faces is not None:
@@ -427,23 +415,24 @@ def assemble_rhs(space: DgSpace, surface: LevelSetSurface, f) -> np.ndarray:
     """Right-hand side with f evaluated at projected quadrature points:
     per element int f(xi(x)) phi(x) dA_h.
 
-    The points are projected and f is evaluated in batches of
-    ``geometry._LIFT_BATCH``, which bounds the forcing's temporaries; each
-    point is handled on its own, so the batching changes no value.
+    The points are built and projected, and f is evaluated, per chunk of
+    elements (``geometry._chunks``), which bounds the temporaries; each
+    point is handled on its own, so the chunks change no value.
     """
-    deg = space.degree
-    tri_rule = get_quadrature("triangle", _quad_degrees(deg)[0])
-    tv, _, areas = space.frames
+    mesh = _require_edges(space.mesh)
+    tri_rule = get_quadrature("triangle", _quad_degrees(space.degree)[0])
     w = tri_rule.weights
-    vref = _values(deg, tri_rule.points)
-    pts = np.einsum("qk,mkd->mqd", tri_rule.points, tv).reshape(-1, 3)
+    vref = _values(space.degree, tri_rule.points)
     fn = getattr(f, "value", f)
-    fvals = np.empty(len(pts))
-    for start in range(0, len(pts), geometry._LIFT_BATCH):
-        part = slice(start, start + geometry._LIFT_BATCH)
-        fvals[part] = fn(project_points(surface, pts[part]).points)
-    rhs = 2.0 * areas[:, None] * np.einsum(
-        "q,mq,qi->mi", w, fvals.reshape(len(areas), -1), vref)
+    fvals = np.empty((len(mesh.triangles), len(w)))
+    for part in _chunks(len(fvals), len(w)):
+        pts = np.einsum("qk,mkd->mqd", tri_rule.points,
+                        mesh.vertices[mesh.triangles[part]])
+        fvals[part] = np.reshape(
+            fn(project_points(surface, pts.reshape(-1, 3)).points),
+            (-1, len(w)))
+    rhs = 2.0 * mesh.jacobian_areas[:, None] * np.einsum(
+        "q,mq,qi->mi", w, fvals, vref)
     return rhs.ravel()
 
 

@@ -2,10 +2,10 @@
 
 Fully discontinuous nodal Lagrange spaces of degree 1 or 2 with
 element-major dof numbering, tangential (in-plane) basis gradients, and
-quadrature rules on the reference triangle and unit segment.  Each space
-also carries its mesh's element geometry, computed once and read by
-assembly, the right-hand side and the error norms, and the error norms'
-exact-solution reference.
+quadrature rules on the reference triangle and unit segment.  The
+element geometry (pushforwards, areas, normals) belongs to the mesh,
+which ``mesh.build_edges`` fills once; a space adds the basis and keeps
+the error norms' exact-solution reference.
 
 Reference coordinates (xi, eta) relate to barycentric ones by
 lam = (1 - xi - eta, xi, eta).  P2 nodes 3, 4, 5 sit on the midpoints of
@@ -13,12 +13,10 @@ edges (0,1), (1,2), (2,0) in that order.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
-from .mesh import MeshError, SurfaceMesh
+from .mesh import MeshError, SurfaceMesh, _edge_vectors, _element_frames
 
 
 class QuadratureError(ValueError):
@@ -131,34 +129,6 @@ def basis_eval(degree: int, ref_point) -> np.ndarray:
     return _values(degree, _as_barycentric(ref_point))
 
 
-class ElementFrames(NamedTuple):
-    """Per-element affine data of a flat triangulation.  The pushforward
-    T = G^-1 J^T maps reference gradients to in-plane physical ones."""
-
-    vertices: np.ndarray  # (m, 3, 3)
-    pushforward: np.ndarray  # (m, 2, 3)
-    # 0.5 sqrt(det G), not the mesh's 0.5 |area vector|: one formula for
-    # both moves last bits, so it waits for a re-recorded benchmark reference
-    areas: np.ndarray  # (m,)
-
-
-def _element_frames(tv) -> ElementFrames:
-    """Frames of the flat triangles with vertices tv (m, 3, 3)."""
-    jac = np.stack([tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0]], axis=2)
-    gram = np.einsum("mda,mdb->mab", jac, jac)
-    det = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 1, 0]
-    if np.any(det <= 0.0):
-        raise MeshError("degenerate element")
-    inv = np.empty_like(gram)
-    inv[:, 0, 0] = gram[:, 1, 1]
-    inv[:, 1, 1] = gram[:, 0, 0]
-    inv[:, 0, 1] = -gram[:, 0, 1]
-    inv[:, 1, 0] = -gram[:, 1, 0]
-    inv /= det[:, None, None]
-    t = np.einsum("mab,mdb->mad", inv, jac)
-    return ElementFrames(tv, t, 0.5 * np.sqrt(det))
-
-
 def tangential_basis_gradient(tri_vertices, degree: int, ref_point):
     """Physical basis gradients, tangential to the (flat) triangle.
 
@@ -167,13 +137,23 @@ def tangential_basis_gradient(tri_vertices, degree: int, ref_point):
     tri = np.asarray(tri_vertices, dtype=float).reshape(1, 3, 3)
     lam = _as_barycentric(ref_point)
     try:
-        frames = _element_frames(tri)
+        tmap, area = _element_frames(*_edge_vectors(tri))
     except MeshError:
-        frames = None
+        raise ValueError("degenerate triangle") from None
     # area 0.5e-14 is a Gram determinant of 1e-28
-    if frames is None or frames.areas[0] < 0.5e-14:
+    if area[0] < 0.5e-14:
         raise ValueError("degenerate triangle")
-    return _ref_grads(degree, lam) @ frames.pushforward[0]
+    return _ref_grads(degree, lam) @ tmap[0]
+
+
+def _barycentric(tmap, v0, x) -> np.ndarray:
+    """Barycentric coordinates (1 - xi - eta, xi, eta) (E, k, 3) of points
+    x (E, k, 3), (xi, eta) = T (x - v0) with T = tmap, v0 (E, 3)."""
+    xi = np.einsum("ead,ekd->eka", tmap, x - v0[:, None, :])
+    lam = np.empty(xi.shape[:2] + (3,))
+    lam[..., 1:] = xi
+    lam[..., 0] = 1.0 - xi.sum(axis=-1)
+    return lam
 
 
 @dataclass
@@ -214,11 +194,6 @@ class DgSpace:
         lam = self.ref_nodes()  # (n, 3)
         return np.einsum("nk,mkd->mnd", lam, tv).reshape(-1, 3)
 
-    @cached_property
-    def frames(self) -> ElementFrames:
-        """Element frames of the mesh, computed on first use."""
-        return _element_frames(self.mesh.triangle_vertices())
-
     def trace(self, elems, x, grads: bool = False):
         """Basis values (E, k, n) of elements ``elems`` (E,) at physical
         points ``x`` (E, k, 3) in or near their planes; with ``grads``
@@ -228,17 +203,14 @@ class DgSpace:
         so the slightly cracked neighbour segments of nonconforming meshes
         still have traces on both sides.
         """
-        tv, tmap = self.frames.vertices, self.frames.pushforward
-        v0 = tv[elems, 0]
-        xi = np.einsum("ead,ekd->eka", tmap[elems], x - v0[:, None, :])
-        lam = np.empty(xi.shape[:2] + (3,))
-        lam[..., 1:] = xi
-        lam[..., 0] = 1.0 - xi.sum(axis=-1)
+        mesh = self.mesh
+        tmap = mesh.pushforward[elems]
+        lam = _barycentric(tmap, mesh.vertices[mesh.triangles[elems, 0]], x)
         vals = _values(self.degree, lam)
         if not grads:
             return vals
         return vals, np.einsum("ekna,ead->eknd",
-                               _ref_grads(self.degree, lam), tmap[elems])
+                               _ref_grads(self.degree, lam), tmap)
 
     def face_points(self, rule: QuadratureRule, ids=slice(None)
                     ) -> np.ndarray:
@@ -301,9 +273,6 @@ def ref_coords(tri_vertices, pts) -> np.ndarray:
     still be expressed in the element's frame.
     """
     tri = np.asarray(tri_vertices, dtype=float).reshape(1, 3, 3)
-    pts = np.asarray(pts, dtype=float).reshape(-1, 3)
-    xi_eta = (pts - tri[0, 0]) @ _element_frames(tri).pushforward[0].T
-    lam = np.empty((pts.shape[0], 3))
-    lam[:, 1:] = xi_eta
-    lam[:, 0] = 1.0 - xi_eta.sum(axis=1)
-    return lam
+    pts = np.asarray(pts, dtype=float).reshape(1, -1, 3)
+    tmap, _ = _element_frames(*_edge_vectors(tri))
+    return _barycentric(tmap, tri[:, 0], pts)[0]

@@ -302,6 +302,13 @@ def _polish_onto_surface(surface, x, p, g, tol):
 _LIFT_BATCH = 1 << 16
 
 
+def _chunks(count: int, points: int) -> list:
+    """Slices of ``count`` items of ``points`` points each, about
+    ``_LIFT_BATCH`` points (and at least one item) per slice."""
+    step = max(1, _LIFT_BATCH // points)
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
 @dataclass
 class _BatchProjection:
     points: np.ndarray

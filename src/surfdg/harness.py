@@ -1,6 +1,7 @@
 """Convergence driver: refinement ladders, error norms, EOC tables,
 CSV/VTK output and cross-choice comparisons."""
 
+import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -9,10 +10,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import geometry
 from .assembly import (PenaltyParams, assemble_rhs, assemble_system,
                        normalize_choice)
 from .dgspace import DgFunction, DgSpace, _ref_grads, _values, get_quadrature
+from .geometry import _chunks
 from .mesh import (SurfaceMesh, initial_mesh, mesh_width,
                    refine_nonconforming, refine_uniform)
 from .problems import TestProblem, exact_u_on_gammah, make_problem
@@ -64,9 +65,17 @@ class RunConfig:
             if (isinstance(value, bool) or not isinstance(value, kind)
                     or not low < value < np.inf):
                 raise HarnessError(f"{name} must be {what}, got {value!r}")
-        if not isinstance(self.nonconforming, (bool, np.bool_)):
-            raise HarnessError("nonconforming must be true or false, got "
-                               f"{self.nonconforming!r}")
+        # open() would take an int path as a file descriptor
+        path = (str, os.PathLike)
+        for name, kinds, what in (
+                ("nonconforming", (bool, np.bool_), "true or false"),
+                ("surface", str, "a string"),
+                ("seed", path, "a string or a path"),
+                ("output_csv", path + (type(None),), "a path or null"),
+                ("output_vtk", path + (type(None),), "a path or null")):
+            value = getattr(self, name)
+            if not isinstance(value, kinds):
+                raise HarnessError(f"{name} must be {what}, got {value!r}")
         if self.degree not in (1, 2):
             raise HarnessError(f"degree must be 1 or 2, got {self.degree}")
         if self.refinements < 1:
@@ -130,13 +139,6 @@ class _ErrorReference(NamedTuple):
     plus: np.ndarray  # (E, k, n) plus traces at the jump points
 
 
-def _chunks(count: int, points: int) -> list:
-    """Slices of ``count`` items of ``points`` points each, about
-    ``geometry._LIFT_BATCH`` points (and at least one item) per slice."""
-    step = max(1, geometry._LIFT_BATCH // points)
-    return [slice(start, start + step) for start in range(0, count, step)]
-
-
 def _error_reference(space: DgSpace, problem: TestProblem) -> _ErrorReference:
     """The space's error reference, built on first use and rebuilt when
     ``problem`` is not the object it was built for.
@@ -149,22 +151,23 @@ def _error_reference(space: DgSpace, problem: TestProblem) -> _ErrorReference:
     if ref is not None and ref.problem is problem:
         return ref
     space.error_reference = None  # free the stale one before building
-    tv, normals = space.frames.vertices, space.mesh.normals
+    mesh = space.mesh
     rule = get_quadrature("triangle", 6)
-    m, q = len(tv), len(rule.weights)
+    m, q = len(mesh.triangles), len(rule.weights)
     values = np.empty((m, q))
     gradients = np.empty((m, q, 3))
     for part in _chunks(m, q):
-        pts = np.einsum("qk,mkd->mqd", rule.points, tv[part])
+        pts = np.einsum("qk,mkd->mqd", rule.points,
+                        mesh.vertices[mesh.triangles[part]])
         val, tang = exact_u_on_gammah(problem, pts.reshape(-1, 3))
         values[part] = val.reshape(-1, q)
         # project the exact surface gradient into the element plane
         grad = gradients[part]
         grad[...] = tang.reshape(-1, q, 3)
         del pts, val, tang
-        grad -= np.einsum("mqd,md->mq", grad, normals[part])[:, :, None] \
-            * normals[part][:, None, :]
-    edges = space.mesh.edges
+        grad -= np.einsum("mqd,md->mq", grad, mesh.normals[part])[:, :, None] \
+            * mesh.normals[part][:, None, :]
+    edges = mesh.edges
     seg = get_quadrature("segment", 6)
     minus = np.empty((len(edges), len(seg.weights), space.dofs_per_element))
     plus = np.empty_like(minus)
@@ -195,7 +198,7 @@ def compute_errors(u_h: DgFunction, problem: TestProblem) -> tuple:
     if space.mesh.edges is None:
         raise HarnessError("mesh edges not built")
     ref = _error_reference(space, problem)
-    _, tmap, areas = space.frames
+    tmap, areas = space.mesh.pushforward, space.mesh.jacobian_areas
     rule = get_quadrature("triangle", 6)
     w = rule.weights
     m, q = ref.values.shape

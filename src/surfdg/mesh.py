@@ -79,6 +79,9 @@ class EdgeSet(Sequence):
         )
 
 
+_UNSET = {"default": None, "init": False, "repr": False}
+
+
 @dataclass
 class SurfaceMesh:
     """Flat triangulation of a closed surface, vertices on the surface.
@@ -98,25 +101,47 @@ class SurfaceMesh:
         default_factory=lambda: np.empty((0, 3), dtype=np.int64))
     # closed surfaces have no boundary; planar test patches opt out
     allow_boundary: bool = False
-    # 0.5 |n| and n / |n| of each area vector n, set by build_edges
-    areas: np.ndarray | None = field(default=None, init=False, repr=False)
-    normals: np.ndarray | None = field(default=None, init=False, repr=False)
+    # per element, set by build_edges; jacobian_areas and areas can differ
+    # in the last bit, so merging them waits for a re-recorded benchmark
+    areas: np.ndarray | None = field(**_UNSET)  # 0.5 |e1 x e2|
+    normals: np.ndarray | None = field(**_UNSET)  # unit e1 x e2
+    pushforward: np.ndarray | None = field(**_UNSET)  # (m, 2, 3) G^-1 J^T
+    jacobian_areas: np.ndarray | None = field(**_UNSET)  # 0.5 sqrt(det G)
+    edge_area_ratios: np.ndarray | None = field(**_UNSET)  # sum |e|^2 / 2|K|
 
     @property
     def conforming(self) -> bool:
-        if self.edges is None:
-            raise MeshError("edges not built; call build_edges first")
-        return self.edges.conforming
+        return _require_edges(self).edges.conforming
 
     def triangle_vertices(self):
         """Vertex coordinate array of shape (m, 3, 3)."""
         return self.vertices[self.triangles]
 
 
-def _planes(tv):
-    """Area vectors (v1 - v0) x (v2 - v0) and centroids of the triangles
-    tv (m, 3, 3)."""
-    return np.cross(tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0]), tv.mean(axis=1)
+def _require_edges(mesh: SurfaceMesh) -> SurfaceMesh:
+    """``mesh``, refused unless build_edges has run on it."""
+    if mesh.edges is None:
+        raise MeshError("edges not built; call build_edges first")
+    return mesh
+
+
+def _edge_vectors(tv):
+    """e1 = v1 - v0 and e2 = v2 - v0 of the triangles tv (m, 3, 3)."""
+    return tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0]
+
+
+def _element_frames(e1, e2):
+    """Pushforwards G^-1 J^T (m, 2, 3) and areas 0.5 sqrt(det G) of the
+    triangles with edges e1, e2 (m, 3), where J = [e1 e2], G = J^T J."""
+    jac = np.stack([e1, e2], axis=2)
+    gram = np.einsum("mda,mdb->mab", jac, jac)
+    det = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 1, 0]
+    if np.any(det <= 0.0):
+        raise MeshError("degenerate element")
+    inv = np.stack([gram[:, 1, 1], -gram[:, 0, 1], -gram[:, 1, 0],
+                    gram[:, 0, 0]], axis=1).reshape(-1, 2, 2)
+    inv /= det[:, None, None]
+    return np.einsum("mab,mdb->mad", inv, jac), 0.5 * np.sqrt(det)
 
 
 def conormal(tri_vertices, edge_endpoints) -> np.ndarray:
@@ -127,10 +152,10 @@ def conormal(tri_vertices, edge_endpoints) -> np.ndarray:
     """
     tri = np.asarray(tri_vertices, dtype=float).reshape(1, 3, 3)
     e = np.asarray(edge_endpoints, dtype=float).reshape(2, 3)
-    nrm, cent = _planes(tri)
+    nrm = np.cross(*_edge_vectors(tri))
     if np.linalg.norm(nrm) < 2.0 * _AREA_FLOOR:
         raise MeshError("degenerate triangle")
-    return _conormals(nrm, cent, e[:1], e[1:])[0]
+    return _conormals(nrm, tri.mean(axis=1), e[:1], e[1:])[0]
 
 
 def _conormals(nrm, cent, p0, p1):
@@ -163,23 +188,12 @@ def _find(table, keys):
     return pos, np.append(table, -1)[pos] == keys
 
 
-def build_edges(mesh: SurfaceMesh) -> SurfaceMesh:
-    """Return a mesh with the intersection list, areas and normals set.
-
-    Full shared edges pair up directly.  A leftover edge must be a coarse
-    edge whose registered midpoint splits it into two refined-neighbour
-    halves; anything else (boundary edge, over-shared edge, level gap
-    beyond one) is a non-manifold error.
-    """
+def _pair_segments(mesh: SurfaceMesh):
+    """Endpoints (E, 2, 3), minus and plus elements of the intersections, and
+    whether none is a hanging half.  Shared edges pair up; a leftover edge
+    must be a coarse edge split by its registered midpoint into two halves,
+    else NonManifoldError.  The temporaries die on return."""
     tris = np.asarray(mesh.triangles)
-    nrm, cent = _planes(mesh.triangle_vertices())
-    size = np.linalg.norm(nrm, axis=1)
-    areas = 0.5 * size
-    if np.any(areas <= _AREA_FLOOR):
-        bad = int(np.argmin(areas))
-        raise MeshError(f"degenerate triangle {bad} (area {areas[bad]:.3e})")
-    normals = nrm / size[:, None]
-
     # one key per triangle edge, all (0, 1) edges first, then (1, 2), (2, 0)
     raw = _edge_keys(tris, tris[:, (1, 2, 0)]).T.ravel()
     owner = np.tile(np.arange(len(tris), dtype=np.int64), 3)
@@ -223,30 +237,48 @@ def build_edges(mesh: SurfaceMesh) -> SurfaceMesh:
     keys = np.concatenate([uniq[shared], halves.ravel()])
     minus = np.concatenate([both[:, 0], np.minimum(near, fine)])
     plus = np.concatenate([both[:, 1], np.maximum(near, fine)])
-    p0 = mesh.vertices[keys >> 32]
-    p1 = mesh.vertices[keys & _LOW]
+    endpoints = np.stack([mesh.vertices[keys >> 32],
+                          mesh.vertices[keys & _LOW]], axis=1)
+    return endpoints, minus, plus, len(halves) == 0
+
+
+def build_edges(mesh: SurfaceMesh) -> SurfaceMesh:
+    """Return a mesh with the intersections (``_pair_segments``) and the
+    per-element table set, all from one gather of the triangle vertices."""
+    tv = mesh.triangle_vertices()
+    e1, e2 = _edge_vectors(tv)
+    nrm = np.cross(e1, e2)
+    size = np.linalg.norm(nrm, axis=1)
+    areas = 0.5 * size
+    if np.any(areas <= _AREA_FLOOR):
+        bad = int(np.argmin(areas))
+        raise MeshError(f"degenerate triangle {bad} (area {areas[bad]:.3e})")
+    normals = nrm / size[:, None]
+    cent = tv.mean(axis=1)
+    pushforward, jacobian_areas = _element_frames(e1, e2)
+    # |v0 - v2| is |e2| exactly: negation rounds nothing
+    ratios = 0.5 * ((np.linalg.norm(e1, axis=1) ** 2)
+                    + (np.linalg.norm(tv[:, 2] - tv[:, 1], axis=1) ** 2)
+                    + (np.linalg.norm(e2, axis=1) ** 2)) / areas
+    del tv, e1, e2, size
+
+    endpoints, minus, plus, conforming = _pair_segments(mesh)
+    p0, p1 = endpoints[:, 0], endpoints[:, 1]
     lengths = np.linalg.norm(p1 - p0, axis=1)
     if np.any(lengths <= 0.0):
         raise MeshError("zero-length intersection segment")
-    edges = EdgeSet(
-        endpoints=np.stack([p0, p1], axis=1),
-        plus=plus,
-        minus=minus,
-        lengths=lengths,
-        conormal_plus=_conormals(nrm[plus], cent[plus], p0, p1),
-        conormal_minus=_conormals(nrm[minus], cent[minus], p0, p1),
-        conforming=len(halves) == 0,
-    )
+    edges = EdgeSet(endpoints, plus, minus, lengths,
+                    _conormals(nrm[plus], cent[plus], p0, p1),
+                    _conormals(nrm[minus], cent[minus], p0, p1), conforming)
     out = replace(mesh, edges=edges)
-    out.areas, out.normals = areas, normals
+    vars(out).update(areas=areas, normals=normals, pushforward=pushforward,
+                     jacobian_areas=jacobian_areas, edge_area_ratios=ratios)
     return out
 
 
 def mesh_width(mesh: SurfaceMesh) -> float:
     """Maximum intersection segment length h."""
-    if mesh.edges is None:
-        raise MeshError("edges not built; call build_edges first")
-    return float(mesh.edges.lengths.max())
+    return float(_require_edges(mesh).edges.lengths.max())
 
 
 # golden-ratio icosahedron, outward orientation

@@ -74,15 +74,12 @@ def flat_pair() -> SurfaceMesh:
 
 
 def dziuk_space(refinements, degree):
-    """DgSpace on the icosahedral Dziuk mesh after uniform refinements,
-    with its element geometry already cached."""
+    """DgSpace on the icosahedral Dziuk mesh after uniform refinements."""
     surf = make_dziuk()
     mesh = initial_mesh(surf, "icosahedron")
     for _ in range(refinements):
         mesh = refine_uniform(mesh, surf)
-    space = DgSpace(mesh, degree)
-    space.frames  # the cached geometry is not part of an assembly
-    return space
+    return DgSpace(mesh, degree)
 
 
 def perturbed_mesh(name, seed, amplitude, nonconforming):

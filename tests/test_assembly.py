@@ -368,8 +368,9 @@ def test_assembly_p2_smoke():
 ])
 def test_rhs_batches_do_not_change_values(monkeypatch, name, degree,
                                           refinements):
-    """Projecting the rhs points and evaluating f in batches, the last
-    holding a single point, gives exactly the one-batch rhs."""
+    """Building and projecting the rhs points and evaluating f per chunk
+    of elements, the last chunk holding a single element, gives exactly
+    the one-chunk rhs."""
     problem = make_problem(name)
     surf = problem.surface
     if name == "dziuk":
@@ -379,10 +380,12 @@ def test_rhs_batches_do_not_change_values(monkeypatch, name, degree,
     for _ in range(refinements):
         mesh = refine_uniform(mesh, surf)
     space = DgSpace(mesh, degree)
-    rule = get_quadrature("triangle", _quad_degrees(degree)[0])
-    points = len(mesh.triangles) * len(rule.weights)
-    batch = next(b for b in range(2, points) if (points - 1) % b == 0)
-    monkeypatch.setattr(geometry, "_LIFT_BATCH", batch)
+    rule_points = len(get_quadrature("triangle",
+                                     _quad_degrees(degree)[0]).weights)
+    m = len(mesh.triangles)
+    step = next(b for b in range(2, m) if (m - 1) % b == 0)
+    monkeypatch.setattr(geometry, "_LIFT_BATCH", step * rule_points)
+    assert len(geometry._chunks(m, rule_points)) == (m - 1) // step + 1
     batched = assemble_rhs(space, surf, problem.f)
     monkeypatch.undo()
     assert np.array_equal(batched, assemble_rhs(space, surf, problem.f))

@@ -83,7 +83,8 @@ def test_unknown_config_key_fails(tmp_path, capsys):
 
 @pytest.mark.parametrize("key, value", [
     ("refinements", "1"), ("degree", True), ("sigma", "2.0"),
-    ("seed_scale", None), ("tol", True), ("nonconforming", "false")])
+    ("seed_scale", None), ("tol", True), ("nonconforming", "false"),
+    ("surface", 5), ("seed", 3), ("output_csv", 97), ("output_vtk", 2)])
 def test_mistyped_config_value_fails(tmp_path, capsys, key, value):
     """A config value of the wrong type gives the error line naming its
     key and exit code 1, not a traceback from inside the ladder."""

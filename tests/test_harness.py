@@ -2,6 +2,7 @@
 
 import dataclasses
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -236,7 +237,7 @@ def test_error_chunks_do_not_change_values(monkeypatch, name, degree,
     m = len(mesh.triangles)
     step = next(b for b in range(2, m) if (m - 1) % b == 0)
     monkeypatch.setattr(geometry, "_LIFT_BATCH", step * rule_points)
-    assert len(harness._chunks(m, rule_points)) == (m - 1) // step + 1
+    assert len(geometry._chunks(m, rule_points)) == (m - 1) // step + 1
     chunked, chunked_ref = errors()  # first, so no freed buffer helps it
     monkeypatch.undo()
     whole, whole_ref = errors()
@@ -260,7 +261,6 @@ def test_first_errors_call_memory_does_not_grow(monkeypatch, degree):
         if level < 4:
             continue
         space = DgSpace(mesh, degree)
-        space.frames  # the cached geometry is not part of the error pass
         u_h = DgFunction(space, np.zeros(space.total_dofs))
         _, peak, kept = traced_bytes(lambda: compute_errors(u_h, prob))
         above.append(peak - kept)
@@ -516,7 +516,12 @@ def test_runconfig_validation():
                       ("seed_scale", ("1", False, float("-inf"))),
                       ("tol", (0.0, -1e-10, float("nan"), float("inf"),
                                "1e-10", True)),
-                      ("nonconforming", ("false", "true", 0, 1, None))):
+                      ("nonconforming", ("false", "true", 0, 1, None)),
+                      # an int path would be opened as a file descriptor
+                      ("surface", (5, None, b"dziuk")),
+                      ("seed", (3, None, 2.0)),
+                      ("output_csv", (97, 2, True)),
+                      ("output_vtk", (1, 0.5))):
         for value in bad:
             with pytest.raises(HarnessError, match=f"^{name} must be"):
                 RunConfig(**{name: value})
@@ -525,3 +530,6 @@ def test_runconfig_validation():
     assert (ok.degree, ok.refinements, ok.sigma) == (2, 3, 3)
     assert RunConfig(choice="4t").choice == "4T"
     assert RunConfig(tol=1, nonconforming=np.bool_(True)).tol == 1
+    paths = RunConfig(seed=Path("seed.off"), output_csv=Path("table.csv"),
+                      output_vtk="solution.vtk")
+    assert paths.seed == Path("seed.off") and paths.output_csv is not None

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import flat_grid, flat_pair
+from conftest import flat_grid, flat_pair, traced_bytes
 from surfdg.geometry import (eval_phi, get_surface, make_dziuk, make_plane,
                              make_sphere)
 from surfdg.mesh import (
@@ -172,6 +172,22 @@ def test_registry_rows_sorted_with_one_row_per_new_vertex(nonconforming):
     assert np.all((step[:, 0] > 0) | ((step[:, 0] == 0) & (step[:, 1] > 0)))
     assert np.array_equal(np.sort(reg[:, 2]),
                           np.arange(len(seed.vertices), len(m.vertices)))
+
+
+def test_build_edges_frees_pairing_temporaries():
+    """On the 4-refinement Dziuk mesh, build_edges' traced peak above the
+    intersections and per-element table it keeps stays below 1.25 times
+    their bytes: the edge pairing's key, owner and sort arrays are freed
+    before the conormals are computed."""
+    surf = make_dziuk()
+    mesh = initial_mesh(surf, "icosahedron")
+    for _ in range(4):
+        mesh = refine_uniform(mesh, surf)
+    bare = SurfaceMesh(mesh.vertices, mesh.triangles, mesh.levels,
+                       edge_midpoints=mesh.edge_midpoints)
+    built, peak, kept = traced_bytes(lambda: build_edges(bare))
+    assert len(built.edges) == len(mesh.edges)
+    assert peak - kept <= 1.25 * kept
 
 
 def test_uniform_refinement_rejects_hanging_nodes():

@@ -202,6 +202,32 @@ def reference_planes(mesh):
             n / np.linalg.norm(n, axis=1, keepdims=True))
 
 
+def reference_frames(mesh):
+    """Per-triangle pushforwards G^-1 J^T and areas 0.5 sqrt(det G), from
+    an (m, 3, 3) gather of the triangle vertices."""
+    tv = mesh.triangle_vertices()
+    jac = np.stack([tv[:, 1] - tv[:, 0], tv[:, 2] - tv[:, 0]], axis=2)
+    gram = np.einsum("mda,mdb->mab", jac, jac)
+    det = gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 1, 0]
+    inv = np.empty_like(gram)
+    inv[:, 0, 0] = gram[:, 1, 1]
+    inv[:, 1, 1] = gram[:, 0, 0]
+    inv[:, 0, 1] = -gram[:, 0, 1]
+    inv[:, 1, 0] = -gram[:, 1, 0]
+    inv /= det[:, None, None]
+    return np.einsum("mab,mdb->mad", inv, jac), 0.5 * np.sqrt(det)
+
+
+def reference_penalty_terms(mesh):
+    """Per triangle: half the sum of squared edge lengths over the area
+    0.5 |n|, from an (m, 3, 3) gather of the triangle vertices."""
+    tv = mesh.triangle_vertices()
+    e2 = ((np.linalg.norm(tv[:, 1] - tv[:, 0], axis=1) ** 2)
+          + (np.linalg.norm(tv[:, 2] - tv[:, 1], axis=1) ** 2)
+          + (np.linalg.norm(tv[:, 0] - tv[:, 2], axis=1) ** 2))
+    return 0.5 * e2 / reference_planes(mesh)[0]
+
+
 def planes_ladder(kind):
     """Meshes of a short ladder: the sphere seed, a flat grid and its
     nonconforming refinement, or the nonconforming Dziuk ladder (x1 > 0
@@ -223,9 +249,10 @@ def planes_ladder(kind):
 
 @pytest.mark.parametrize("kind", ("sphere", "flat", "dziuk-nc"))
 def test_mesh_planes_match_per_intersection_reference(kind):
-    """The conormals, areas and normals read from the planes that
-    ``build_edges`` computes once per triangle are bit for bit those of
-    the per-intersection and per-use formulas."""
+    """The conormals read from the planes that ``build_edges`` computes
+    once per triangle, and its per-element table (areas, normals,
+    pushforwards, Jacobian areas, penalty ratios), are bit for bit those
+    of the per-intersection and per-use formulas."""
     for mesh in planes_ladder(kind):
         verts, tris, edges = mesh.vertices, mesh.triangles, mesh.edges
         p0, p1 = edges.endpoints[:, 0], edges.endpoints[:, 1]
@@ -238,5 +265,10 @@ def test_mesh_planes_match_per_intersection_reference(kind):
         areas, normals = reference_planes(mesh)
         assert np.array_equal(mesh.areas, areas)
         assert np.array_equal(mesh.normals, normals)
+        pushforward, jacobian_areas = reference_frames(mesh)
+        assert np.array_equal(mesh.pushforward, pushforward)
+        assert np.array_equal(mesh.jacobian_areas, jacobian_areas)
+        assert np.array_equal(mesh.edge_area_ratios,
+                              reference_penalty_terms(mesh))
     # the flat and Dziuk ladders end with hanging segments
     assert mesh.conforming == (kind == "sphere")
