@@ -5,7 +5,7 @@ element-major dof numbering, tangential (in-plane) basis gradients, and
 quadrature rules on the reference triangle and unit segment.  The
 element geometry (pushforwards, areas, normals) belongs to the mesh,
 which ``mesh.build_edges`` fills once; a space adds the basis and keeps
-the error norms' exact-solution reference.
+nothing else.
 
 Reference coordinates (xi, eta) relate to barycentric ones by
 lam = (1 - xi - eta, xi, eta).  P2 nodes 3, 4, 5 sit on the midpoints of
@@ -168,9 +168,6 @@ class DgSpace:
             raise ValueError(f"unsupported degree {self.degree}")
         self.dofs_per_element = 3 if self.degree == 1 else 6
         self.total_dofs = len(self.mesh.triangles) * self.dofs_per_element
-        # the choice-independent data of harness.compute_errors for one
-        # problem, built on its first call on this space
-        self.error_reference = None
 
     def element_dofs(self, element: int) -> np.ndarray:
         n = self.dofs_per_element

@@ -355,6 +355,16 @@ def _newton_deltas(surface, x, x0, p, g, lam, reach, tol):
     return delta, ok
 
 
+def _reanchor(surface, x, s, sgn, a) -> None:
+    """Re-anchor the iterates ``x[a]`` at their seeds ``s[a]``, in place:
+    each moves to its seed's signed distance ``sgn[a] |x - s|`` along the
+    gradient at the iterate."""
+    xt, sa = x[a], s[a]
+    gt = grad_phi(surface, xt)
+    dist = sgn[a] * _norm(xt - sa)
+    x[a] = sa - (dist / _norm(gt))[:, None] * gt
+
+
 def _project_batch(surface, seeds, tol, max_iter,
                    seed_phi=None, newton=False) -> _BatchProjection:
     """Project an (n, 3) batch of seed points, by the first-order scheme or,
@@ -481,11 +491,11 @@ def _project_batch(surface, seeds, tol, max_iter,
         anchored = plain & (phase < 2)
         if np.any(anchored):
             # a slice spares the gathers when every live point is anchored
-            a = slice(None) if np.all(anchored) else anchored
-            xt, sa = x[a], s[a]
-            gt = grad_phi(surface, xt)
-            dist = sgn[a] * _norm(xt - sa)
-            x[a] = sa - (dist / _norm(gt))[:, None] * gt
+            _reanchor(surface, x, s, sgn,
+                      slice(None) if np.all(anchored) else anchored)
+    # a loop that ends with every point done has not replaced the last
+    # step's input; free it before the polish
+    del prev
 
     if len(lid):
         # last resort: descend onto the level set; these exits certify only

@@ -6,7 +6,6 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
-from typing import NamedTuple
 
 import numpy as np
 
@@ -128,115 +127,89 @@ def compute_eoc(errors, hs) -> list:
                      for e0, e1, h0, h1 in zip(errors, errors[1:], hs, hs[1:])]
 
 
-class _ErrorReference(NamedTuple):
-    """The part of ``compute_errors`` that does not depend on u_h, for
-    one problem on one space."""
-
-    problem: TestProblem
-    values: np.ndarray  # (m, q) lifted exact values at the triangle points
-    gradients: np.ndarray  # (m, q, 3) exact gradients in the element planes
-    minus: np.ndarray  # (E, k, n) minus traces at the jump points
-    plus: np.ndarray  # (E, k, n) plus traces at the jump points
-
-
-def _error_reference(space: DgSpace, problem: TestProblem) -> _ErrorReference:
-    """The space's error reference, built on first use and rebuilt when
-    ``problem`` is not the object it was built for.
-
-    Its arrays are preallocated and filled per chunk of elements or of
-    intersections, so the lift's temporaries stay chunk sized; each point
-    is handled on its own, so the chunks change no value.
-    """
-    ref = space.error_reference
-    if ref is not None and ref.problem is problem:
-        return ref
-    space.error_reference = None  # free the stale one before building
-    mesh = space.mesh
-    rule = get_quadrature("triangle", 6)
-    m, q = len(mesh.triangles), len(rule.weights)
-    values = np.empty((m, q))
-    gradients = np.empty((m, q, 3))
-    for part in _chunks(m, q):
-        pts = np.einsum("qk,mkd->mqd", rule.points,
-                        mesh.vertices[mesh.triangles[part]])
-        val, tang = exact_u_on_gammah(problem, pts.reshape(-1, 3))
-        values[part] = val.reshape(-1, q)
-        # project the exact surface gradient into the element plane
-        grad = gradients[part]
-        grad[...] = tang.reshape(-1, q, 3)
-        del pts, val, tang
-        grad -= np.einsum("mqd,md->mq", grad, mesh.normals[part])[:, :, None] \
-            * mesh.normals[part][:, None, :]
-    edges = mesh.edges
-    seg = get_quadrature("segment", 6)
-    minus = np.empty((len(edges), len(seg.weights), space.dofs_per_element))
-    plus = np.empty_like(minus)
-    for part in _chunks(len(edges), len(seg.weights)):
-        x = space.face_points(seg, part)
-        minus[part] = space.trace(edges.minus[part], x)
-        plus[part] = space.trace(edges.plus[part], x)
-    space.error_reference = _ErrorReference(problem, values, gradients,
-                                            minus, plus)
-    return space.error_reference
-
-
-def compute_errors(u_h: DgFunction, problem: TestProblem) -> tuple:
-    """(L2, DG) errors of u_h against the lifted exact solution.
+def _errors(space: DgSpace, problem: TestProblem, coefficients) -> list:
+    """(L2, DG) errors against the lifted exact solution, one pair per
+    coefficient vector of ``coefficients`` on ``space``.
 
     Both norms are evaluated on the discrete surface with a degree-6
     triangle rule; the broken-H1 gradient term compares the discrete
     tangential gradient against the exact surface gradient projected
     into the element plane, and the jump term carries weight 1/h_e.
-    The exact values, gradients and jump-point traces are kept on the
-    space and reused by later calls with the same problem object.
 
-    Each norm's integrand is filled per chunk of elements into one
-    (m, q) array and then summed at once, so the sum runs in the order of
-    the whole array and the chunks change no bit.
+    One pass over chunks of elements lifts the exact solution to the rule
+    points and fills every solution's L2 and H1 (m, q) integrands; one
+    pass over chunks of intersections traces the jump points and fills
+    every solution's jump terms.  Each norm is then summed over its whole
+    array, so neither the chunks nor the other solutions of the call
+    change a bit.
     """
-    space = u_h.space
-    if space.mesh.edges is None:
+    mesh = space.mesh
+    if mesh.edges is None:
         raise HarnessError("mesh edges not built")
-    ref = _error_reference(space, problem)
-    tmap, areas = space.mesh.pushforward, space.mesh.jacobian_areas
+    tmap, areas, normals = mesh.pushforward, mesh.jacobian_areas, mesh.normals
     rule = get_quadrature("triangle", 6)
     w = rule.weights
-    m, q = ref.values.shape
-
-    coeff = u_h.coefficients.reshape(m, space.dofs_per_element)
+    m, q = len(mesh.triangles), len(w)
+    coeffs = [np.reshape(c, (m, space.dofs_per_element))
+              for c in coefficients]
     vref = _values(space.degree, rule.points)
     gref = _ref_grads(space.degree, rule.points)
-    chunks = _chunks(m, q)
-    integrand = np.empty((m, q))
-    for part in chunks:
-        diff = np.einsum("mi,qi->mq", coeff[part], vref) - ref.values[part]
-        integrand[part] = 2.0 * areas[part, None] * w[None, :] * diff**2
-    l2_sq = np.sum(integrand)
-    for part in chunks:
-        uh_grad = np.einsum("mqa,mad->mqd",
-                            np.einsum("mi,qia->mqa", coeff[part], gref),
-                            tmap[part])
-        gdiff = uh_grad - ref.gradients[part]
-        integrand[part] = 2.0 * areas[part, None] * w[None, :] \
-            * np.einsum("mqd,mqd->mq", gdiff, gdiff)
-    h1_sq = np.sum(integrand)
-    del integrand
+    l2_rows = [np.empty((m, q)) for _ in coeffs]
+    h1_rows = [np.empty((m, q)) for _ in coeffs]
+    for part in _chunks(m, q):
+        pts = np.einsum("qk,mkd->mqd", rule.points,
+                        mesh.vertices[mesh.triangles[part]])
+        val, tang = exact_u_on_gammah(problem, pts.reshape(-1, 3))
+        del pts
+        val = val.reshape(-1, q)
+        # project the exact surface gradient into the element plane
+        grad = tang.reshape(-1, q, 3)
+        grad -= np.einsum("mqd,md->mq", grad, normals[part])[:, :, None] \
+            * normals[part][:, None, :]
+        weight = 2.0 * areas[part, None] * w[None, :]
+        for coeff, l2, h1 in zip(coeffs, l2_rows, h1_rows):
+            diff = np.einsum("mi,qi->mq", coeff[part], vref) - val
+            l2[part] = weight * diff**2
+            gdiff = np.einsum("mqa,mad->mqd",
+                              np.einsum("mi,qia->mqa", coeff[part], gref),
+                              tmap[part])
+            gdiff -= grad
+            h1[part] = weight * np.einsum("mqd,mqd->mq", gdiff, gdiff)
+            del diff, gdiff
+        # free this chunk's arrays before the next chunk builds its own
+        del val, tang, grad, weight
 
     # jump seminorm: the lifted exact solution is single valued, so only
     # u_h jumps across intersections
-    edges = space.mesh.edges
+    edges = mesh.edges
     seg = get_quadrature("segment", 6)
-    jump_sq = np.empty(len(edges))
+    jump_rows = [np.empty(len(edges)) for _ in coeffs]
     for part in _chunks(len(edges), len(seg.weights)):
-        jump = (np.einsum("ei,eki->ek", coeff[edges.plus[part]],
-                          ref.plus[part])
-                - np.einsum("ei,eki->ek", coeff[edges.minus[part]],
-                            ref.minus[part]))
-        # weights: w_k * |e| per point, then the 1/h_e jump factor
-        jump_sq[part] = np.sum(seg.weights[None, :] * jump**2, axis=1)
-    star_sq = np.sum(jump_sq)  # lengths cancel: |e| * (1/|e|)
-    dg_sq = l2_sq + h1_sq + star_sq
-    return float(np.sqrt(l2_sq)), float(np.sqrt(dg_sq))
+        x = space.face_points(seg, part)
+        minus = space.trace(edges.minus[part], x)
+        plus = space.trace(edges.plus[part], x)
+        for coeff, jump_sq in zip(coeffs, jump_rows):
+            jump = (np.einsum("ei,eki->ek", coeff[edges.plus[part]], plus)
+                    - np.einsum("ei,eki->ek", coeff[edges.minus[part]],
+                                minus))
+            # weights: w_k * |e| per point, then the 1/h_e jump factor
+            jump_sq[part] = np.sum(seg.weights[None, :] * jump**2, axis=1)
+            del jump
+        del x, minus, plus
+    errors = []
+    for l2, h1, jump_sq in zip(l2_rows, h1_rows, jump_rows):
+        l2_sq = np.sum(l2)
+        # lengths cancel in the jump term: |e| * (1/|e|)
+        dg_sq = l2_sq + np.sum(h1) + np.sum(jump_sq)
+        errors.append((float(np.sqrt(l2_sq)), float(np.sqrt(dg_sq))))
+    return errors
+
+
+def compute_errors(u_h: DgFunction, problem: TestProblem) -> tuple:
+    """(L2, DG) errors of u_h against the lifted exact solution; see
+    ``_errors``.  Nothing is kept on the space: every call lifts the
+    exact solution again."""
+    return _errors(u_h.space, problem, [u_h.coefficients])[0]
 
 
 def compute_l2_error(u_h: DgFunction, problem: TestProblem) -> float:
@@ -282,20 +255,17 @@ def _stage(failed: str):
 
 def _solve_choices(space, problem, tags, penalty, solver, tol,
                    level) -> dict:
-    """rhs, then assemble+solve and errors on ``space`` for every choice
-    in ``tags``; maps each tag to (report, u_h, l2, dg)."""
-    results = {}
-    solve_stage = f"assemble/solve stage failed at level {level}"
-    with _stage(solve_stage):
+    """rhs, then assemble+solve on ``space`` for every choice in ``tags``,
+    then the errors of all solutions at once; maps each tag to
+    (report, u_h, l2, dg)."""
+    with _stage(f"assemble/solve stage failed at level {level}"):
         rhs = assemble_rhs(space, problem.surface, problem.f)
-    for tag in tags:
-        with _stage(solve_stage):
-            report = _solve_level(space, tag, penalty, rhs, solver, tol)
-        u_h = DgFunction(space, report.solution)
-        with _stage(f"error stage failed at level {level}"):
-            l2, dg = compute_errors(u_h, problem)
-        results[tag] = (report, u_h, l2, dg)
-    return results
+        reports = [_solve_level(space, tag, penalty, rhs, solver, tol)
+                   for tag in tags]
+    with _stage(f"error stage failed at level {level}"):
+        errors = _errors(space, problem, [r.solution for r in reports])
+    return {tag: (report, DgFunction(space, report.solution), l2, dg)
+            for tag, report, (l2, dg) in zip(tags, reports, errors)}
 
 
 def _ladder(cfg: RunConfig, problem: TestProblem, tags, solver: str,
@@ -386,6 +356,9 @@ class ChoiceComparison:
 
     def ratios(self, choice) -> list:
         tag = normalize_choice(choice)
+        if tag not in self.l2_errors:
+            raise HarnessError(f"choice {tag} was not compared; compared: "
+                               f"{', '.join(self.choices)}")
         return [(l / lr, d / dr) for l, d, lr, dr in zip(
             self.l2_errors[tag], self.dg_errors[tag],
             self.l2_errors["2"], self.dg_errors["2"])]

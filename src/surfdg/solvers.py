@@ -1,7 +1,8 @@
 """Krylov solvers for the assembled DG systems.
 
 Hand-rolled CG and BiCGSTAB reference implementations with optional
-Jacobi preconditioning.  CG refuses non-symmetric input and reports
+Jacobi preconditioning.  Both refuse a NaN or inf in A or b before
+iterating.  CG refuses non-symmetric input and reports
 pAp <= 0 as indefiniteness, which in this package almost always means
 the jump penalty was forced below its stability bound.  Convergence is
 certified against the true residual b - Ax, not the recurrence residual.
@@ -68,6 +69,15 @@ def _setup(system, b, precond):
     b = np.asarray(b, dtype=float)
     if a.shape[0] != a.shape[1] or a.shape[0] != b.shape[0]:
         raise SolverError(f"shape mismatch: A {a.shape}, b {b.shape}")
+    # a NaN or inf in either operand would run every iteration to a NaN
+    # residual; the largest |a_ij| is found without an |A| copy of the
+    # entries, and it is CG's symmetry scale
+    bnorm = np.linalg.norm(b)
+    scale = np.maximum(a.data.max(), -a.data.min()) if a.nnz else 0.0
+    if not np.isfinite(scale):
+        raise SolverError(f"non-finite matrix A: max |a_ij| = {scale}")
+    if not np.isfinite(bnorm):
+        raise SolverError(f"non-finite right-hand side b: |b| = {bnorm}")
     if precond in (None, "none"):
         m = lambda v: v
     elif precond == "jacobi":
@@ -76,7 +86,7 @@ def _setup(system, b, precond):
         m = precond
     else:
         raise SolverError(f"unknown preconditioner {precond!r}")
-    return a, b, m
+    return a, b, m, bnorm, scale
 
 
 def cg(system, b=None, tol: float = 1e-10, max_iter: int | None = None,
@@ -86,10 +96,8 @@ def cg(system, b=None, tol: float = 1e-10, max_iter: int | None = None,
     ``tol`` is relative to |b|; ``max_iter`` defaults to 10 n.  The
     returned residual is the true relative residual.
     """
-    a, b, m = _setup(system, b, precond)
+    a, b, m, bnorm, scale = _setup(system, b, precond)
     defect = check_symmetry(a)
-    # max |a_ij| without an |A| copy of the entries
-    scale = np.maximum(a.data.max(), -a.data.min()) if a.nnz else 0.0
     if defect > _SYM_RTOL * scale:
         raise NonSymmetricMatrixError(
             f"matrix not symmetric: defect {defect:.3e} > "
@@ -97,7 +105,6 @@ def cg(system, b=None, tol: float = 1e-10, max_iter: int | None = None,
     n = b.shape[0]
     if max_iter is None:
         max_iter = 10 * n
-    bnorm = np.linalg.norm(b)
     x = np.zeros(n)
     if bnorm == 0.0:
         return SolveReport(x, 0, 0.0, True)
@@ -145,11 +152,10 @@ def bicgstab(system, b=None, tol: float = 1e-10,
     A rho or omega breakdown restarts once from the current residual;
     a second breakdown raises BreakdownError.
     """
-    a, b, m = _setup(system, b, precond)
+    a, b, m, bnorm, _ = _setup(system, b, precond)
     n = b.shape[0]
     if max_iter is None:
         max_iter = 10 * n
-    bnorm = np.linalg.norm(b)
     x = np.zeros(n)
     if bnorm == 0.0:
         return SolveReport(x, 0, 0.0, True)

@@ -166,21 +166,23 @@ def test_compute_errors_needs_edges_before_any_work():
         compute_errors(DgFunction(space, np.zeros(space.total_dofs)), prob)
 
 
-def test_compute_errors_repeat_reuses_reference():
+def test_compute_errors_repeat_keeps_nothing():
+    """A repeat call returns the same errors, and no call leaves an array
+    behind on the space or anywhere else."""
     prob = make_problem("dziuk")
     space = DgSpace(initial_mesh(prob.surface, "icosahedron"), 2)
     u_h = DgFunction(space, np.random.default_rng(1).standard_normal(
         space.total_dofs))
-    first = compute_errors(u_h, prob)
-    ref = space.error_reference
-    assert ref is not None
-    assert compute_errors(u_h, prob) == first
-    assert space.error_reference is ref
+    first, _, kept = traced_bytes(lambda: compute_errors(u_h, prob))
+    assert kept == 0
+    again, _, kept = traced_bytes(lambda: compute_errors(u_h, prob))
+    assert again == first
+    assert kept == 0
 
 
 def test_compute_errors_other_problem_not_stale():
-    """A second problem on the same space gets its own reference: the
-    errors equal those on a fresh space, not those of the first."""
+    """A second problem on the same space gets its own errors: they equal
+    those on a fresh space, not those of the first."""
     prob = make_problem("sphere")
     x3 = TestProblem(
         name="x3", surface=prob.surface, forcing_mode="analytic", f=prob.f,
@@ -223,37 +225,37 @@ def _error_mesh(name, nonconforming, refinements):
 def test_error_chunks_do_not_change_values(monkeypatch, name, degree,
                                            nonconforming, refinements):
     """Lifting and integrating per chunk of elements, the last chunk
-    holding a single element, gives exactly the one-chunk reference
-    arrays and errors."""
+    holding a single element, gives exactly the one-chunk errors, for one
+    solution and for each solution of a batch."""
     prob, mesh = _error_mesh(name, nonconforming, refinements)
     rule_points = len(get_quadrature("triangle", 6).weights)
+    space = DgSpace(mesh, degree)
+    rng = np.random.default_rng(3)
+    batch = [rng.standard_normal(space.total_dofs) for _ in range(3)]
 
     def errors():
-        space = DgSpace(mesh, degree)
-        u_h = DgFunction(space, np.random.default_rng(3).standard_normal(
-            space.total_dofs))
-        return compute_errors(u_h, prob), space.error_reference
+        return (compute_errors(DgFunction(space, batch[0]), prob),
+                harness._errors(space, prob, batch))
 
     m = len(mesh.triangles)
     step = next(b for b in range(2, m) if (m - 1) % b == 0)
     monkeypatch.setattr(geometry, "_LIFT_BATCH", step * rule_points)
     assert len(geometry._chunks(m, rule_points)) == (m - 1) // step + 1
-    chunked, chunked_ref = errors()  # first, so no freed buffer helps it
+    chunked = errors()  # first, so no freed buffer helps it
     monkeypatch.undo()
-    whole, whole_ref = errors()
-    assert chunked == whole
-    for part in harness._ErrorReference._fields[1:]:
-        assert np.array_equal(getattr(chunked_ref, part),
-                              getattr(whole_ref, part)), part
+    assert chunked == errors()
+    assert chunked[1][0] == chunked[0]
 
 
 @pytest.mark.parametrize("degree", [1, 2])
 def test_first_errors_call_memory_does_not_grow(monkeypatch, degree):
-    """At a fixed chunk size, the first error call's peak above the
-    reference it keeps does not grow from 4 to 5 Dziuk refinements: the
-    lift and the traces are built chunk by chunk."""
+    """At a fixed chunk size, the first error call keeps nothing, and its
+    peak above the integrands it must hold (two (m, q) arrays and one
+    per-intersection array) does not grow from 4 to 5 Dziuk refinements:
+    the lift and the traces are built chunk by chunk."""
     monkeypatch.setattr(geometry, "_LIFT_BATCH", 2048 * 12)
     prob = make_problem("dziuk")
+    q = len(get_quadrature("triangle", 6).weights)
     mesh = initial_mesh(prob.surface, "icosahedron")
     above = []
     for level in range(1, 6):
@@ -263,7 +265,9 @@ def test_first_errors_call_memory_does_not_grow(monkeypatch, degree):
         space = DgSpace(mesh, degree)
         u_h = DgFunction(space, np.zeros(space.total_dofs))
         _, peak, kept = traced_bytes(lambda: compute_errors(u_h, prob))
-        above.append(peak - kept)
+        assert kept == 0
+        integrands = 8 * (2 * len(mesh.triangles) * q + len(mesh.edges))
+        above.append(peak - integrands)
     assert above[1] <= above[0]
 
 
@@ -323,8 +327,8 @@ def test_ladder_failure_names_stage(entry, tmp_path):
 
 
 def test_ladder_frees_each_level_before_the_next(monkeypatch):
-    """A level's space, with the error reference kept on it, is released
-    before the next level's rhs is assembled."""
+    """A level's space is released before the next level's rhs is
+    assembled."""
     spaces = []
 
     def rhs(space, surface, f):
@@ -365,6 +369,17 @@ def test_compare_choices_reference_is_unity():
     assert comp.choices.count("2") == 1
 
 
+def test_ratios_refuse_a_choice_not_compared():
+    comp = harness.ChoiceComparison(
+        choices=["3", "2"], elements=[20], hs=[1.0],
+        l2_errors={"3": [2.0], "2": [1.0]}, dg_errors={"3": [4.0], "2": [2.0]})
+    assert comp.ratios("3") == [(2.0, 2.0)]
+    for choice, tag in ((1, "1"), ("4t", "4T")):
+        with pytest.raises(HarnessError, match=f"^choice {tag} was not "
+                           "compared; compared: 3, 2$"):
+            comp.ratios(choice)
+
+
 @pytest.mark.parametrize("key, value", [("solver", "cg"),
                                         ("output_csv", "table.csv"),
                                         ("output_vtk", "u.vtk")])
@@ -378,8 +393,8 @@ def test_compare_choices_rejects_unused_options(key, value, tmp_path):
 
 
 def test_compare_choices_errors_equal_single_choice_runs():
-    """Choices sharing one space's error reference get exactly the errors
-    of a ladder run for that choice alone."""
+    """Choices whose errors come from one call per level get exactly the
+    errors of a ladder run for that choice alone."""
     cfg = {"surface": "dziuk", "refinements": 2, "nonconforming": True}
     comp = compare_choices(cfg, ["1", "2", "3", "4"])
     for tag in ("1", "2", "3", "4"):

@@ -139,6 +139,35 @@ def test_setup_errors():
         cg(np.eye(2), np.ones(2), precond="ilu")
 
 
+@pytest.mark.parametrize("solve", [cg, bicgstab], ids=["cg", "bicgstab"])
+@pytest.mark.parametrize("operand, value", [("b", np.nan), ("b", np.inf),
+                                            ("A", np.nan), ("A", np.inf),
+                                            ("A", -np.inf)])
+def test_non_finite_operand_refused_before_iterating(solve, operand, value):
+    """A single NaN or inf in b or in A is refused by name before the
+    first iteration, instead of running all 10 n iterations to a NaN
+    residual; a NaN symmetry defect does not slip past CG's check."""
+    n = 2000
+    a = sp.diags([-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)],
+                 [-1, 0, 1], format="csr")
+    b = np.ones(n)
+    if operand == "b":
+        b[n // 2] = value
+    else:
+        a.data[a.indptr[n // 2]] = value  # an off-diagonal entry
+    applied = []
+
+    def precond(v):
+        applied.append(v)
+        return v
+
+    match = "non-finite matrix A" if operand == "A" \
+        else "non-finite right-hand side b"
+    with pytest.raises(SolverError, match=f"^{match}: "):
+        solve(a, b, precond=precond)
+    assert not applied  # each solver preconditions before its first step
+
+
 def test_bicgstab_nonsymmetric_system():
     a = np.array([[2.0, 1.0], [0.0, 3.0]])
     rep = bicgstab(a, np.array([3.0, 3.0]))
