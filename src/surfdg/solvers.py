@@ -6,12 +6,19 @@ iterating.  CG refuses non-symmetric input and reports
 pAp <= 0 as indefiniteness, which in this package almost always means
 the jump penalty was forced below its stability bound.  Convergence is
 certified against the true residual b - Ax, not the recurrence residual.
+Every product with A runs on contiguous row blocks across the usable
+CPUs and gives the bits of ``A @ v``.
 """
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse._sparsetools import csr_matvec
 
+from . import assembly
 from .assembly import _sparse, check_symmetry
 
 _SYM_RTOL = 1e-10
@@ -59,6 +66,83 @@ def jacobi_precondition(matrix) -> JacobiPreconditioner:
     return JacobiPreconditioner(1.0 / d)
 
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has CPU affinity
+        return os.cpu_count() or 1
+
+
+# the threads that run every block but the first of a product, shared by
+# every solve of the process; made on the first product with two blocks,
+# and again in a forked child, which inherits the executor but not its
+# threads
+_pool = None  # (pid, executor)
+_pool_lock = threading.Lock()
+
+
+def _executor() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != os.getpid():
+            _pool = (os.getpid(), ThreadPoolExecutor(
+                max_workers=max(1, _usable_cpus() - 1),
+                thread_name_prefix="surfdg-product"))
+        return _pool[1]
+
+
+class _RowBlockProduct:
+    """v -> A v over ``blocks`` contiguous row blocks of about equal stored
+    entries, as bits of ``A @ v``.
+
+    A block is rows lo:hi of A: the slice ``indptr[lo:hi + 1]`` with A's
+    own ``data`` and ``indices``, so no entry is copied.  The first block
+    runs in the calling thread and the others on the process-wide pool,
+    each into its slice of one zeroed output vector.  scipy's
+    ``csr_matvec``, the kernel of ``A @ v``, sums every row in stored
+    order and releases the GIL, so the blocks run at once and each row
+    keeps its sum.  A matrix that is not a float CSR one is one block,
+    multiplied by scipy.
+    """
+
+    def __init__(self, a, blocks: int):
+        self.a = a
+        self.csr = a.format == "csr" and a.dtype == np.float64
+        if not self.csr:
+            blocks = 1
+        # block k starts at the first row whose entries begin at or after
+        # k / blocks of the stored entries
+        cuts = np.searchsorted(a.indptr, a.nnz * np.arange(1, blocks)
+                               // blocks) if self.csr else []
+        self.bounds = [0, *map(int, cuts), a.shape[0]]
+
+    def _rows(self, lo, hi, v, y):
+        a = self.a
+        csr_matvec(hi - lo, a.shape[1], a.indptr[lo:hi + 1], a.indices,
+                   a.data, v, y[lo:hi])
+
+    def __call__(self, v):
+        if not self.csr:
+            return self.a @ v
+        y = np.zeros(self.a.shape[0])
+        rest = zip(self.bounds[1:-1], self.bounds[2:])
+        futures = [_executor().submit(self._rows, lo, hi, v, y)
+                   for lo, hi in rest]
+        try:
+            self._rows(self.bounds[0], self.bounds[1], v, y)
+        finally:
+            for future in futures:
+                future.result()
+        return y
+
+
+def _product(a) -> _RowBlockProduct:
+    """A's product split over the usable CPUs, with at least
+    ``assembly._CHUNK_TRIPLETS`` stored entries per block."""
+    blocks = min(_usable_cpus(), a.nnz // assembly._CHUNK_TRIPLETS)
+    return _RowBlockProduct(a, max(1, blocks))
+
+
 def _setup(system, b, precond):
     a = _sparse(system)
     if b is None:
@@ -72,11 +156,17 @@ def _setup(system, b, precond):
     # a NaN or inf in either operand would run every iteration to a NaN
     # residual; the largest |a_ij| is found without an |A| copy of the
     # entries, and it is CG's symmetry scale
-    bnorm = np.linalg.norm(b)
+    with np.errstate(over="ignore"):  # a finite b may overflow its norm
+        bnorm = np.linalg.norm(b)
     scale = np.maximum(a.data.max(), -a.data.min()) if a.nnz else 0.0
     if not np.isfinite(scale):
         raise SolverError(f"non-finite matrix A: max |a_ij| = {scale}")
     if not np.isfinite(bnorm):
+        bmax = np.maximum(b.max(), -b.min())
+        if np.isfinite(bmax):
+            raise SolverError(
+                f"right-hand side b too large: |b| overflows, though every "
+                f"entry is finite (max |b_i| = {bmax:.3e})")
         raise SolverError(f"non-finite right-hand side b: |b| = {bnorm}")
     if precond in (None, "none"):
         m = lambda v: v
@@ -86,7 +176,7 @@ def _setup(system, b, precond):
         m = precond
     else:
         raise SolverError(f"unknown preconditioner {precond!r}")
-    return a, b, m, bnorm, scale
+    return a, _product(a), b, m, bnorm, scale
 
 
 def cg(system, b=None, tol: float = 1e-10, max_iter: int | None = None,
@@ -96,7 +186,7 @@ def cg(system, b=None, tol: float = 1e-10, max_iter: int | None = None,
     ``tol`` is relative to |b|; ``max_iter`` defaults to 10 n.  The
     returned residual is the true relative residual.
     """
-    a, b, m, bnorm, scale = _setup(system, b, precond)
+    a, product, b, m, bnorm, scale = _setup(system, b, precond)
     defect = check_symmetry(a)
     if defect > _SYM_RTOL * scale:
         raise NonSymmetricMatrixError(
@@ -117,7 +207,7 @@ def cg(system, b=None, tol: float = 1e-10, max_iter: int | None = None,
     rz = float(r @ z)
     it = 0
     while it < max_iter:
-        ap = a @ p
+        ap = product(p)
         pap = float(p @ ap)
         if pap <= 0.0:
             raise IndefiniteSystemError(
@@ -130,7 +220,7 @@ def cg(system, b=None, tol: float = 1e-10, max_iter: int | None = None,
         del ap
         it += 1
         if np.linalg.norm(r) <= tol * bnorm:
-            np.subtract(b, a @ x, out=r)
+            np.subtract(b, product(x), out=r)
             rel = np.linalg.norm(r) / bnorm
             if rel <= tol:
                 return SolveReport(x, it, float(rel), True)
@@ -141,7 +231,7 @@ def cg(system, b=None, tol: float = 1e-10, max_iter: int | None = None,
         rz = rz_new
         p *= beta
         p += z
-    rel = float(np.linalg.norm(b - a @ x) / bnorm)
+    rel = float(np.linalg.norm(b - product(x)) / bnorm)
     return SolveReport(x, it, rel, rel <= tol)
 
 
@@ -152,7 +242,7 @@ def bicgstab(system, b=None, tol: float = 1e-10,
     A rho or omega breakdown restarts once from the current residual;
     a second breakdown raises BreakdownError.
     """
-    a, b, m, bnorm, _ = _setup(system, b, precond)
+    _, product, b, m, bnorm, _ = _setup(system, b, precond)
     n = b.shape[0]
     if max_iter is None:
         max_iter = 10 * n
@@ -175,7 +265,7 @@ def bicgstab(system, b=None, tol: float = 1e-10,
 
     def true_residual():
         """r = b - A x, and its norm relative to |b|."""
-        np.subtract(b, a @ x, out=r)
+        np.subtract(b, product(x), out=r)
         return float(np.linalg.norm(r) / bnorm)
 
     def breakdown(what):
@@ -202,7 +292,7 @@ def bicgstab(system, b=None, tol: float = 1e-10,
         p *= beta
         p += r
         ph = m(p)
-        v = a @ ph
+        v = product(ph)
         rv = float(r_hat @ v)
         if abs(rv) < 1e-300:
             breakdown("rho")
@@ -217,7 +307,7 @@ def bicgstab(system, b=None, tol: float = 1e-10,
                 return SolveReport(x, it, rel, True)
             continue
         sh = m(s)
-        t = a @ sh
+        t = product(sh)
         tt = float(t @ t)
         if tt == 0.0:
             breakdown("omega")
@@ -237,5 +327,5 @@ def bicgstab(system, b=None, tol: float = 1e-10,
             rel = true_residual()
             if rel <= tol:
                 return SolveReport(x, it, rel, True)
-    rel = float(np.linalg.norm(b - a @ x) / bnorm)
+    rel = float(np.linalg.norm(b - product(x)) / bnorm)
     return SolveReport(x, it, rel, rel <= tol)

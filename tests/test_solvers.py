@@ -1,11 +1,15 @@
 """CG and BiCGSTAB with true-residual certification."""
 
+import multiprocessing
+import os
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from conftest import dziuk_space, traced_bytes
 
-from surfdg import assembly
+from surfdg import assembly, solvers
 from surfdg.assembly import PenaltyParams, assemble_rhs, assemble_system
 from surfdg.dgspace import DgSpace
 from surfdg.geometry import make_sphere
@@ -20,6 +24,20 @@ from surfdg.solvers import (
     cg,
     jacobi_precondition,
 )
+
+
+def force_blocks(monkeypatch, a, blocks):
+    """Make the solvers split every product with ``a`` into ``blocks`` row
+    blocks, whatever the CPUs: as many usable CPUs, and a floor of
+    stored entries per block that ``a`` meets ``blocks`` times."""
+    monkeypatch.setattr(solvers, "_usable_cpus", lambda: blocks)
+    monkeypatch.setattr(assembly, "_CHUNK_TRIPLETS", a.nnz // blocks)
+    assert len(solvers._product(a).bounds) == blocks + 1
+
+
+def tridiagonal(n):
+    return sp.diags([-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)],
+                    [-1, 0, 1], format="csr")
 
 
 def random_spd(n, seed, cond=100.0):
@@ -148,8 +166,7 @@ def test_non_finite_operand_refused_before_iterating(solve, operand, value):
     first iteration, instead of running all 10 n iterations to a NaN
     residual; a NaN symmetry defect does not slip past CG's check."""
     n = 2000
-    a = sp.diags([-np.ones(n - 1), 4.0 * np.ones(n), -np.ones(n - 1)],
-                 [-1, 0, 1], format="csr")
+    a = tridiagonal(n)
     b = np.ones(n)
     if operand == "b":
         b[n // 2] = value
@@ -166,6 +183,25 @@ def test_non_finite_operand_refused_before_iterating(solve, operand, value):
     with pytest.raises(SolverError, match=f"^{match}: "):
         solve(a, b, precond=precond)
     assert not applied  # each solver preconditions before its first step
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("solve", [cg, bicgstab], ids=["cg", "bicgstab"])
+def test_overflowing_rhs_norm_refused_by_name(solve):
+    """A right-hand side of finite entries whose norm overflows is refused
+    as too large, with its largest entry, and without numpy's overflow
+    warning (an error here); the norm of a b just below the overflow is
+    the plain ``np.linalg.norm(b)``."""
+    with pytest.raises(SolverError) as err:
+        solve(np.eye(2), [1e200, -3e200])
+    assert str(err.value) == (
+        "right-hand side b too large: |b| overflows, though every entry "
+        "is finite (max |b_i| = 3.000e+200)")
+    for big in (1e154, -1.3e154):
+        b = np.array([big, 1.0, -2.5])
+        bnorm = solvers._setup(np.eye(3), b, None)[4]
+        assert bnorm.hex() == np.linalg.norm(b).hex()
+        assert solve(np.eye(3), b).converged
 
 
 def test_bicgstab_nonsymmetric_system():
@@ -283,15 +319,29 @@ def _textbook_bicgstab(a, b, tol, max_iter, m):
     return x, it, float(np.linalg.norm(b - a @ x) / bnorm)
 
 
-@pytest.mark.parametrize("solve, textbook, choice", [
-    (cg, _textbook_cg, 2), (bicgstab, _textbook_bicgstab, 1)])
+def split(cases, blocks=(2, 3)):
+    """Each case as given (None: the default split), then forced into each
+    count of row blocks, with "-<count>-blocks" appended to its id."""
+    return ([pytest.param(*case, None, id=name) for name, case in cases]
+            + [pytest.param(*case, k, id=f"{name}-{k}-blocks")
+               for k in blocks for name, case in cases])
+
+
+@pytest.mark.parametrize("solve, textbook, choice, blocks", split([
+    ("cg-_textbook_cg-2", (cg, _textbook_cg, 2)),
+    ("bicgstab-_textbook_bicgstab-1", (bicgstab, _textbook_bicgstab, 1))]))
 @pytest.mark.parametrize("precond", ["jacobi", "none"])
-def test_solvers_equal_textbook_loops(solve, textbook, choice, precond):
+def test_solvers_equal_textbook_loops(monkeypatch, solve, textbook, choice,
+                                      precond, blocks):
     """On a 3-refinement Dziuk system the in-place loops give the textbook
     loops' solution, iteration count and residual bit for bit, also when
-    the preconditioner hands back its argument."""
+    the preconditioner hands back its argument, and also when every
+    product is split into 2 or 3 row blocks (None: the default, one block
+    below the floor)."""
     system = _dziuk_system(3, 1, choice)
     a, b = system.matrix, system.rhs
+    if blocks:
+        force_blocks(monkeypatch, a, blocks)
     m = jacobi_precondition(a) if precond == "jacobi" else (lambda v: v)
     rep = solve(system, tol=1e-10, precond=precond)
     x, it, rel = textbook(a, b, 1e-10, 10 * len(b), m)
@@ -300,29 +350,37 @@ def test_solvers_equal_textbook_loops(solve, textbook, choice, precond):
     assert (rep.iterations, rep.final_relative_residual) == (it, rel)
 
 
-@pytest.mark.parametrize("solve, textbook", [
-    (cg, _textbook_cg), (bicgstab, _textbook_bicgstab)])
-def test_restarts_equal_textbook_loops(solve, textbook):
+@pytest.mark.parametrize("solve, textbook, blocks", split([
+    ("cg-_textbook_cg", (cg, _textbook_cg)),
+    ("bicgstab-_textbook_bicgstab", (bicgstab, _textbook_bicgstab))]))
+def test_restarts_equal_textbook_loops(monkeypatch, solve, textbook, blocks):
     """A tolerance near roundoff sends the solvers through their restarts
     from the true residual; the in-place restarts match the textbook
-    ones."""
+    ones, also with every product split into 2 or 3 row blocks."""
     for seed in range(3):
         dense, b = random_spd(40, seed, cond=1e4)
         a = sp.csr_matrix(dense)  # the matrix the solvers multiply with
+        if blocks:
+            force_blocks(monkeypatch, a, blocks)
         rep = solve(a, b, tol=1e-13, max_iter=400)
         x, it, rel = textbook(a, b, 1e-13, 400, lambda v: v)
         assert np.array_equal(rep.solution, x)
         assert (rep.iterations, rep.final_relative_residual) == (it, rel)
 
 
-@pytest.mark.parametrize("degree", [1, 2])
-def test_cg_holds_no_matrix_sized_temporary(monkeypatch, degree):
+@pytest.mark.parametrize("degree, blocks", split(
+    [("1", (1,)), ("2", (2,))], blocks=(2,)))
+def test_cg_holds_no_matrix_sized_temporary(monkeypatch, degree, blocks):
     """With the symmetry check's chunk at 1/16 of the 4-refinement Dziuk
     matrix, Jacobi-CG peaks at two chunks plus eight vectors: it makes no
-    copy of the matrix or of its entries, and keeps only the solution."""
+    copy of the matrix or of its entries, and keeps only the solution.
+    Forced to two row blocks per product (one CPU otherwise), it peaks
+    under the same bound, so the split copies no entry either."""
     a = _dziuk_system(4, degree, 2).matrix
     chunk = a.nnz // 16
     monkeypatch.setattr(assembly, "_CHUNK_TRIPLETS", chunk)
+    monkeypatch.setattr(solvers, "_usable_cpus", lambda: blocks or 1)
+    assert len(solvers._product(a).bounds) == (blocks or 1) + 1
     b = np.ones(a.shape[0])
     rep, peak, kept = traced_bytes(
         lambda: cg(a, b, max_iter=50, precond="jacobi"))
@@ -330,3 +388,65 @@ def test_cg_holds_no_matrix_sized_temporary(monkeypatch, degree):
     chunk_bytes = chunk * (a.data.itemsize + a.indices.itemsize)
     assert peak <= 2 * chunk_bytes + 8 * b.nbytes
     assert kept == b.nbytes
+
+
+def test_product_pool_made_once_and_reused(monkeypatch):
+    """The first product with two blocks makes the process-wide pool;
+    later solves reuse it and its thread."""
+    monkeypatch.setattr(solvers, "_pool", None)
+    a = tridiagonal(2000)
+    b = np.ones(2000)
+    force_blocks(monkeypatch, a, 2)
+    try:
+        assert cg(a, b).converged
+        pool = solvers._pool
+        threads = threading.active_count()
+        assert bicgstab(a, b).converged and cg(a, b).converged
+        assert solvers._pool is pool
+        assert threading.active_count() == threads
+    finally:
+        if solvers._pool is not None:
+            solvers._pool[1].shutdown(wait=True)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+@pytest.mark.filterwarnings("ignore:This process:DeprecationWarning")
+def test_forked_child_makes_its_own_pool(monkeypatch):
+    """A child forked after a split product inherits the pool object but
+    not its thread; its own split products make a new pool instead of
+    waiting forever on the inherited one."""
+    a = tridiagonal(2000)
+    b = np.ones(2000)
+    force_blocks(monkeypatch, a, 2)
+    assert cg(a, b).converged
+
+    def solve_in_child():
+        assert cg(a, b).converged  # exit code 1 otherwise
+
+    child = multiprocessing.get_context("fork").Process(target=solve_in_child)
+    child.start()
+    child.join(timeout=60)
+    hung = child.is_alive()
+    if hung:
+        child.kill()
+        child.join(timeout=10)
+    assert not hung and child.exitcode == 0
+
+
+@pytest.mark.parametrize("cpus, floor", [(1, 1), (4, None)],
+                         ids=["one-cpu", "below-floor"])
+def test_one_block_starts_no_thread(monkeypatch, cpus, floor):
+    """With one usable CPU, or a matrix below the floor of stored entries
+    per block, every product is one block in the calling thread: no pool
+    is made and no thread starts."""
+    monkeypatch.setattr(solvers, "_pool", None)
+    monkeypatch.setattr(solvers, "_usable_cpus", lambda: cpus)
+    if floor is not None:
+        monkeypatch.setattr(assembly, "_CHUNK_TRIPLETS", floor)
+    a = tridiagonal(2000)
+    assert a.nnz < assembly._CHUNK_TRIPLETS or cpus == 1
+    threads = threading.active_count()
+    for solve in (cg, bicgstab):
+        assert solve(a, np.ones(2000)).converged
+    assert solvers._pool is None
+    assert threading.active_count() == threads
