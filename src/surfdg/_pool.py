@@ -1,0 +1,130 @@
+"""The one process-wide thread pool of the package, and the helper that
+runs the chunks of a loop on it.
+
+The chunked loops (the rhs, the matrix rows, the errors and the point
+projection) and the Krylov products split their work over the usable
+CPUs.  Every chunk writes only its own slice of an output, and every sum
+over a whole array stays one call in the calling thread, so the split
+changes no bit.
+"""
+
+import contextvars
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
+# stored entries per row block below which a Krylov product is not split
+_PRODUCT_FLOOR = 1 << 18
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has CPU affinity
+        return os.cpu_count() or 1
+
+
+def _per_worker(budget: int) -> int:
+    """A chunk budget shared by the usable CPUs, so that the chunks in
+    flight together hold what one chunk held on one CPU."""
+    return max(1, budget // _usable_cpus())
+
+
+# the threads that run every chunk and block but the calling thread's
+# share; made on the first parallel stage or split product, and again in a
+# forked child, which inherits the executor but not its threads
+_shared = None  # (pid, executor)
+_shared_lock = threading.Lock()
+
+
+def _executor() -> ThreadPoolExecutor:
+    global _shared
+    with _shared_lock:
+        if _shared is None or _shared[0] != os.getpid():
+            _shared = (os.getpid(), ThreadPoolExecutor(
+                max_workers=max(1, _usable_cpus() - 1),
+                thread_name_prefix="surfdg-pool"))
+        return _shared[1]
+
+
+# true while a chunk of a parallel stage runs: in the calling thread and
+# in the pooled chunks, whose contexts are copies of the caller's; a loop
+# inside a chunk then runs serially, so no pool thread waits on work queued
+# behind it
+_in_stage = contextvars.ContextVar("surfdg_in_stage", default=False)
+
+_malloc_trim = None  # glibc's malloc_trim, False where there is none
+
+
+def _trim() -> None:
+    """Hand the pool threads' freed heap pages back to the system, where
+    glibc provides ``malloc_trim``; a thread's malloc arena keeps them
+    otherwise, and the process's peak resident size grows with it."""
+    global _malloc_trim
+    if _malloc_trim is None:
+        try:
+            import ctypes
+            _malloc_trim = ctypes.CDLL(None).malloc_trim
+        except (AttributeError, OSError, TypeError):
+            _malloc_trim = False
+    if _malloc_trim:
+        _malloc_trim(0)
+
+
+def _run_chunks(fn, slices) -> None:
+    """``fn(s)`` for every ``s`` of ``slices``; each call must write only
+    its own part of the outputs.
+
+    With two or more usable CPUs and slices, outside the chunk of another
+    stage, the chunks are handed out in slice order to the calling thread
+    and the pool's threads, at most one per usable CPU at a time.  Each
+    pooled chunk runs in a copy of the caller's context, so numpy's error
+    state reaches it.  A failing chunk stops the hand-out; once every
+    chunk in flight has ended, the exception of the first failing chunk in
+    slice order is raised.  Every chunk before it has run by then, so it
+    is the exception the serial loop raises.  Otherwise the chunks run in
+    order in the calling thread.
+    """
+    slices = list(slices)
+    workers = min(_usable_cpus(), len(slices))
+    if workers < 2 or _in_stage.get():
+        for s in slices:
+            fn(s)
+        return
+    lock = threading.Lock()
+    handed = 0
+    failures = {}  # slice position -> exception
+
+    def take():
+        nonlocal handed
+        with lock:
+            if failures or handed == len(slices):
+                return None
+            handed += 1
+            return handed - 1
+
+    def run(context):
+        while (k := take()) is not None:
+            try:
+                if context is None:
+                    fn(slices[k])
+                else:
+                    context.copy().run(fn, slices[k])
+            except BaseException as e:
+                with lock:
+                    failures[k] = e
+
+    token = _in_stage.set(True)
+    futures = []
+    try:
+        context = contextvars.copy_context()
+        for _ in range(workers - 1):
+            futures.append(_executor().submit(run, context))
+        run(None)
+    finally:
+        for future in futures:
+            future.result()
+        _in_stage.reset(token)
+        _trim()
+    if failures:
+        raise failures[min(failures)]

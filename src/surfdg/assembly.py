@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from ._pool import _per_worker, _run_chunks
 from .dgspace import DgSpace, _ref_grads, _values, get_quadrature
 from .geometry import LevelSetSurface, _chunks, project_points
 from .mesh import EdgeIntersection, SurfaceMesh, _require_edges
@@ -173,9 +174,10 @@ def _volume_block(space: DgSpace, rule, part=slice(None)) -> np.ndarray:
         + mass_ref[None, :, :])
 
 
-# about this many COO triplets per row chunk of an assembled matrix, and
-# stored entries per row chunk of the symmetry check; a chunk's triplets
-# or lookups are the temporaries beyond the matrix
+# about this many COO triplets per row chunk of an assembled matrix on one
+# CPU (shared by the usable CPUs), and stored entries per row chunk of the
+# symmetry check; a chunk's triplets or lookups are the temporaries beyond
+# the matrix
 _CHUNK_TRIPLETS = 1 << 18
 
 
@@ -192,7 +194,9 @@ def _assemble_by_rows(space: DgSpace, volume, faces, face_rule=None,
     ``face_rule`` (``grads`` adds the gradients).  Either may be None.
 
     A chunk holds the rows of consecutive elements, about
-    ``_CHUNK_TRIPLETS`` triplets.  Its blocks are written in the order of
+    ``_CHUNK_TRIPLETS`` triplets per usable CPU, and the chunks run across
+    those CPUs (``_pool._run_chunks``), each into its own rows of
+    ``indices`` and ``data``.  Its blocks are written in the order of
     the whole matrix's block stream: volume, minus-diagonal, minus-off,
     plus-diagonal, plus-off, each in intersection order.  So every row gets
     the same triplet sequence as in one conversion of the whole stream.
@@ -214,8 +218,8 @@ def _assemble_by_rows(space: DgSpace, volume, faces, face_rule=None,
     indices = np.empty(indptr[-1], dtype=indptr.dtype)
     data = np.empty(indptr[-1])
 
-    step = max(1, _CHUNK_TRIPLETS * m // max(triplets, 1))
-    chunks = range(0, m, step)
+    step = max(1, _per_worker(_CHUNK_TRIPLETS) * m // max(triplets, 1))
+    chunks = [slice(lo, min(lo + step, m)) for lo in range(0, m, step)]
     # per side, its intersections grouped by the chunk of their own
     # element, in intersection order within a chunk, and the group bounds
     sides = []
@@ -225,8 +229,9 @@ def _assemble_by_rows(space: DgSpace, volume, faces, face_rule=None,
             order = np.argsort(chunk, kind="stable")
             sides.append((order, np.searchsorted(
                 chunk[order], np.arange(len(chunks) + 1))))
-    for k, lo in enumerate(chunks):
-        hi = min(lo + step, m)
+
+    def fill(rows):
+        lo, hi, k = rows.start, rows.stop, rows.start // step
         sel = [order[bounds[k]:bounds[k + 1]] for order, bounds in sides]
         part = _chunk_csr(_chunk_blocks(space, volume, faces, face_rule,
                                         grads, lo, hi, sel),
@@ -239,6 +244,8 @@ def _assemble_by_rows(space: DgSpace, volume, faces, face_rule=None,
                 f"pattern of {b - a} row by row")
         indices[a:b] = part.indices
         data[a:b] = part.data
+
+    _run_chunks(fill, chunks)
     mat = sp.csr_matrix((data, indices, indptr), shape=(dofs, dofs))
     return SparseSystem(matrix=mat, rhs=None, space=space)
 
@@ -416,8 +423,10 @@ def assemble_rhs(space: DgSpace, surface: LevelSetSurface, f) -> np.ndarray:
     per element int f(xi(x)) phi(x) dA_h.
 
     The points are built and projected, and f is evaluated, per chunk of
-    elements (``geometry._chunks``), which bounds the temporaries; each
-    point is handled on its own, so the chunks change no value.
+    elements (``geometry._chunks``), which bounds the temporaries, and the
+    chunks run across the usable CPUs (``_pool._run_chunks``); each point
+    is handled on its own, so the chunks change no value.  So ``f`` and
+    the surface's callables may be called from several threads at once.
     """
     mesh = _require_edges(space.mesh)
     tri_rule = get_quadrature("triangle", _quad_degrees(space.degree)[0])
@@ -425,12 +434,15 @@ def assemble_rhs(space: DgSpace, surface: LevelSetSurface, f) -> np.ndarray:
     vref = _values(space.degree, tri_rule.points)
     fn = getattr(f, "value", f)
     fvals = np.empty((len(mesh.triangles), len(w)))
-    for part in _chunks(len(fvals), len(w)):
+
+    def lift(part):
         pts = np.einsum("qk,mkd->mqd", tri_rule.points,
                         mesh.vertices[mesh.triangles[part]])
         fvals[part] = np.reshape(
             fn(project_points(surface, pts.reshape(-1, 3)).points),
             (-1, len(w)))
+
+    _run_chunks(lift, _chunks(len(fvals), len(w)))
     rhs = 2.0 * mesh.jacobian_areas[:, None] * np.einsum(
         "q,mq,qi->mi", w, fvals, vref)
     return rhs.ravel()

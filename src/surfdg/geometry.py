@@ -27,6 +27,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ._pool import _per_worker, _run_chunks
+
 __all__ = [
     "EvaluationError",
     "DegenerateGradientError",
@@ -296,16 +298,18 @@ def _polish_onto_surface(surface, x, p, g, tol):
     return x, p, g
 
 
-# seeds per _project_batch call in project_points: the projection holds
-# about 450 bytes of temporaries per point, so a whole degree-6 error rule
-# on a fine mesh (a million points) would need 450 MB at once
+# seeds per _project_batch call in project_points on one CPU, shared by
+# the usable CPUs: the projection holds about 450 bytes of temporaries per
+# point, so a whole degree-6 error rule on a fine mesh (a million points)
+# would need 450 MB at once
 _LIFT_BATCH = 1 << 16
 
 
 def _chunks(count: int, points: int) -> list:
     """Slices of ``count`` items of ``points`` points each, about
-    ``_LIFT_BATCH`` points (and at least one item) per slice."""
-    step = max(1, _LIFT_BATCH // points)
+    ``_LIFT_BATCH`` points per usable CPU (and at least one item) per
+    slice."""
+    step = max(1, _per_worker(_LIFT_BATCH) // points)
     return [slice(start, start + step) for start in range(0, count, step)]
 
 
@@ -530,24 +534,28 @@ def project_points(surface: LevelSetSurface, seeds, tol: float = 1e-10,
     Returns an object with ``points``, ``iterations``, ``residuals``,
     ``dropped`` and ``gradients`` (grad phi at the points) arrays.
     Semantics per point match ``project_first_order``.  Seeds are projected
-    in batches of ``_LIFT_BATCH``, which bounds the temporaries; each point
-    is projected on its own, so the batching changes no value.
+    in batches of ``_LIFT_BATCH`` points shared by the usable CPUs, which
+    bounds the temporaries, and the batches run across those CPUs
+    (``_pool._run_chunks``); each point is projected on its own, so the
+    batching changes no value.
     """
     seeds = np.asarray(seeds, dtype=float).reshape(-1, 3)
     n = len(seeds)
-    if n <= _LIFT_BATCH:
+    batch = _per_worker(_LIFT_BATCH)
+    if n <= batch:
         return _project_batch(surface, seeds, tol, max_iter)
-    out = None
-    for start in range(0, n, _LIFT_BATCH):
-        part = _project_batch(surface, seeds[start:start + _LIFT_BATCH],
-                              tol, max_iter)
-        if out is None:
-            # allocated once the first batch has freed its temporaries, so
-            # the output does not add to a single batch's peak
-            out = _BatchProjection(*(np.empty((n,) + a.shape[1:], a.dtype)
-                                     for a in vars(part).values()))
-        for name, arr in vars(part).items():
-            getattr(out, name)[start:start + len(arr)] = arr
+    out = _BatchProjection(
+        points=np.empty((n, 3)), iterations=np.empty(n, dtype=np.int64),
+        residuals=np.empty(n), dropped=np.empty(n, dtype=bool),
+        gradients=np.empty((n, 3)))
+
+    def project(part):
+        done = _project_batch(surface, seeds[part], tol, max_iter)
+        for name, arr in vars(done).items():
+            getattr(out, name)[part] = arr
+
+    _run_chunks(project, [slice(start, start + batch)
+                          for start in range(0, n, batch)])
     return out
 
 

@@ -9,6 +9,7 @@ from numbers import Integral, Real
 
 import numpy as np
 
+from ._pool import _run_chunks
 from .assembly import (PenaltyParams, assemble_rhs, assemble_system,
                        normalize_choice)
 from .dgspace import DgFunction, DgSpace, _ref_grads, _values, get_quadrature
@@ -139,9 +140,10 @@ def _errors(space: DgSpace, problem: TestProblem, coefficients) -> list:
     One pass over chunks of elements lifts the exact solution to the rule
     points and fills every solution's L2 and H1 (m, q) integrands; one
     pass over chunks of intersections traces the jump points and fills
-    every solution's jump terms.  Each norm is then summed over its whole
-    array, so neither the chunks nor the other solutions of the call
-    change a bit.
+    every solution's jump terms.  The chunks of each pass run across the
+    usable CPUs (``_pool._run_chunks``), each into its own rows.  Each norm
+    is then summed over its whole array in the calling thread, so neither
+    the chunks nor the other solutions of the call change a bit.
     """
     mesh = space.mesh
     if mesh.edges is None:
@@ -156,7 +158,8 @@ def _errors(space: DgSpace, problem: TestProblem, coefficients) -> list:
     gref = _ref_grads(space.degree, rule.points)
     l2_rows = [np.empty((m, q)) for _ in coeffs]
     h1_rows = [np.empty((m, q)) for _ in coeffs]
-    for part in _chunks(m, q):
+
+    def lift(part):
         pts = np.einsum("qk,mkd->mqd", rule.points,
                         mesh.vertices[mesh.triangles[part]])
         val, tang = exact_u_on_gammah(problem, pts.reshape(-1, 3))
@@ -176,18 +179,20 @@ def _errors(space: DgSpace, problem: TestProblem, coefficients) -> list:
             gdiff -= grad
             h1[part] = weight * np.einsum("mqd,mqd->mq", gdiff, gdiff)
             del diff, gdiff
-        # free this chunk's arrays before the next chunk builds its own
-        del val, tang, grad, weight
+
+    _run_chunks(lift, _chunks(m, q))
 
     # jump seminorm: the lifted exact solution is single valued, so only
     # u_h jumps across intersections
     edges = mesh.edges
     seg = get_quadrature("segment", 6)
     jump_rows = [np.empty(len(edges)) for _ in coeffs]
-    for part in _chunks(len(edges), len(seg.weights)):
+
+    def trace(part):
         x = space.face_points(seg, part)
         minus = space.trace(edges.minus[part], x)
         plus = space.trace(edges.plus[part], x)
+        del x
         for coeff, jump_sq in zip(coeffs, jump_rows):
             jump = (np.einsum("ei,eki->ek", coeff[edges.plus[part]], plus)
                     - np.einsum("ei,eki->ek", coeff[edges.minus[part]],
@@ -195,7 +200,8 @@ def _errors(space: DgSpace, problem: TestProblem, coefficients) -> list:
             # weights: w_k * |e| per point, then the 1/h_e jump factor
             jump_sq[part] = np.sum(seg.weights[None, :] * jump**2, axis=1)
             del jump
-        del x, minus, plus
+
+    _run_chunks(trace, _chunks(len(edges), len(seg.weights)))
     errors = []
     for l2, h1, jump_sq in zip(l2_rows, h1_rows, jump_rows):
         l2_sq = np.sum(l2)

@@ -10,15 +10,12 @@ Every product with A runs on contiguous row blocks across the usable
 CPUs and gives the bits of ``A @ v``.
 """
 
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse._sparsetools import csr_matvec
 
-from . import assembly
+from . import _pool
 from .assembly import _sparse, check_symmetry
 
 _SYM_RTOL = 1e-10
@@ -66,31 +63,6 @@ def jacobi_precondition(matrix) -> JacobiPreconditioner:
     return JacobiPreconditioner(1.0 / d)
 
 
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not every platform has CPU affinity
-        return os.cpu_count() or 1
-
-
-# the threads that run every block but the first of a product, shared by
-# every solve of the process; made on the first product with two blocks,
-# and again in a forked child, which inherits the executor but not its
-# threads
-_pool = None  # (pid, executor)
-_pool_lock = threading.Lock()
-
-
-def _executor() -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] != os.getpid():
-            _pool = (os.getpid(), ThreadPoolExecutor(
-                max_workers=max(1, _usable_cpus() - 1),
-                thread_name_prefix="surfdg-product"))
-        return _pool[1]
-
-
 class _RowBlockProduct:
     """v -> A v over ``blocks`` contiguous row blocks of about equal stored
     entries, as bits of ``A @ v``.
@@ -126,7 +98,7 @@ class _RowBlockProduct:
             return self.a @ v
         y = np.zeros(self.a.shape[0])
         rest = zip(self.bounds[1:-1], self.bounds[2:])
-        futures = [_executor().submit(self._rows, lo, hi, v, y)
+        futures = [_pool._executor().submit(self._rows, lo, hi, v, y)
                    for lo, hi in rest]
         try:
             self._rows(self.bounds[0], self.bounds[1], v, y)
@@ -138,8 +110,8 @@ class _RowBlockProduct:
 
 def _product(a) -> _RowBlockProduct:
     """A's product split over the usable CPUs, with at least
-    ``assembly._CHUNK_TRIPLETS`` stored entries per block."""
-    blocks = min(_usable_cpus(), a.nnz // assembly._CHUNK_TRIPLETS)
+    ``_pool._PRODUCT_FLOOR`` stored entries per block."""
+    blocks = min(_pool._usable_cpus(), a.nnz // _pool._PRODUCT_FLOOR)
     return _RowBlockProduct(a, max(1, blocks))
 
 

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import dziuk_space, flat_grid, flat_pair, traced_bytes
-from surfdg import assembly, geometry
+from surfdg import _pool, assembly, geometry
 from surfdg.assembly import (
     CHOICES,
     PenaltyError,
@@ -384,7 +384,9 @@ def test_rhs_batches_do_not_change_values(monkeypatch, name, degree,
                                      _quad_degrees(degree)[0]).weights)
     m = len(mesh.triangles)
     step = next(b for b in range(2, m) if (m - 1) % b == 0)
-    monkeypatch.setattr(geometry, "_LIFT_BATCH", step * rule_points)
+    # chunks of ``step`` elements per usable CPU
+    monkeypatch.setattr(geometry, "_LIFT_BATCH",
+                        step * rule_points * _pool._usable_cpus())
     assert len(geometry._chunks(m, rule_points)) == (m - 1) // step + 1
     batched = assemble_rhs(space, surf, problem.f)
     monkeypatch.undo()

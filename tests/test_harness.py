@@ -9,7 +9,7 @@ import pytest
 
 import surfdg.harness as harness
 from conftest import flat_grid, traced_bytes
-from surfdg import geometry
+from surfdg import _pool, geometry
 from surfdg.assembly import PenaltyParams, assemble_rhs, assemble_system
 from surfdg.dgspace import DgFunction, DgSpace, get_quadrature, interpolate
 from surfdg.geometry import ScalarField3, make_plane, make_sphere
@@ -239,7 +239,9 @@ def test_error_chunks_do_not_change_values(monkeypatch, name, degree,
 
     m = len(mesh.triangles)
     step = next(b for b in range(2, m) if (m - 1) % b == 0)
-    monkeypatch.setattr(geometry, "_LIFT_BATCH", step * rule_points)
+    # chunks of ``step`` elements per usable CPU
+    monkeypatch.setattr(geometry, "_LIFT_BATCH",
+                        step * rule_points * _pool._usable_cpus())
     assert len(geometry._chunks(m, rule_points)) == (m - 1) // step + 1
     chunked = errors()  # first, so no freed buffer helps it
     monkeypatch.undo()
@@ -249,10 +251,14 @@ def test_error_chunks_do_not_change_values(monkeypatch, name, degree,
 
 @pytest.mark.parametrize("degree", [1, 2])
 def test_first_errors_call_memory_does_not_grow(monkeypatch, degree):
-    """At a fixed chunk size, the first error call keeps nothing, and its
-    peak above the integrands it must hold (two (m, q) arrays and one
-    per-intersection array) does not grow from 4 to 5 Dziuk refinements:
-    the lift and the traces are built chunk by chunk."""
+    """At a fixed chunk size on one CPU, the first error call keeps
+    nothing, and its peak above the integrands it must hold (two (m, q)
+    arrays and one per-intersection array) does not grow from 4 to 5
+    Dziuk refinements: the lift and the traces are built chunk by chunk.
+    (With chunks in flight on several threads the peak depends on how
+    they overlap; ``test_errors_chunks_in_flight_hold_one_budget`` bounds
+    it.)"""
+    monkeypatch.setattr(_pool, "_usable_cpus", lambda: 1)
     monkeypatch.setattr(geometry, "_LIFT_BATCH", 2048 * 12)
     prob = make_problem("dziuk")
     q = len(get_quadrature("triangle", 6).weights)
@@ -269,6 +275,31 @@ def test_first_errors_call_memory_does_not_grow(monkeypatch, degree):
         integrands = 8 * (2 * len(mesh.triangles) * q + len(mesh.edges))
         above.append(peak - integrands)
     assert above[1] <= above[0]
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_errors_chunks_in_flight_hold_one_budget(monkeypatch, degree):
+    """With two workers, each chunk gets half the point budget, so the
+    error call on the 5-refinement Dziuk mesh peaks above its integrands
+    at no more than two such chunks run one after another on one CPU, and
+    keeps nothing."""
+    prob = make_problem("dziuk")
+    q = len(get_quadrature("triangle", 6).weights)
+    mesh = initial_mesh(prob.surface, "icosahedron")
+    for _ in range(5):
+        mesh = refine_uniform(mesh, prob.surface)
+    u_h = DgFunction(DgSpace(mesh, degree), np.zeros(
+        len(mesh.triangles) * (3 if degree == 1 else 6)))
+    integrands = 8 * (2 * len(mesh.triangles) * q + len(mesh.edges))
+    peaks = {}
+    for cpus, batch in ((1, 1024 * 12), (2, 2048 * 12)):
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(geometry, "_LIFT_BATCH", batch)
+        assert len(geometry._chunks(len(mesh.triangles), q)) == 20
+        _, peak, kept = traced_bytes(lambda: compute_errors(u_h, prob))
+        assert kept == 0
+        peaks[cpus] = peak - integrands
+    assert peaks[2] <= 2 * peaks[1]
 
 
 # ------------------------------------------------------- run_convergence

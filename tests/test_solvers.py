@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 from conftest import dziuk_space, traced_bytes
 
-from surfdg import assembly, solvers
+from surfdg import _pool, assembly, solvers
 from surfdg.assembly import PenaltyParams, assemble_rhs, assemble_system
 from surfdg.dgspace import DgSpace
 from surfdg.geometry import make_sphere
@@ -30,8 +30,8 @@ def force_blocks(monkeypatch, a, blocks):
     """Make the solvers split every product with ``a`` into ``blocks`` row
     blocks, whatever the CPUs: as many usable CPUs, and a floor of
     stored entries per block that ``a`` meets ``blocks`` times."""
-    monkeypatch.setattr(solvers, "_usable_cpus", lambda: blocks)
-    monkeypatch.setattr(assembly, "_CHUNK_TRIPLETS", a.nnz // blocks)
+    monkeypatch.setattr(_pool, "_usable_cpus", lambda: blocks)
+    monkeypatch.setattr(_pool, "_PRODUCT_FLOOR", a.nnz // blocks)
     assert len(solvers._product(a).bounds) == blocks + 1
 
 
@@ -379,7 +379,8 @@ def test_cg_holds_no_matrix_sized_temporary(monkeypatch, degree, blocks):
     a = _dziuk_system(4, degree, 2).matrix
     chunk = a.nnz // 16
     monkeypatch.setattr(assembly, "_CHUNK_TRIPLETS", chunk)
-    monkeypatch.setattr(solvers, "_usable_cpus", lambda: blocks or 1)
+    monkeypatch.setattr(_pool, "_PRODUCT_FLOOR", chunk)
+    monkeypatch.setattr(_pool, "_usable_cpus", lambda: blocks or 1)
     assert len(solvers._product(a).bounds) == (blocks or 1) + 1
     b = np.ones(a.shape[0])
     rep, peak, kept = traced_bytes(
@@ -393,20 +394,20 @@ def test_cg_holds_no_matrix_sized_temporary(monkeypatch, degree, blocks):
 def test_product_pool_made_once_and_reused(monkeypatch):
     """The first product with two blocks makes the process-wide pool;
     later solves reuse it and its thread."""
-    monkeypatch.setattr(solvers, "_pool", None)
+    monkeypatch.setattr(_pool, "_shared", None)
     a = tridiagonal(2000)
     b = np.ones(2000)
     force_blocks(monkeypatch, a, 2)
     try:
         assert cg(a, b).converged
-        pool = solvers._pool
+        pool = _pool._shared
         threads = threading.active_count()
         assert bicgstab(a, b).converged and cg(a, b).converged
-        assert solvers._pool is pool
+        assert _pool._shared is pool
         assert threading.active_count() == threads
     finally:
-        if solvers._pool is not None:
-            solvers._pool[1].shutdown(wait=True)
+        if _pool._shared is not None:
+            _pool._shared[1].shutdown(wait=True)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
@@ -439,14 +440,14 @@ def test_one_block_starts_no_thread(monkeypatch, cpus, floor):
     """With one usable CPU, or a matrix below the floor of stored entries
     per block, every product is one block in the calling thread: no pool
     is made and no thread starts."""
-    monkeypatch.setattr(solvers, "_pool", None)
-    monkeypatch.setattr(solvers, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(_pool, "_shared", None)
+    monkeypatch.setattr(_pool, "_usable_cpus", lambda: cpus)
     if floor is not None:
-        monkeypatch.setattr(assembly, "_CHUNK_TRIPLETS", floor)
+        monkeypatch.setattr(_pool, "_PRODUCT_FLOOR", floor)
     a = tridiagonal(2000)
-    assert a.nnz < assembly._CHUNK_TRIPLETS or cpus == 1
+    assert a.nnz < _pool._PRODUCT_FLOOR or cpus == 1
     threads = threading.active_count()
     for solve in (cg, bicgstab):
         assert solve(a, np.ones(2000)).converged
-    assert solvers._pool is None
+    assert _pool._shared is None
     assert threading.active_count() == threads

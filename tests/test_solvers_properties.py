@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from surfdg import assembly, solvers
+from surfdg import _pool, solvers
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -57,8 +57,8 @@ def test_other_sparse_input_is_one_block(monkeypatch, convert):
     as one block, whatever the CPUs and the floor allow."""
     dense = np.random.default_rng(0).integers(-3, 4, (30, 30)).astype(float)
     a = convert(dense)
-    monkeypatch.setattr(solvers, "_usable_cpus", lambda: 4)
-    monkeypatch.setattr(assembly, "_CHUNK_TRIPLETS", 1)
+    monkeypatch.setattr(_pool, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(_pool, "_PRODUCT_FLOOR", 1)
     product = solvers._product(a)
     assert product.bounds == [0, 30]
     x = np.random.default_rng(1).standard_normal(30)
@@ -71,10 +71,10 @@ def test_dense_input_multiplies_its_csr_conversion(monkeypatch):
     past the floor, it is split like any CSR matrix, with its bits."""
     dense = np.random.default_rng(2).standard_normal((30, 30))
     b = np.ones(30)
-    monkeypatch.setattr(solvers, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(_pool, "_usable_cpus", lambda: 4)
     a, product = solvers._setup(dense, b, None)[:2]
     assert a.format == "csr" and product.bounds == [0, 30]
-    monkeypatch.setattr(assembly, "_CHUNK_TRIPLETS", 1)
+    monkeypatch.setattr(_pool, "_PRODUCT_FLOOR", 1)
     a, product = solvers._setup(dense, b, None)[:2]
     assert len(product.bounds) == 5
     x = np.random.default_rng(3).standard_normal(30)
