@@ -1,11 +1,11 @@
-"""The one process-wide thread pool of the package, and the helper that
-runs the chunks of a loop on it.
+"""How the package cuts its work, and the one process-wide thread pool
+that runs the pieces.
 
 The chunked loops (the rhs, the matrix rows, the errors and the point
-projection) and the Krylov products split their work over the usable
-CPUs.  Every chunk writes only its own slice of an output, and every sum
-over a whole array stays one call in the calling thread, so the split
-changes no bit.
+projection) take their slices from ``_slices``, the Krylov products and
+the symmetry check their row blocks from ``_row_blocks``.  Every chunk
+writes only its own slice of an output, and every sum over a whole array
+stays one call in the calling thread, so the split changes no bit.
 """
 
 import contextvars
@@ -13,6 +13,14 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
+
+# points per lift chunk or projection batch on one CPU: a projection holds
+# about 450 bytes of temporaries per point, 450 MB for a million at once
+_LIFT_BATCH = 1 << 16
+# triplets per row chunk of an assembly on one CPU, and stored entries per
+# row block of the symmetry check: the temporaries beyond the matrix
+_CHUNK_TRIPLETS = 1 << 18
 # stored entries per row block below which a Krylov product is not split
 _PRODUCT_FLOOR = 1 << 18
 
@@ -24,10 +32,24 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _per_worker(budget: int) -> int:
-    """A chunk budget shared by the usable CPUs, so that the chunks in
-    flight together hold what one chunk held on one CPU."""
-    return max(1, budget // _usable_cpus())
+def _slices(count: int, total: int, budget: int) -> list:
+    """Consecutive slices of ``count`` items that together cost ``total``
+    (points, triplets), each of as many items as cost about ``budget``
+    shared by the usable CPUs, and at least one; so the chunks in flight
+    together cost what one chunk costs on one CPU."""
+    per_worker = max(1, budget // _usable_cpus())
+    step = max(1, per_worker * count // max(total, 1))
+    return [slice(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
+def _row_blocks(indptr, parts: int) -> list:
+    """Bounds [0, ..., rows] of ``parts`` CSR row blocks of about equal
+    stored entries: block k starts at the first row whose entries begin
+    at or after k / parts of them.  A row longer than a share leaves
+    empty blocks (equal bounds)."""
+    cuts = np.searchsorted(indptr,
+                           int(indptr[-1]) * np.arange(1, parts) // parts)
+    return [0, *map(int, cuts), len(indptr) - 1]
 
 
 # the threads that run every chunk and block but the calling thread's

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from ._pool import _per_worker, _run_chunks
+from . import _pool
 from .dgspace import DgSpace, _ref_grads, _values, get_quadrature
-from .geometry import LevelSetSurface, _chunks, project_points
+from .geometry import LevelSetSurface, project_points
 from .mesh import EdgeIntersection, SurfaceMesh, _require_edges
 
 CHOICES = ("1", "2", "3", "4", "4T")
@@ -174,13 +174,6 @@ def _volume_block(space: DgSpace, rule, part=slice(None)) -> np.ndarray:
         + mass_ref[None, :, :])
 
 
-# about this many COO triplets per row chunk of an assembled matrix on one
-# CPU (shared by the usable CPUs), and stored entries per row chunk of the
-# symmetry check; a chunk's triplets or lookups are the temporaries beyond
-# the matrix
-_CHUNK_TRIPLETS = 1 << 18
-
-
 def _assemble_by_rows(space: DgSpace, volume, faces, face_rule=None,
                       grads: bool = False) -> SparseSystem:
     """CSR matrix of dense (n, n) element-pair blocks, summed one chunk of
@@ -194,8 +187,8 @@ def _assemble_by_rows(space: DgSpace, volume, faces, face_rule=None,
     ``face_rule`` (``grads`` adds the gradients).  Either may be None.
 
     A chunk holds the rows of consecutive elements, about
-    ``_CHUNK_TRIPLETS`` triplets per usable CPU, and the chunks run across
-    those CPUs (``_pool._run_chunks``), each into its own rows of
+    ``_pool._CHUNK_TRIPLETS`` triplets per usable CPU, and the chunks run
+    across those CPUs (``_pool._run_chunks``), each into its own rows of
     ``indices`` and ``data``.  Its blocks are written in the order of
     the whole matrix's block stream: volume, minus-diagonal, minus-off,
     plus-diagonal, plus-off, each in intersection order.  So every row gets
@@ -218,8 +211,8 @@ def _assemble_by_rows(space: DgSpace, volume, faces, face_rule=None,
     indices = np.empty(indptr[-1], dtype=indptr.dtype)
     data = np.empty(indptr[-1])
 
-    step = max(1, _per_worker(_CHUNK_TRIPLETS) * m // max(triplets, 1))
-    chunks = [slice(lo, min(lo + step, m)) for lo in range(0, m, step)]
+    chunks = _pool._slices(m, triplets, _pool._CHUNK_TRIPLETS)
+    step = chunks[0].stop if chunks else 1  # elements per chunk
     # per side, its intersections grouped by the chunk of their own
     # element, in intersection order within a chunk, and the group bounds
     sides = []
@@ -245,7 +238,7 @@ def _assemble_by_rows(space: DgSpace, volume, faces, face_rule=None,
         indices[a:b] = part.indices
         data[a:b] = part.data
 
-    _run_chunks(fill, chunks)
+    _pool._run_chunks(fill, chunks)
     mat = sp.csr_matrix((data, indices, indptr), shape=(dofs, dofs))
     return SparseSystem(matrix=mat, rhs=None, space=space)
 
@@ -423,7 +416,7 @@ def assemble_rhs(space: DgSpace, surface: LevelSetSurface, f) -> np.ndarray:
     per element int f(xi(x)) phi(x) dA_h.
 
     The points are built and projected, and f is evaluated, per chunk of
-    elements (``geometry._chunks``), which bounds the temporaries, and the
+    elements (``_pool._slices``), which bounds the temporaries, and the
     chunks run across the usable CPUs (``_pool._run_chunks``); each point
     is handled on its own, so the chunks change no value.  So ``f`` and
     the surface's callables may be called from several threads at once.
@@ -436,13 +429,13 @@ def assemble_rhs(space: DgSpace, surface: LevelSetSurface, f) -> np.ndarray:
     fvals = np.empty((len(mesh.triangles), len(w)))
 
     def lift(part):
-        pts = np.einsum("qk,mkd->mqd", tri_rule.points,
-                        mesh.vertices[mesh.triangles[part]])
+        pts = space.element_points(tri_rule, part)
         fvals[part] = np.reshape(
             fn(project_points(surface, pts.reshape(-1, 3)).points),
             (-1, len(w)))
 
-    _run_chunks(lift, _chunks(len(fvals), len(w)))
+    m, q = fvals.shape
+    _pool._run_chunks(lift, _pool._slices(m, m * q, _pool._LIFT_BATCH))
     rhs = 2.0 * mesh.jacobian_areas[:, None] * np.einsum(
         "q,mq,qi->mi", w, fvals, vref)
     return rhs.ravel()
@@ -458,25 +451,24 @@ def _sparse(matrix):
 def check_symmetry(matrix) -> float:
     """Largest absolute entry of A - A^T.
 
-    A canonical real CSR matrix is walked in row chunks of about
-    ``_CHUNK_TRIPLETS`` stored entries: each stored a_ij is compared with
-    the stored a_ji, or with 0 where A holds none, looked up by scipy in
-    row j.  Every entry of the listed difference A - A^T is one of these
-    differences up to sign, and the zero differences are the entries it
-    drops, so the result is the same float; only one chunk's lookups are
-    held at a time.
+    A canonical real CSR matrix is walked in row blocks of about
+    ``_pool._CHUNK_TRIPLETS`` stored entries (``_pool._row_blocks``): each
+    stored a_ij is compared with the stored a_ji, or with 0 where A holds
+    none, looked up by scipy in row j.  Every entry of the listed
+    difference A - A^T is one of these differences up to sign, and the
+    zero differences are the entries it drops, so the result is the same
+    float, wherever the rows are cut; only one block's lookups are held at
+    a time.
     """
     a = _sparse(matrix)
     if not (a.format == "csr" and a.dtype.kind == "f"
             and a.has_canonical_format):
         diff = (a - a.T).tocoo()
         return float(np.abs(diff.data).max()) if diff.nnz else 0.0
-    indptr, rows = a.indptr, a.shape[0]
+    indptr = a.indptr
+    bounds = _pool._row_blocks(indptr, -(-a.nnz // _pool._CHUNK_TRIPLETS))
     worst = 0.0
-    lo = 0
-    while lo < rows:
-        hi = max(lo + 1, int(np.searchsorted(
-            indptr, indptr[lo] + _CHUNK_TRIPLETS, side="right")) - 1)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
         part = slice(indptr[lo], indptr[hi])
         cols = a.indices[part]
         if cols.size:
@@ -487,7 +479,6 @@ def check_symmetry(matrix) -> float:
             np.subtract(a.data[part], d, out=d)
             # np.maximum keeps a NaN that Python's max would drop
             worst = np.maximum(worst, np.abs(d, out=d).max())
-        lo = hi
     return float(worst)
 
 

@@ -209,6 +209,13 @@ class DgSpace:
         return vals, np.einsum("ekna,ead->eknd",
                                _ref_grads(self.degree, lam), tmap)
 
+    def element_points(self, rule: QuadratureRule, ids=slice(None)
+                       ) -> np.ndarray:
+        """Points (E, q, 3) of triangle rule ``rule`` on the flat elements
+        ``ids`` (all by default)."""
+        corners = self.mesh.vertices[self.mesh.triangles[ids]]
+        return np.einsum("qk,mkd->mqd", rule.points, corners)
+
     def face_points(self, rule: QuadratureRule, ids=slice(None)
                     ) -> np.ndarray:
         """Points (E, k, 3) of segment rule ``rule`` on the intersections

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from ._pool import _per_worker, _run_chunks
+from . import _pool
 
 __all__ = [
     "EvaluationError",
@@ -298,21 +298,6 @@ def _polish_onto_surface(surface, x, p, g, tol):
     return x, p, g
 
 
-# seeds per _project_batch call in project_points on one CPU, shared by
-# the usable CPUs: the projection holds about 450 bytes of temporaries per
-# point, so a whole degree-6 error rule on a fine mesh (a million points)
-# would need 450 MB at once
-_LIFT_BATCH = 1 << 16
-
-
-def _chunks(count: int, points: int) -> list:
-    """Slices of ``count`` items of ``points`` points each, about
-    ``_LIFT_BATCH`` points per usable CPU (and at least one item) per
-    slice."""
-    step = max(1, _per_worker(_LIFT_BATCH) // points)
-    return [slice(start, start + step) for start in range(0, count, step)]
-
-
 @dataclass
 class _BatchProjection:
     points: np.ndarray
@@ -534,15 +519,15 @@ def project_points(surface: LevelSetSurface, seeds, tol: float = 1e-10,
     Returns an object with ``points``, ``iterations``, ``residuals``,
     ``dropped`` and ``gradients`` (grad phi at the points) arrays.
     Semantics per point match ``project_first_order``.  Seeds are projected
-    in batches of ``_LIFT_BATCH`` points shared by the usable CPUs, which
-    bounds the temporaries, and the batches run across those CPUs
+    in batches of ``_pool._LIFT_BATCH`` points shared by the usable CPUs,
+    which bounds the temporaries, and the batches run across those CPUs
     (``_pool._run_chunks``); each point is projected on its own, so the
     batching changes no value.
     """
     seeds = np.asarray(seeds, dtype=float).reshape(-1, 3)
     n = len(seeds)
-    batch = _per_worker(_LIFT_BATCH)
-    if n <= batch:
+    batches = _pool._slices(n, n, _pool._LIFT_BATCH)
+    if len(batches) <= 1:
         return _project_batch(surface, seeds, tol, max_iter)
     out = _BatchProjection(
         points=np.empty((n, 3)), iterations=np.empty(n, dtype=np.int64),
@@ -554,8 +539,7 @@ def project_points(surface: LevelSetSurface, seeds, tol: float = 1e-10,
         for name, arr in vars(done).items():
             getattr(out, name)[part] = arr
 
-    _run_chunks(project, [slice(start, start + batch)
-                          for start in range(0, n, batch)])
+    _pool._run_chunks(project, batches)
     return out
 
 

@@ -9,11 +9,10 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from ._pool import _run_chunks
+from . import _pool
 from .assembly import (PenaltyParams, assemble_rhs, assemble_system,
                        normalize_choice)
 from .dgspace import DgFunction, DgSpace, _ref_grads, _values, get_quadrature
-from .geometry import _chunks
 from .mesh import (SurfaceMesh, initial_mesh, mesh_width,
                    refine_nonconforming, refine_uniform)
 from .problems import TestProblem, exact_u_on_gammah, make_problem
@@ -160,8 +159,7 @@ def _errors(space: DgSpace, problem: TestProblem, coefficients) -> list:
     h1_rows = [np.empty((m, q)) for _ in coeffs]
 
     def lift(part):
-        pts = np.einsum("qk,mkd->mqd", rule.points,
-                        mesh.vertices[mesh.triangles[part]])
+        pts = space.element_points(rule, part)
         val, tang = exact_u_on_gammah(problem, pts.reshape(-1, 3))
         del pts
         val = val.reshape(-1, q)
@@ -180,7 +178,7 @@ def _errors(space: DgSpace, problem: TestProblem, coefficients) -> list:
             h1[part] = weight * np.einsum("mqd,mqd->mq", gdiff, gdiff)
             del diff, gdiff
 
-    _run_chunks(lift, _chunks(m, q))
+    _pool._run_chunks(lift, _pool._slices(m, m * q, _pool._LIFT_BATCH))
 
     # jump seminorm: the lifted exact solution is single valued, so only
     # u_h jumps across intersections
@@ -201,7 +199,8 @@ def _errors(space: DgSpace, problem: TestProblem, coefficients) -> list:
             jump_sq[part] = np.sum(seg.weights[None, :] * jump**2, axis=1)
             del jump
 
-    _run_chunks(trace, _chunks(len(edges), len(seg.weights)))
+    e, k = len(edges), len(seg.weights)
+    _pool._run_chunks(trace, _pool._slices(e, e * k, _pool._LIFT_BATCH))
     errors = []
     for l2, h1, jump_sq in zip(l2_rows, h1_rows, jump_rows):
         l2_sq = np.sum(l2)

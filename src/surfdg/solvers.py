@@ -65,7 +65,7 @@ def jacobi_precondition(matrix) -> JacobiPreconditioner:
 
 class _RowBlockProduct:
     """v -> A v over ``blocks`` contiguous row blocks of about equal stored
-    entries, as bits of ``A @ v``.
+    entries (``_pool._row_blocks``), as bits of ``A @ v``.
 
     A block is rows lo:hi of A: the slice ``indptr[lo:hi + 1]`` with A's
     own ``data`` and ``indices``, so no entry is copied.  The first block
@@ -80,13 +80,8 @@ class _RowBlockProduct:
     def __init__(self, a, blocks: int):
         self.a = a
         self.csr = a.format == "csr" and a.dtype == np.float64
-        if not self.csr:
-            blocks = 1
-        # block k starts at the first row whose entries begin at or after
-        # k / blocks of the stored entries
-        cuts = np.searchsorted(a.indptr, a.nnz * np.arange(1, blocks)
-                               // blocks) if self.csr else []
-        self.bounds = [0, *map(int, cuts), a.shape[0]]
+        self.bounds = (_pool._row_blocks(a.indptr, blocks) if self.csr
+                       else [0, a.shape[0]])
 
     def _rows(self, lo, hi, v, y):
         a = self.a

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import dziuk_space, flat_grid, flat_pair, traced_bytes
-from surfdg import _pool, assembly, geometry
+from surfdg import _pool, assembly
 from surfdg.assembly import (
     CHOICES,
     PenaltyError,
@@ -385,9 +385,10 @@ def test_rhs_batches_do_not_change_values(monkeypatch, name, degree,
     m = len(mesh.triangles)
     step = next(b for b in range(2, m) if (m - 1) % b == 0)
     # chunks of ``step`` elements per usable CPU
-    monkeypatch.setattr(geometry, "_LIFT_BATCH",
+    monkeypatch.setattr(_pool, "_LIFT_BATCH",
                         step * rule_points * _pool._usable_cpus())
-    assert len(geometry._chunks(m, rule_points)) == (m - 1) // step + 1
+    slices = _pool._slices(m, m * rule_points, _pool._LIFT_BATCH)
+    assert len(slices) == (m - 1) // step + 1
     batched = assemble_rhs(space, surf, problem.f)
     monkeypatch.undo()
     assert np.array_equal(batched, assemble_rhs(space, surf, problem.f))
@@ -405,7 +406,7 @@ def test_assemble_system_memory(monkeypatch, degree):
     space = dziuk_space(4, degree)
     n = space.dofs_per_element
     triplets = n * n * (len(space.mesh.triangles) + 4 * len(space.mesh.edges))
-    monkeypatch.setattr(assembly, "_CHUNK_TRIPLETS", triplets // 16)
+    monkeypatch.setattr(_pool, "_CHUNK_TRIPLETS", triplets // 16)
     chunks = []
     convert = assembly._chunk_csr
 
@@ -434,7 +435,7 @@ def test_chunk_off_the_pattern_is_refused(monkeypatch):
             blocks.pop()
         return convert(blocks, lo, *rest)
 
-    monkeypatch.setattr(assembly, "_CHUNK_TRIPLETS", 2000)
+    monkeypatch.setattr(_pool, "_CHUNK_TRIPLETS", 2000)
     monkeypatch.setattr(assembly, "_chunk_csr", drop_last_block)
     with pytest.raises(RuntimeError, match=r"row chunk 1 \(elements \d+ to"):
         assemble_system(space, 2, PenaltyParams())
@@ -476,8 +477,8 @@ def test_check_symmetry_equals_listed_difference(monkeypatch, seed, kind):
     """The row-chunk comparison returns, bit for bit, the largest entry of
     the listed difference A - A^T, with the default chunk and with chunks
     of 5 entries, which cross rows."""
-    for chunk in (assembly._CHUNK_TRIPLETS, 5):
-        monkeypatch.setattr(assembly, "_CHUNK_TRIPLETS", chunk)
+    for chunk in (_pool._CHUNK_TRIPLETS, 5):
+        monkeypatch.setattr(_pool, "_CHUNK_TRIPLETS", chunk)
         rng = np.random.default_rng(seed)
         for _ in range(40):
             a = _random_csr(rng, kind)
@@ -508,7 +509,7 @@ def test_check_symmetry_memory(monkeypatch, degree):
     column indices: it holds no transposed copy."""
     a = assemble_system(dziuk_space(4, degree), 2, PenaltyParams()).matrix
     chunk = a.nnz // 16
-    monkeypatch.setattr(assembly, "_CHUNK_TRIPLETS", chunk)
+    monkeypatch.setattr(_pool, "_CHUNK_TRIPLETS", chunk)
     _, peak, kept = traced_bytes(lambda: check_symmetry(a))
     assert peak <= 2 * chunk * (a.data.itemsize + a.indices.itemsize)
     assert kept == 0

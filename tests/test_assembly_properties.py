@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from conftest import flat_grid, perturbed_mesh
-from surfdg import assembly
+from surfdg import _pool, assembly
 from surfdg.assembly import (PenaltyParams, assemble_mass_stiffness,
                              assemble_penalty_matrix, assemble_system,
                              check_symmetry)
@@ -110,7 +110,7 @@ def test_row_chunks_match_one_shot_conversion(name, degree, nonconforming,
     for what, build in builds.items():
         calls = []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(assembly, "_CHUNK_TRIPLETS", chunk)
+            mp.setattr(_pool, "_CHUNK_TRIPLETS", chunk)
             got = recorded(calls, build).matrix
         ((args, kwargs),) = calls
         want = listed_csr(space, whole_stream(*args, **kwargs))

@@ -160,6 +160,21 @@ def test_node_coords_p2_midpoints():
     assert np.allclose(coords[5], 0.5 * (tri0[2] + tri0[0]), atol=0)
 
 
+def test_element_points_map_the_rule_onto_flat_elements():
+    """The points of a triangle rule on all elements, or on a slice of
+    them, are the barycentric combinations of each element's vertices,
+    bit for bit, and lie in the elements' planes."""
+    mesh = initial_mesh(make_sphere(), "icosahedron")
+    space = DgSpace(mesh, 1)
+    rule = get_quadrature("triangle", 6)
+    want = np.einsum("qk,mkd->mqd", rule.points, mesh.triangle_vertices())
+    assert space.element_points(rule).tobytes() == want.tobytes()
+    part = slice(3, 7)
+    assert space.element_points(rule, part).tobytes() == want[part].tobytes()
+    offsets = want - mesh.triangle_vertices()[:, :1, :]
+    assert np.abs(np.einsum("mqd,md->mq", offsets, mesh.normals)).max() < 1e-14
+
+
 def test_interpolation_reproduces_polynomials():
     mesh = flat_grid(4)
     rng = np.random.default_rng(2)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import surfdg.geometry as geometry
+from surfdg import _pool
 from conftest import tube_points
 from surfdg.geometry import (
     DegenerateGradientError,
@@ -295,7 +296,7 @@ def test_project_points_batches_do_not_change_values(monkeypatch):
     seeds = np.vstack([tube_points(surf, n=30, seed=19),
                        rng.uniform(-1.5, 1.5, (20, 3))])
     whole = project_points(surf, seeds)
-    monkeypatch.setattr(geometry, "_LIFT_BATCH", 7)
+    monkeypatch.setattr(_pool, "_LIFT_BATCH", 7)
     parts = project_points(surf, seeds)
     for f in ("points", "iterations", "residuals", "dropped", "gradients"):
         assert np.array_equal(getattr(parts, f), getattr(whole, f))

@@ -9,7 +9,7 @@ import pytest
 
 import surfdg.harness as harness
 from conftest import flat_grid, traced_bytes
-from surfdg import _pool, geometry
+from surfdg import _pool
 from surfdg.assembly import PenaltyParams, assemble_rhs, assemble_system
 from surfdg.dgspace import DgFunction, DgSpace, get_quadrature, interpolate
 from surfdg.geometry import ScalarField3, make_plane, make_sphere
@@ -240,9 +240,10 @@ def test_error_chunks_do_not_change_values(monkeypatch, name, degree,
     m = len(mesh.triangles)
     step = next(b for b in range(2, m) if (m - 1) % b == 0)
     # chunks of ``step`` elements per usable CPU
-    monkeypatch.setattr(geometry, "_LIFT_BATCH",
+    monkeypatch.setattr(_pool, "_LIFT_BATCH",
                         step * rule_points * _pool._usable_cpus())
-    assert len(geometry._chunks(m, rule_points)) == (m - 1) // step + 1
+    slices = _pool._slices(m, m * rule_points, _pool._LIFT_BATCH)
+    assert len(slices) == (m - 1) // step + 1
     chunked = errors()  # first, so no freed buffer helps it
     monkeypatch.undo()
     assert chunked == errors()
@@ -259,7 +260,7 @@ def test_first_errors_call_memory_does_not_grow(monkeypatch, degree):
     they overlap; ``test_errors_chunks_in_flight_hold_one_budget`` bounds
     it.)"""
     monkeypatch.setattr(_pool, "_usable_cpus", lambda: 1)
-    monkeypatch.setattr(geometry, "_LIFT_BATCH", 2048 * 12)
+    monkeypatch.setattr(_pool, "_LIFT_BATCH", 2048 * 12)
     prob = make_problem("dziuk")
     q = len(get_quadrature("triangle", 6).weights)
     mesh = initial_mesh(prob.surface, "icosahedron")
@@ -292,10 +293,11 @@ def test_errors_chunks_in_flight_hold_one_budget(monkeypatch, degree):
         len(mesh.triangles) * (3 if degree == 1 else 6)))
     integrands = 8 * (2 * len(mesh.triangles) * q + len(mesh.edges))
     peaks = {}
+    m = len(mesh.triangles)
     for cpus, batch in ((1, 1024 * 12), (2, 2048 * 12)):
         monkeypatch.setattr(_pool, "_usable_cpus", lambda: cpus)
-        monkeypatch.setattr(geometry, "_LIFT_BATCH", batch)
-        assert len(geometry._chunks(len(mesh.triangles), q)) == 20
+        monkeypatch.setattr(_pool, "_LIFT_BATCH", batch)
+        assert len(_pool._slices(m, m * q, _pool._LIFT_BATCH)) == 20
         _, peak, kept = traced_bytes(lambda: compute_errors(u_h, prob))
         assert kept == 0
         peaks[cpus] = peak - integrands

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import perturbed_mesh
-from surfdg import geometry, harness
+from surfdg import _pool, harness
 from surfdg.dgspace import DgFunction, DgSpace
 from surfdg.harness import compute_errors
 from surfdg.problems import make_problem
@@ -32,7 +32,7 @@ def test_batched_errors_equal_lone_calls(name, degree, nonconforming, seed,
     coefficients = [rng.standard_normal(space.total_dofs)
                     for _ in range(solutions)]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(geometry, "_LIFT_BATCH", batch)
+        mp.setattr(_pool, "_LIFT_BATCH", batch)
         batched = harness._errors(space, problem, coefficients)
     assert len(batched) == solutions
     for coeff, errors in zip(coefficients, batched):

@@ -9,8 +9,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from surfdg import _pool, assembly, geometry, harness
+from surfdg import _pool, geometry, harness
 from surfdg.assembly import assemble_rhs
 from surfdg.dgspace import DgSpace
 from surfdg.geometry import ProjectionError, project_points
@@ -31,6 +33,85 @@ def workers(monkeypatch):
     yield force
     if _pool._shared is not None:
         _pool._shared[1].shutdown(wait=True)
+
+
+# the three cutters that ``_pool._slices`` replaced, as they were written
+# in the loops; a slice of the first two may end past ``count``
+def _old_lift_chunks(count, points, budget, cpus):
+    step = max(1, max(1, budget // cpus) // points)
+    return [slice(start, start + step) for start in range(0, count, step)]
+
+
+def _old_projection_batches(n, budget, cpus):
+    batch = max(1, budget // cpus)
+    return [slice(start, start + batch) for start in range(0, n, batch)]
+
+
+def _old_assembly_chunks(m, triplets, budget, cpus):
+    step = max(1, max(1, budget // cpus) * m // max(triplets, 1))
+    return [slice(lo, min(lo + step, m)) for lo in range(0, m, step)]
+
+
+def _items(slices, count):
+    return [range(count)[s] for s in slices]
+
+
+@settings(max_examples=300, deadline=None)
+@given(count=st.integers(0, 400), points=st.integers(1, 30),
+       total=st.integers(0, 1 << 16), budget=st.integers(1, 1 << 14),
+       cpus=st.integers(1, 5))
+@example(count=0, points=6, total=0, budget=1 << 16, cpus=2)
+@example(count=7, points=6, total=0, budget=1 << 16, cpus=1)
+@example(count=3, points=1, total=3, budget=8, cpus=5)
+@example(count=2, points=30, total=60, budget=3, cpus=4)
+@example(count=4, points=1, total=2, budget=1, cpus=2)  # budget < CPUs
+def test_slices_equal_the_old_cutters(count, points, total, budget, cpus):
+    """``_slices`` selects the items of the lift chunks (total = count x
+    points), the projection batches (total = count) and the assembly row
+    chunks (any total of triplets) as the loops cut them before, also for
+    no items, no cost, one CPU and fewer items than CPUs; and its slices
+    cover ``range(count)`` once, in order, clipped at ``count``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_pool, "_usable_cpus", lambda: cpus)
+        cuts = {
+            "lift": (_pool._slices(count, count * points, budget),
+                     _old_lift_chunks(count, points, budget, cpus)),
+            "projection": (_pool._slices(count, count, budget),
+                           _old_projection_batches(count, budget, cpus)),
+            "assembly": (_pool._slices(count, total, budget),
+                         _old_assembly_chunks(count, total, budget, cpus)),
+        }
+    for what, (new, old) in cuts.items():
+        assert _items(new, count) == _items(old, count), what
+        assert [i for r in _items(new, count) for i in r] == list(
+            range(count)), what
+        assert all(0 <= s.start < s.stop <= count for s in new), what
+
+
+@settings(max_examples=300, deadline=None)
+@given(lengths=st.lists(st.integers(0, 4), max_size=40),
+       long_row=st.integers(0, 200), at=st.integers(0, 40),
+       parts=st.integers(1, 9))
+@example(lengths=[], long_row=0, at=0, parts=3)
+@example(lengths=[0, 0, 0], long_row=0, at=1, parts=2)
+@example(lengths=[1, 1], long_row=50, at=1, parts=4)
+def test_row_blocks_cut_at_equal_shares(lengths, long_row, at, parts):
+    """``_row_blocks`` gives ``parts`` + 1 nondecreasing bounds from 0 to
+    the row count, each block starting at the first row whose entries
+    begin at or after its share of them, as the Krylov product cut them
+    before; also with empty rows, and with a row longer than a share,
+    which leaves empty blocks."""
+    lengths = lengths[:at] + [long_row] + lengths[at:]
+    indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.int32)
+    nnz, rows = int(indptr[-1]), len(lengths)
+    bounds = _pool._row_blocks(indptr, parts)
+    old = np.searchsorted(indptr, nnz * np.arange(1, parts) // parts)
+    assert bounds == [0, *old.tolist(), rows]
+    assert all(type(b) is int for b in bounds)
+    assert all(lo <= hi for lo, hi in zip(bounds, bounds[1:]))
+    for k, b in enumerate(bounds[1:-1], start=1):
+        share = nnz * k // parts
+        assert indptr[b] >= share and (b == 0 or indptr[b - 1] < share)
 
 
 def _two_threads():
@@ -147,8 +228,9 @@ def test_nested_projection_in_rhs_does_not_deadlock(monkeypatch):
     serial = assemble_rhs(space, surf, problem.f)
     monkeypatch.setattr(_pool, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(_pool, "_shared", None)
-    monkeypatch.setattr(geometry, "_LIFT_BATCH", 8)  # 4 points per worker
-    assert geometry._chunks(len(mesh.triangles), 6)[0] == slice(0, 1)
+    monkeypatch.setattr(_pool, "_LIFT_BATCH", 8)  # 4 points per worker
+    m = len(mesh.triangles)
+    assert _pool._slices(m, m * 6, _pool._LIFT_BATCH)[0] == slice(0, 1)
     batches = []
     project = geometry._project_batch
 
@@ -217,12 +299,12 @@ def test_first_failing_chunk_in_order_is_raised(monkeypatch, workers,
     space = DgSpace(mesh, 1)
     seeds = np.random.default_rng(5).uniform(-1.2, 1.2, (600, 3))
     if where == "project_points":
-        monkeypatch.setattr(geometry, "_LIFT_BATCH", 60)
+        monkeypatch.setattr(_pool, "_LIFT_BATCH", 60)
 
         def run():
             return project_points(surf, seeds)
     else:
-        monkeypatch.setattr(geometry, "_LIFT_BATCH", 6 * 8)
+        monkeypatch.setattr(_pool, "_LIFT_BATCH", 6 * 8)
 
         def run():
             return assemble_rhs(space, surf, problem.f)
@@ -299,8 +381,8 @@ def test_ladders_keep_their_bits_on_1_2_and_3_workers(monkeypatch, name):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_pool, "_usable_cpus", lambda: cpus)
             mp.setattr(_pool, "_shared", None)
-            mp.setattr(geometry, "_LIFT_BATCH", 1 << 11)
-            mp.setattr(assembly, "_CHUNK_TRIPLETS", 1 << 12)
+            mp.setattr(_pool, "_LIFT_BATCH", 1 << 11)
+            mp.setattr(_pool, "_CHUNK_TRIPLETS", 1 << 12)
             mp.setattr(_pool, "_PRODUCT_FLOOR", 1 << 10)
             try:
                 prints.append(_fingerprint(

@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse as sp
 from conftest import dziuk_space, traced_bytes
 
-from surfdg import _pool, assembly, solvers
+from surfdg import _pool, solvers
 from surfdg.assembly import PenaltyParams, assemble_rhs, assemble_system
 from surfdg.dgspace import DgSpace
 from surfdg.geometry import make_sphere
@@ -378,7 +378,7 @@ def test_cg_holds_no_matrix_sized_temporary(monkeypatch, degree, blocks):
     under the same bound, so the split copies no entry either."""
     a = _dziuk_system(4, degree, 2).matrix
     chunk = a.nnz // 16
-    monkeypatch.setattr(assembly, "_CHUNK_TRIPLETS", chunk)
+    monkeypatch.setattr(_pool, "_CHUNK_TRIPLETS", chunk)
     monkeypatch.setattr(_pool, "_PRODUCT_FLOOR", chunk)
     monkeypatch.setattr(_pool, "_usable_cpus", lambda: blocks or 1)
     assert len(solvers._product(a).bounds) == (blocks or 1) + 1
