@@ -262,11 +262,21 @@ def _solve_choices(space, problem, tags, penalty, solver, tol,
                    level) -> dict:
     """rhs, then assemble+solve on ``space`` for every choice in ``tags``,
     then the errors of all solutions at once; maps each tag to
-    (report, u_h, l2, dg)."""
+    (report, u_h, l2, dg).
+
+    The choices run across the usable CPUs (``_pool._run_chunks``, one
+    chunk per choice), each into its own place of the reports; the loops
+    and products inside a choice then run in its thread, so no bit moves,
+    and a failure is the one of the first failing choice in order."""
     with _stage(f"assemble/solve stage failed at level {level}"):
         rhs = assemble_rhs(space, problem.surface, problem.f)
-        reports = [_solve_level(space, tag, penalty, rhs, solver, tol)
-                   for tag in tags]
+        reports = [None] * len(tags)
+
+        def solve(k):
+            reports[k] = _solve_level(space, tags[k], penalty, rhs, solver,
+                                      tol)
+
+        _pool._run_chunks(solve, range(len(tags)))
     with _stage(f"error stage failed at level {level}"):
         errors = _errors(space, problem, [r.solution for r in reports])
     return {tag: (report, DgFunction(space, report.solution), l2, dg)

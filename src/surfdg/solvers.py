@@ -6,8 +6,8 @@ iterating.  CG refuses non-symmetric input and reports
 pAp <= 0 as indefiniteness, which in this package almost always means
 the jump penalty was forced below its stability bound.  Convergence is
 certified against the true residual b - Ax, not the recurrence residual.
-Every product with A runs on contiguous row blocks across the usable
-CPUs and gives the bits of ``A @ v``.
+Every product with A outside a parallel stage runs on contiguous row
+blocks across the usable CPUs; every product gives the bits of ``A @ v``.
 """
 
 from dataclasses import dataclass
@@ -105,7 +105,11 @@ class _RowBlockProduct:
 
 def _product(a) -> _RowBlockProduct:
     """A's product split over the usable CPUs, with at least
-    ``_pool._PRODUCT_FLOOR`` stored entries per block."""
+    ``_pool._PRODUCT_FLOOR`` stored entries per block.  Inside a chunk of
+    a parallel stage it is one block: the pool's threads may all run that
+    stage, and a block queued behind them would wait on its own caller."""
+    if _pool._in_stage.get():
+        return _RowBlockProduct(a, 1)
     blocks = min(_pool._usable_cpus(), a.nnz // _pool._PRODUCT_FLOOR)
     return _RowBlockProduct(a, max(1, blocks))
 

@@ -4,6 +4,7 @@ the serial loop's failures, error state and nesting."""
 import hashlib
 import multiprocessing
 import os
+import sys
 import threading
 import time
 
@@ -321,8 +322,13 @@ def test_first_failing_chunk_in_order_is_raised(monkeypatch, workers,
 
 def _fingerprint(monkeypatch, ladder):
     """sha256 of every rhs, matrix (indptr, indices, data) and solution of
-    ``ladder()``, in call order, and the float.hex of its errors."""
-    prints = []
+    ``ladder()``, each keyed by (level, choice, call), and the float.hex of
+    its errors.  The choices of a level may run at once, so their calls
+    come in any order; the key names each call once, the level by its
+    element count."""
+    prints = {}
+    lock = threading.Lock()
+    choice_of = {}  # id of an assembled system -> (level, choice)
 
     def sha(*arrays):
         h = hashlib.sha256()
@@ -330,22 +336,33 @@ def _fingerprint(monkeypatch, ladder):
             h.update(np.ascontiguousarray(a).tobytes())
         return h.hexdigest()
 
-    def wrap(name, digest):
+    def wrap(name, key, digest):
         fn = getattr(harness, name)
 
         def wrapped(*args, **kwargs):
             out = fn(*args, **kwargs)
-            prints.append((name, digest(out)))
+            with lock:
+                k = key(args, out) + (name,)
+                assert k not in prints
+                prints[k] = digest(out)
             return out
         monkeypatch.setattr(harness, name, wrapped)
 
-    wrap("assemble_rhs", sha)
-    wrap("assemble_system", lambda s: sha(s.matrix.indptr, s.matrix.indices,
-                                          s.matrix.data))
+    def system_key(args, system):
+        level_choice = (len(args[0].mesh.triangles), args[1])
+        choice_of[id(system)] = level_choice
+        return level_choice
+
+    wrap("assemble_rhs", lambda args, _: (len(args[0].mesh.triangles), None),
+         sha)
+    wrap("assemble_system", system_key,
+         lambda s: sha(s.matrix.indptr, s.matrix.indices, s.matrix.data))
     for solver in ("cg", "bicgstab"):
-        wrap(solver, lambda r: (sha(r.solution), r.iterations,
-                                r.final_relative_residual.hex()))
+        wrap(solver, lambda args, _: choice_of.pop(id(args[0])),
+             lambda r: (sha(r.solution), r.iterations,
+                        r.final_relative_residual.hex()))
     errors = ladder()
+    assert not choice_of  # every assembled system was solved
     return prints, [e.hex() for e in errors]
 
 
@@ -393,3 +410,68 @@ def test_ladders_keep_their_bits_on_1_2_and_3_workers(monkeypatch, name):
     assert len(prints[0][0]) >= 6
     assert prints[1] == prints[0]
     assert prints[2] == prints[0]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+@pytest.mark.filterwarnings("ignore:This process:DeprecationWarning")
+def test_concurrent_choices_finish_with_the_serial_errors(monkeypatch):
+    """A two-refinement nonconforming Dziuk comparison of Choices 1-4, its
+    choices run at once on 2 and on 3 workers with products above the
+    floor and a short thread switch interval, finishes (in a forked
+    child, given 60 s) with the errors of the one-worker run, bit for
+    bit; a lost report would leave a choice without errors."""
+    def compare():
+        return _errors_of(compare_choices(RunConfig(
+            surface="dziuk", nonconforming=True, refinements=2),
+            ["1", "2", "3", "4"]))
+
+    monkeypatch.setattr(_pool, "_PRODUCT_FLOOR", 1 << 10)
+    monkeypatch.setattr(_pool, "_usable_cpus", lambda: 1)
+    serial = compare()
+
+    def concurrent():
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for cpus in (2, 3):
+                _pool._usable_cpus = lambda: cpus
+                _pool._shared = None
+                assert compare() == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    _finishes_in_child(concurrent)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_first_failing_choice_in_order_is_raised(monkeypatch, workers, cpus):
+    """Choice 1 failing after a pause and Choice 3 failing at once end the
+    comparison with Choice 1's failure, named by its stage, with 1 and
+    with 3 workers; with 3, the two run at once, so Choice 3 fails
+    first."""
+    assemble = harness.assemble_system
+    meet = _two_threads() if cpus > 1 else (lambda k: None)
+    called = []
+
+    def failing(space, choice, penalty):
+        called.append(choice)
+        if choice in ("1", "3"):
+            meet(0)
+        if choice == "1":
+            time.sleep(0.2)
+            raise RuntimeError("choice 1 poisoned")
+        if choice == "3":
+            raise RuntimeError("choice 3 poisoned")
+        return assemble(space, choice, penalty)
+
+    monkeypatch.setattr(harness, "assemble_system", failing)
+    workers(cpus)
+    with pytest.raises(harness.HarnessError) as info:
+        compare_choices(RunConfig(surface="sphere", refinements=1),
+                        ["1", "3", "4"])
+    assert str(info.value) == ("assemble/solve stage failed at level 0: "
+                               "choice 1 poisoned")
+    if cpus == 1:
+        assert called == ["1"]
+    else:
+        assert {"1", "3"} <= set(called)

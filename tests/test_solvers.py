@@ -451,3 +451,25 @@ def test_one_block_starts_no_thread(monkeypatch, cpus, floor):
         assert solve(a, np.ones(2000)).converged
     assert _pool._shared is None
     assert threading.active_count() == threads
+
+
+def test_product_inside_a_stage_is_one_block(monkeypatch):
+    """A product that two CPUs would split is one block in the calling
+    thread inside a chunk of a parallel stage, where a split block could
+    wait on a pool thread busy with the stage: the bits of ``A @ v``, no
+    pool and no new thread."""
+    monkeypatch.setattr(_pool, "_shared", None)
+    a = tridiagonal(2000)
+    force_blocks(monkeypatch, a, 2)
+    v = np.random.default_rng(3).standard_normal(2000)
+    threads = threading.active_count()
+    token = _pool._in_stage.set(True)
+    try:
+        product = solvers._product(a)
+        assert product.bounds == [0, 2000]
+        assert product(v).tobytes() == (a @ v).tobytes()
+        assert cg(a, np.ones(2000)).converged
+    finally:
+        _pool._in_stage.reset(token)
+    assert _pool._shared is None
+    assert threading.active_count() == threads
