@@ -15,17 +15,16 @@ from .geometry import (DegenerateGradientError, EvaluationError,
                        laplace_beltrami_normal_field, project_first_order,
                        project_newton, project_points, stopping_residual)
 from .harness import (ChoiceComparison, ConvergenceReport, ConvergenceRow,
-                      RunConfig, compare_choices, compute_dg_error,
-                      compute_eoc, compute_errors, compute_l2_error,
-                      export_vtk, run_convergence, write_csv)
+                      RunConfig, compare_choices, compute_eoc,
+                      compute_errors, export_vtk, run_convergence,
+                      write_csv)
 from .mesh import (EdgeIntersection, EdgeSet, MeshError, NonManifoldError,
                    SurfaceMesh, build_edges, conormal, initial_mesh,
                    mesh_width, read_off, refine_nonconforming,
                    refine_uniform, write_off)
 from .problems import TestProblem, exact_u_on_gammah, make_problem
 from .solvers import (BreakdownError, IndefiniteSystemError,
-                      JacobiPreconditioner, NonSymmetricMatrixError,
-                      SolveReport, SolverError, bicgstab, cg,
-                      jacobi_precondition)
+                      NonSymmetricMatrixError, SolveReport, SolverError,
+                      bicgstab, cg, jacobi_precondition)
 
 __version__ = "0.1.0"

@@ -51,7 +51,8 @@ class PenaltyParams:
 
     With ``omega`` unset, omega_e = sigma * (stability lower bound); the
     global mode uses the mesh-wide maximum bound for every intersection,
-    the per-edge mode each intersection's own bound.
+    the per-edge mode each intersection's own bound.  A given ``omega``
+    is every omega_e, so it refuses a ``sigma`` or ``mode`` of its own.
     """
 
     sigma: float = 2.0
@@ -61,8 +62,19 @@ class PenaltyParams:
     def __post_init__(self):
         if self.sigma < 1.0:
             raise PenaltyError(f"safety factor {self.sigma} < 1")
+        if not np.isfinite(self.sigma):
+            raise PenaltyError(f"safety factor {self.sigma} is not finite")
         if self.mode not in ("global", "per-edge"):
             raise PenaltyError(f"unknown penalty mode {self.mode!r}")
+        if self.omega is None:
+            return
+        if not np.isfinite(self.omega):
+            raise PenaltyError(f"omega {self.omega} is not finite")
+        for name in ("sigma", "mode"):
+            if getattr(self, name) != getattr(PenaltyParams, name):
+                raise PenaltyError(
+                    f"omega {self.omega} fixes every weight; {name} "
+                    f"{getattr(self, name)!r} would be ignored")
 
     def omegas(self, mesh: SurfaceMesh) -> np.ndarray:
         """Per-intersection omega_e, refusing weights at or below the
@@ -136,23 +148,9 @@ def _resolve_batch(tag, nm, npl):
 
 @dataclass
 class SparseSystem:
-    """Assembled CSR matrix (and optionally rhs) over a DgSpace."""
+    """Assembled CSR matrix over a DgSpace."""
 
     matrix: sp.csr_matrix
-    rhs: np.ndarray | None
-    space: DgSpace
-
-    @property
-    def row_offsets(self) -> np.ndarray:
-        return self.matrix.indptr
-
-    @property
-    def column_indices(self) -> np.ndarray:
-        return self.matrix.indices
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.matrix.data
 
 
 def _quad_degrees(degree: int):
@@ -240,7 +238,7 @@ def _assemble_by_rows(space: DgSpace, volume, faces, face_rule=None,
 
     _pool._run_chunks(fill, chunks)
     mat = sp.csr_matrix((data, indices, indptr), shape=(dofs, dofs))
-    return SparseSystem(matrix=mat, rhs=None, space=space)
+    return SparseSystem(matrix=mat)
 
 
 def _row_pointers(m: int, n: int, pairs) -> np.ndarray:
@@ -441,30 +439,40 @@ def assemble_rhs(space: DgSpace, surface: LevelSetSurface, f) -> np.ndarray:
     return rhs.ravel()
 
 
-def _sparse(matrix):
-    """The matrix of a ``SparseSystem``; any other non-sparse input (a
-    dense array or nested lists) as a float CSR matrix."""
+def _sparse(matrix) -> sp.csr_matrix:
+    """The one float64 CSR form of a solver or symmetry-check input: the
+    matrix of a ``SparseSystem``, a dense array or nested lists, or a
+    sparse matrix of any format and real dtype.  A float64 CSR matrix is
+    returned as the same object, so an assembled matrix is never copied;
+    complex input is refused."""
     a = matrix.matrix if isinstance(matrix, SparseSystem) else matrix
-    return a if sp.issparse(a) else sp.csr_matrix(np.asarray(a, dtype=float))
+    if not sp.issparse(a):
+        a = np.asarray(a)
+    if a.dtype.kind == "c":
+        raise ValueError(f"complex matrix ({a.dtype}) not supported: the "
+                         "solvers and the symmetry check take real input")
+    if sp.issparse(a) and a.format == "csr" and a.dtype == np.float64:
+        return a
+    return sp.csr_matrix(a, dtype=np.float64)
 
 
 def check_symmetry(matrix) -> float:
     """Largest absolute entry of A - A^T.
 
-    A canonical real CSR matrix is walked in row blocks of about
-    ``_pool._CHUNK_TRIPLETS`` stored entries (``_pool._row_blocks``): each
-    stored a_ij is compared with the stored a_ji, or with 0 where A holds
-    none, looked up by scipy in row j.  Every entry of the listed
-    difference A - A^T is one of these differences up to sign, and the
-    zero differences are the entries it drops, so the result is the same
-    float, wherever the rows are cut; only one block's lookups are held at
-    a time.
+    A is taken as ``_sparse`` gives it, canonicalized on a copy if its
+    rows are unsorted or hold duplicates, and walked in row blocks of
+    about ``_pool._CHUNK_TRIPLETS`` stored entries
+    (``_pool._row_blocks``): each stored a_ij is compared with the stored
+    a_ji, or with 0 where A holds none, looked up by scipy in row j.
+    Every entry of the listed difference A - A^T is one of these
+    differences up to sign, and the zero differences are the entries it
+    drops, so the result is the same float, wherever the rows are cut;
+    only one block's lookups are held at a time.
     """
     a = _sparse(matrix)
-    if not (a.format == "csr" and a.dtype.kind == "f"
-            and a.has_canonical_format):
-        diff = (a - a.T).tocoo()
-        return float(np.abs(diff.data).max()) if diff.nnz else 0.0
+    if not a.has_canonical_format:
+        a = a.copy()
+        a.sum_duplicates()
     indptr = a.indptr
     bounds = _pool._row_blocks(indptr, -(-a.nnz // _pool._CHUNK_TRIPLETS))
     worst = 0.0

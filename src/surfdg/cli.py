@@ -1,5 +1,5 @@
-"""Command line interface: convergence runs, choice comparisons,
-projection debugging and VTK export."""
+"""Command line interface: convergence runs (with CSV and VTK output),
+choice comparisons and projection debugging."""
 
 import argparse
 import json
@@ -81,15 +81,6 @@ def _cmd_project(args) -> int:
     return 0
 
 
-def _cmd_export(args) -> int:
-    cfg = _load_config(args.config)
-    cfg.output_vtk = args.out
-    report = run_convergence(cfg)
-    _print_report(report)
-    print(f"wrote {args.out}")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="surfdg",
@@ -115,11 +106,6 @@ def main(argv=None) -> int:
                        default="first-order")
     p_prj.add_argument("--tol", type=float, default=1e-10)
     p_prj.set_defaults(fn=_cmd_project)
-
-    p_exp = sub.add_parser("export", help="run a config and write VTK")
-    p_exp.add_argument("--config", required=True)
-    p_exp.add_argument("--out", required=True)
-    p_exp.set_defaults(fn=_cmd_export)
 
     args = parser.parse_args(argv)
     try:

@@ -18,8 +18,6 @@ from .mesh import (SurfaceMesh, initial_mesh, mesh_width,
 from .problems import TestProblem, exact_u_on_gammah, make_problem
 from .solvers import SolveReport, bicgstab, cg
 
-MARKINGS = ("halfspace-x", "all")
-
 
 class HarnessError(RuntimeError):
     pass
@@ -79,7 +77,7 @@ class RunConfig:
             raise HarnessError(f"degree must be 1 or 2, got {self.degree}")
         if self.refinements < 1:
             raise HarnessError("need at least one refinement for an EOC")
-        if self.marking not in MARKINGS:
+        if self.marking != "halfspace-x":
             raise HarnessError(f"unknown marking {self.marking!r}")
         if self.solver not in ("auto", "cg", "bicgstab"):
             raise HarnessError(f"unknown solver {self.solver!r}")
@@ -217,14 +215,6 @@ def compute_errors(u_h: DgFunction, problem: TestProblem) -> tuple:
     return _errors(u_h.space, problem, [u_h.coefficients])[0]
 
 
-def compute_l2_error(u_h: DgFunction, problem: TestProblem) -> float:
-    return compute_errors(u_h, problem)[0]
-
-
-def compute_dg_error(u_h: DgFunction, problem: TestProblem) -> float:
-    return compute_errors(u_h, problem)[1]
-
-
 def _solve_level(space, choice, penalty, rhs, solver, tol) -> SolveReport:
     system = assemble_system(space, choice, penalty)
     if solver == "auto":
@@ -239,12 +229,12 @@ def _marked_halfspace(mesh: SurfaceMesh):
 
 
 def _build_ladder_step(mesh, surface, cfg: RunConfig, step: int):
+    """Uniform refinement, or the nonconforming "halfspace-x" marking: the
+    elements with centroid x > 0 at the first step, then all of them."""
     if not cfg.nonconforming:
         return refine_uniform(mesh, surface)
-    if cfg.marking == "halfspace-x" and step == 0:
-        marked = _marked_halfspace(mesh)
-    else:
-        marked = np.arange(len(mesh.triangles))
+    marked = (_marked_halfspace(mesh) if step == 0
+              else np.arange(len(mesh.triangles)))
     return refine_nonconforming(mesh, marked, surface)
 
 

@@ -45,22 +45,14 @@ class SolveReport:
     converged: bool
 
 
-class JacobiPreconditioner:
-    """Entrywise multiplication by 1/diag(A)."""
-
-    def __init__(self, inv_diag: np.ndarray):
-        self.inv_diag = inv_diag
-
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        return self.inv_diag * v
-
-
-def jacobi_precondition(matrix) -> JacobiPreconditioner:
+def jacobi_precondition(matrix):
+    """v -> v / diag(A), as the entrywise product with 1/diag(A)."""
     d = _sparse(matrix).diagonal()
     if np.any(d == 0.0):
         raise SolverError("zero diagonal entry; Jacobi preconditioner "
                           "undefined")
-    return JacobiPreconditioner(1.0 / d)
+    inv_diag = 1.0 / d
+    return lambda v: inv_diag * v
 
 
 class _RowBlockProduct:
@@ -73,15 +65,13 @@ class _RowBlockProduct:
     each into its slice of one zeroed output vector.  scipy's
     ``csr_matvec``, the kernel of ``A @ v``, sums every row in stored
     order and releases the GIL, so the blocks run at once and each row
-    keeps its sum.  A matrix that is not a float CSR one is one block,
-    multiplied by scipy.
+    keeps its sum.  ``a`` is a float64 CSR matrix, as ``_sparse`` gives
+    every solver input.
     """
 
     def __init__(self, a, blocks: int):
         self.a = a
-        self.csr = a.format == "csr" and a.dtype == np.float64
-        self.bounds = (_pool._row_blocks(a.indptr, blocks) if self.csr
-                       else [0, a.shape[0]])
+        self.bounds = _pool._row_blocks(a.indptr, blocks)
 
     def _rows(self, lo, hi, v, y):
         a = self.a
@@ -89,8 +79,6 @@ class _RowBlockProduct:
                    a.data, v, y[lo:hi])
 
     def __call__(self, v):
-        if not self.csr:
-            return self.a @ v
         y = np.zeros(self.a.shape[0])
         rest = zip(self.bounds[1:-1], self.bounds[2:])
         futures = [_pool._executor().submit(self._rows, lo, hi, v, y)
@@ -116,13 +104,8 @@ def _product(a) -> _RowBlockProduct:
 
 def _setup(system, b, precond):
     a = _sparse(system)
-    if b is None:
-        rhs = getattr(system, "rhs", None)
-        if rhs is None:
-            raise SolverError("no right-hand side: pass b or set system.rhs")
-        b = rhs
     b = np.asarray(b, dtype=float)
-    if a.shape[0] != a.shape[1] or a.shape[0] != b.shape[0]:
+    if a.shape[0] != a.shape[1] or b.shape != (a.shape[0],):
         raise SolverError(f"shape mismatch: A {a.shape}, b {b.shape}")
     # a NaN or inf in either operand would run every iteration to a NaN
     # residual; the largest |a_ij| is found without an |A| copy of the
@@ -150,7 +133,7 @@ def _setup(system, b, precond):
     return a, _product(a), b, m, bnorm, scale
 
 
-def cg(system, b=None, tol: float = 1e-10, max_iter: int | None = None,
+def cg(system, b, tol: float = 1e-10, max_iter: int | None = None,
        precond="none") -> SolveReport:
     """Preconditioned conjugate gradients; symmetric input only.
 
@@ -206,7 +189,7 @@ def cg(system, b=None, tol: float = 1e-10, max_iter: int | None = None,
     return SolveReport(x, it, rel, rel <= tol)
 
 
-def bicgstab(system, b=None, tol: float = 1e-10,
+def bicgstab(system, b, tol: float = 1e-10,
              max_iter: int | None = None, precond="none") -> SolveReport:
     """Preconditioned BiCGSTAB for general square systems.
 

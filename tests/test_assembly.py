@@ -1,5 +1,7 @@
 """IP matrix assembly: penalty bounds, conormal choices, oracles."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -77,6 +79,29 @@ def test_penalty_params_validation():
         PenaltyParams(sigma=0.5)
     with pytest.raises(PenaltyError, match="mode"):
         PenaltyParams(mode="local")
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"sigma": float("nan")}, "safety factor nan is not finite"),
+    ({"sigma": float("inf")}, "safety factor inf is not finite"),
+    ({"omega": float("nan")}, "omega nan is not finite"),
+    ({"omega": float("inf")}, "omega inf is not finite"),
+    ({"omega": 100.0, "sigma": 5.0},
+     "omega 100.0 fixes every weight; sigma 5.0 would be ignored"),
+    ({"omega": 100.0, "mode": "per-edge"},
+     "omega 100.0 fixes every weight; mode 'per-edge' would be ignored"),
+    ({"omega": 100.0, "sigma": 5.0, "mode": "per-edge"},
+     "omega 100.0 fixes every weight; sigma 5.0")],
+    ids=["sigma-nan", "sigma-inf", "omega-nan", "omega-inf", "omega-sigma",
+         "omega-mode", "omega-sigma-mode"])
+def test_penalty_params_refuse_non_finite_and_ignored(kwargs, match):
+    """A non-finite sigma or omega is refused where it is given, not as a
+    NaN matrix at the solve; an omega fixes every weight, so a sigma or
+    mode given with it is refused instead of ignored."""
+    with pytest.raises(PenaltyError, match=f"^{re.escape(match)}"):
+        PenaltyParams(**kwargs)
+    # the defaults, spelt out, are no second setting
+    assert PenaltyParams(omega=100.0, sigma=2.0, mode="global").omega == 100.0
 
 
 def test_penalty_refuses_bound_violations():
@@ -322,12 +347,14 @@ def test_sparse_system_csr_contract():
     space = DgSpace(mesh, 1)
     sys_ = assemble_system(space, 2, PenaltyParams(sigma=2.0))
     n = space.total_dofs
-    assert sys_.matrix.shape == (n, n)
-    assert sys_.row_offsets.shape == (n + 1,)
-    assert sys_.row_offsets[-1] == len(sys_.values)
-    assert sys_.column_indices.max() < n
+    a = sys_.matrix
+    assert a.format == "csr" and a.dtype == np.float64
+    assert a.shape == (n, n)
+    assert a.indptr.shape == (n + 1,)
+    assert a.indptr[-1] == len(a.data)
+    assert a.indices.max() < n
     # row k of a DG matrix couples at most 4 elements (self + neighbours)
-    nnz_per_row = np.diff(sys_.row_offsets)
+    nnz_per_row = np.diff(a.indptr)
     assert nnz_per_row.max() <= 4 * space.dofs_per_element
 
 

@@ -67,10 +67,11 @@ def test_project_newton_method(capsys):
 
 
 def test_export_writes_vtk(tmp_path, capsys):
+    """``run --output-vtk`` is the one VTK export."""
     cfg = write_config(tmp_path)
     vtk = tmp_path / "solution.vtk"
-    assert main(["export", "--config", cfg, "--out", str(vtk)]) == 0
-    assert "wrote" in capsys.readouterr().out
+    assert main(["run", "--config", cfg, "--output-vtk", str(vtk)]) == 0
+    assert "l2_error" in capsys.readouterr().out
     # final mesh of a 1-refinement sphere ladder
     assert read_vtk_counts(vtk) == (42, 80)
 

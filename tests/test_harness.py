@@ -19,10 +19,8 @@ from surfdg.harness import (
     ConvergenceRow,
     RunConfig,
     compare_choices,
-    compute_dg_error,
     compute_eoc,
     compute_errors,
-    compute_l2_error,
     export_vtk,
     read_vtk_counts,
     run_convergence,
@@ -122,7 +120,7 @@ def test_l2_error_zero_solution_sphere():
     prob = make_problem("sphere")
     space = DgSpace(sphere_mesh(2), 1)
     zero = DgFunction(space, np.zeros(space.total_dofs))
-    l2 = compute_l2_error(zero, prob)
+    l2, _ = compute_errors(zero, prob)
     assert abs(l2 - np.sqrt(4.0 * np.pi / 15.0)) < 0.02  # measured 0.0087
 
 
@@ -147,8 +145,7 @@ def test_dg_error_dominates_l2():
     rhs = assemble_rhs(space, prob.surface, prob.f)
     system = assemble_system(space, 2, PenaltyParams(sigma=2.0))
     u_h = DgFunction(space, cg(system, rhs, precond="jacobi").solution)
-    l2 = compute_l2_error(u_h, prob)
-    dg = compute_dg_error(u_h, prob)
+    l2, dg = compute_errors(u_h, prob)
     assert dg >= l2 > 0.0
 
 
@@ -543,6 +540,13 @@ def test_read_vtk_counts_rejects_garbage(tmp_path):
 
 
 # ---------------------------------------------------------- run configs
+
+
+def test_all_marking_is_refused():
+    """The "all" marking, which marked every element at every step and so
+    gave the conforming ladder, is an unknown marking."""
+    with pytest.raises(HarnessError, match="^unknown marking 'all'$"):
+        RunConfig(nonconforming=True, marking="all")
 
 
 def test_runconfig_validation():

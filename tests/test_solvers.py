@@ -151,7 +151,10 @@ def test_jacobi_zero_diagonal():
 def test_setup_errors():
     with pytest.raises(SolverError, match="shape mismatch"):
         cg(np.eye(2), np.ones(3))
-    with pytest.raises(SolverError, match="right-hand side"):
+    for b in (None, np.ones((2, 1))):  # b is a vector of n entries
+        with pytest.raises(SolverError, match="shape mismatch"):
+            cg(np.eye(2), b)
+    with pytest.raises(TypeError, match="'b'"):  # b is required
         cg(np.eye(2))
     with pytest.raises(SolverError, match="preconditioner"):
         cg(np.eye(2), np.ones(2), precond="ilu")
@@ -227,14 +230,14 @@ def test_solvers_agree_on_spd():
 
 
 def test_solvers_consume_assembled_system():
-    """Both solvers accept a SparseSystem and read its rhs."""
+    """Both solvers accept a SparseSystem and its assembled rhs."""
     sph = make_sphere()
     mesh = initial_mesh(sph, "icosahedron")
     space = DgSpace(mesh, 1)
     sys_ = assemble_system(space, 2, PenaltyParams(sigma=2.0))
-    sys_.rhs = assemble_rhs(space, sph, lambda x: 7.0 * x[:, 0] * x[:, 1])
-    rep_cg = cg(sys_, precond="jacobi")
-    rep_bi = bicgstab(sys_, precond="jacobi")
+    b = assemble_rhs(space, sph, lambda x: 7.0 * x[:, 0] * x[:, 1])
+    rep_cg = cg(sys_, b, precond="jacobi")
+    rep_bi = bicgstab(sys_, b, precond="jacobi")
     assert rep_cg.converged and rep_bi.converged
     gap = np.linalg.norm(rep_cg.solution - rep_bi.solution)
     assert gap <= 1e-8 * np.linalg.norm(rep_cg.solution)
@@ -244,8 +247,7 @@ def _dziuk_system(refinements, degree, choice):
     space = dziuk_space(refinements, degree)
     problem = make_problem("dziuk")
     system = assemble_system(space, choice, PenaltyParams())
-    system.rhs = assemble_rhs(space, problem.surface, problem.f)
-    return system
+    return system, assemble_rhs(space, problem.surface, problem.f)
 
 
 def _textbook_cg(a, b, tol, max_iter, m):
@@ -338,12 +340,12 @@ def test_solvers_equal_textbook_loops(monkeypatch, solve, textbook, choice,
     the preconditioner hands back its argument, and also when every
     product is split into 2 or 3 row blocks (None: the default, one block
     below the floor)."""
-    system = _dziuk_system(3, 1, choice)
-    a, b = system.matrix, system.rhs
+    system, b = _dziuk_system(3, 1, choice)
+    a = system.matrix
     if blocks:
         force_blocks(monkeypatch, a, blocks)
     m = jacobi_precondition(a) if precond == "jacobi" else (lambda v: v)
-    rep = solve(system, tol=1e-10, precond=precond)
+    rep = solve(system, b, tol=1e-10, precond=precond)
     x, it, rel = textbook(a, b, 1e-10, 10 * len(b), m)
     assert rep.converged
     assert np.array_equal(rep.solution, x)
@@ -376,7 +378,7 @@ def test_cg_holds_no_matrix_sized_temporary(monkeypatch, degree, blocks):
     copy of the matrix or of its entries, and keeps only the solution.
     Forced to two row blocks per product (one CPU otherwise), it peaks
     under the same bound, so the split copies no entry either."""
-    a = _dziuk_system(4, degree, 2).matrix
+    a = _dziuk_system(4, degree, 2)[0].matrix
     chunk = a.nnz // 16
     monkeypatch.setattr(_pool, "_CHUNK_TRIPLETS", chunk)
     monkeypatch.setattr(_pool, "_PRODUCT_FLOOR", chunk)

@@ -1,10 +1,14 @@
-"""Property tests of the row-block product of the Krylov solvers."""
+"""Property tests of the Krylov solvers' one input path and their
+row-block product."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from conftest import dziuk_space
 
 from surfdg import _pool, solvers
+from surfdg.assembly import PenaltyParams, _sparse, assemble_system, \
+    check_symmetry
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -49,20 +53,102 @@ def test_block_product_equals_scipy_product(case, blocks):
     assert product(x).tobytes() == (a @ x).tobytes()
 
 
-@pytest.mark.parametrize("convert", [sp.csc_matrix, sp.coo_matrix,
-                                     lambda d: sp.csr_matrix(d, dtype=int)],
-                         ids=["csc", "coo", "int-csr"])
-def test_other_sparse_input_is_one_block(monkeypatch, convert):
-    """A sparse matrix that is not a float CSR one is multiplied by scipy
-    as one block, whatever the CPUs and the floor allow."""
-    dense = np.random.default_rng(0).integers(-3, 4, (30, 30)).astype(float)
-    a = convert(dense)
-    monkeypatch.setattr(_pool, "_usable_cpus", lambda: 4)
-    monkeypatch.setattr(_pool, "_PRODUCT_FLOOR", 1)
-    product = solvers._product(a)
-    assert product.bounds == [0, 30]
-    x = np.random.default_rng(1).standard_normal(30)
-    assert product(x).tobytes() == (a @ x).tobytes()
+@st.composite
+def integer_system(draw):
+    """A dense n x n matrix of small integers, symmetric and strictly
+    diagonally dominant (so SPD) unless an upper-triangular part is added,
+    and a right-hand side; every form of it then holds the same values
+    exactly."""
+    n = draw(st.integers(1, 12))
+    s = draw(arrays(np.int64, (n, n), elements=st.integers(-3, 3)))
+    s *= draw(arrays(np.bool_, (n, n)))
+    a = s + s.T
+    a += np.diag(np.abs(a).sum(axis=1) + 1)
+    if not draw(st.booleans()):
+        a += np.triu(draw(arrays(np.int64, (n, n),
+                                 elements=st.integers(0, 2))), 1)
+    return a.astype(float), draw(arrays(np.float64, n, elements=FLOATS))
+
+
+def stored(dense, rng, duplicates):
+    """``dense`` as a float CSR matrix whose rows hold their entries in a
+    random order, each split into two stored entries with ``duplicates``."""
+    rows, cols = np.nonzero(dense)
+    vals = dense[rows, cols]
+    if duplicates:  # v = (v - 1) + 1, exact for small integers
+        rows, cols = np.tile(rows, 2), np.tile(cols, 2)
+        vals = np.concatenate([vals - 1.0, np.ones(len(vals))])
+    order = np.lexsort((rng.random(len(rows)), rows))
+    n = len(dense)
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    return sp.csr_matrix((vals[order], cols[order], indptr), shape=(n, n))
+
+
+FORMS = {
+    "dense": lambda d, rng: d,
+    "csc": lambda d, rng: sp.csc_matrix(d),
+    "coo": lambda d, rng: sp.coo_matrix(d),
+    "int-csr": lambda d, rng: sp.csr_matrix(d.astype(np.int64)),
+    "unsorted-csr": lambda d, rng: stored(d, rng, False),
+    "duplicate-csr": lambda d, rng: stored(d, rng, True),
+}
+
+
+def outcome(fn, *args, **kwargs):
+    """The bits of a solve or a symmetry defect, or the refusal."""
+    try:
+        out = fn(*args, **kwargs)
+    except Exception as e:
+        return type(e), str(e)
+    if isinstance(out, float):
+        return np.float64(out).tobytes()
+    return (out.solution.tobytes(), out.iterations,
+            np.float64(out.final_relative_residual).tobytes(), out.converged)
+
+
+@pytest.mark.parametrize("form", FORMS)
+@settings(max_examples=60, deadline=None)
+@given(case=integer_system(), seed=st.integers(0, 2**32 - 1),
+       precond=st.sampled_from(("none", "jacobi")))
+def test_other_input_is_its_csr(form, case, seed, precond):
+    """Every input form is taken as ``_sparse``'s float64 CSR matrix of
+    it: the same values, the input itself where it is float64 CSR already
+    (unsorted or with duplicates too), and the bits of ``cg``,
+    ``bicgstab`` and ``check_symmetry`` (or their refusal) on that
+    matrix.  The defect is the exact one of the integer matrix."""
+    dense, b = case
+    m = FORMS[form](dense, np.random.default_rng(seed))
+    a = _sparse(m)
+    assert a.format == "csr" and a.dtype == np.float64
+    assert (a is m) == (form in ("unsorted-csr", "duplicate-csr"))
+    assert np.array_equal(a.toarray(), dense)
+    for solve in (solvers.cg, solvers.bicgstab):
+        assert (outcome(solve, m, b, precond=precond)
+                == outcome(solve, a, b, precond=precond))
+    defect = outcome(check_symmetry, m)
+    assert defect == outcome(check_symmetry, a)
+    assert defect == np.float64(np.abs(dense - dense.T).max()).tobytes()
+
+
+def test_complex_input_is_refused():
+    """A complex matrix, sparse or dense, is refused by name before any
+    solve or check, even with a zero imaginary part."""
+    for m in (np.eye(3, dtype=complex), sp.csr_matrix(np.eye(3) * 1j)):
+        for call in (lambda: _sparse(m), lambda: check_symmetry(m),
+                     lambda: solvers.cg(m, np.ones(3)),
+                     lambda: solvers.bicgstab(m, np.ones(3))):
+            with pytest.raises(ValueError, match="^complex matrix"):
+                call()
+
+
+def test_assembled_matrix_is_never_copied():
+    """An assembled matrix, bare or in its ``SparseSystem``, is taken as
+    the same object by the solvers' set-up."""
+    system = assemble_system(dziuk_space(1, 1), 2, PenaltyParams())
+    assert _sparse(system) is system.matrix
+    assert _sparse(system.matrix) is system.matrix
+    b = np.ones(system.matrix.shape[0])
+    assert solvers._setup(system, b, "jacobi")[0] is system.matrix
 
 
 def test_dense_input_multiplies_its_csr_conversion(monkeypatch):
