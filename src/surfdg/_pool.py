@@ -6,6 +6,9 @@ projection) take their slices from ``_slices``, the Krylov products and
 the symmetry check their row blocks from ``_row_blocks``.  Every chunk
 writes only its own slice of an output, and every sum over a whole array
 stays one call in the calling thread, so the split changes no bit.
+``_run_chunks`` is the one way into the pool: the chunked loops, the
+compared choices of a level and the row blocks of a product all go
+through it, so the hand-out and the nesting rule live here alone.
 """
 
 import contextvars
@@ -52,9 +55,9 @@ def _row_blocks(indptr, parts: int) -> list:
     return [0, *map(int, cuts), len(indptr) - 1]
 
 
-# the threads that run every chunk and block but the calling thread's
-# share; made on the first parallel stage or split product, and again in a
-# forked child, which inherits the executor but not its threads
+# the threads that run every chunk but the calling thread's share; made on
+# the first parallel stage, and again in a forked child, which inherits the
+# executor but not its threads
 _shared = None  # (pid, executor)
 _shared_lock = threading.Lock()
 

@@ -378,6 +378,9 @@ def compare_choices(config, choices) -> ChoiceComparison:
     both symmetry classes in one comparison, so a configured ``solver``
     is refused, as are the ``output_csv`` and ``output_vtk`` artifacts.
     """
+    if isinstance(choices, str):  # "13" would iterate as "1" and "3"
+        raise HarnessError(f"choices must be a list of choices, not the "
+                           f"string {choices!r}")
     tags = [normalize_choice(c) for c in choices]
     for i, tag in enumerate(tags):
         if tag in tags[:i]:

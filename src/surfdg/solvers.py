@@ -1,16 +1,18 @@
 """Krylov solvers for the assembled DG systems.
 
 Hand-rolled CG and BiCGSTAB reference implementations with optional
-Jacobi preconditioning.  Both refuse a NaN or inf in A or b before
-iterating.  CG refuses non-symmetric input and reports
+Jacobi preconditioning.  Both refuse a ``tol`` that is not a positive
+finite number, and a NaN or inf in A or b, before iterating.  CG refuses
+non-symmetric input and reports
 pAp <= 0 as indefiniteness, which in this package almost always means
 the jump penalty was forced below its stability bound.  Convergence is
 certified against the true residual b - Ax, not the recurrence residual.
-Every product with A outside a parallel stage runs on contiguous row
-blocks across the usable CPUs; every product gives the bits of ``A @ v``.
+Every product with A runs its row blocks through ``_pool._run_chunks``
+and gives the bits of ``A @ v``.
 """
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 from scipy.sparse._sparsetools import csr_matvec
@@ -55,54 +57,41 @@ def jacobi_precondition(matrix):
     return lambda v: inv_diag * v
 
 
-class _RowBlockProduct:
-    """v -> A v over ``blocks`` contiguous row blocks of about equal stored
-    entries (``_pool._row_blocks``), as bits of ``A @ v``.
+def _product(a):
+    """v -> A v with the bits of ``A @ v``.  A's rows are cut once into
+    contiguous blocks of about equal stored entries
+    (``_pool._row_blocks``): one per usable CPU, with at least
+    ``_pool._PRODUCT_FLOOR`` entries each.  Each product zeroes one
+    output vector and hands the blocks to ``_pool._run_chunks``; a block
+    runs scipy's ``csr_matvec``, the kernel of ``A @ v``, on the slice
+    ``indptr[lo:hi + 1]`` over A's own ``data`` and ``indices`` into its
+    slice of the output.  So no entry is copied, and every row keeps its
+    one sum in stored order.  ``a`` is a float64 CSR matrix, as
+    ``_sparse`` gives every solver input."""
+    blocks = max(1, min(_pool._usable_cpus(), a.nnz // _pool._PRODUCT_FLOOR))
+    bounds = _pool._row_blocks(a.indptr, blocks)
+    spans = list(zip(bounds[:-1], bounds[1:]))
 
-    A block is rows lo:hi of A: the slice ``indptr[lo:hi + 1]`` with A's
-    own ``data`` and ``indices``, so no entry is copied.  The first block
-    runs in the calling thread and the others on the process-wide pool,
-    each into its slice of one zeroed output vector.  scipy's
-    ``csr_matvec``, the kernel of ``A @ v``, sums every row in stored
-    order and releases the GIL, so the blocks run at once and each row
-    keeps its sum.  ``a`` is a float64 CSR matrix, as ``_sparse`` gives
-    every solver input.
-    """
+    def product(v):
+        y = np.zeros(a.shape[0])
 
-    def __init__(self, a, blocks: int):
-        self.a = a
-        self.bounds = _pool._row_blocks(a.indptr, blocks)
-
-    def _rows(self, lo, hi, v, y):
-        a = self.a
-        csr_matvec(hi - lo, a.shape[1], a.indptr[lo:hi + 1], a.indices,
-                   a.data, v, y[lo:hi])
-
-    def __call__(self, v):
-        y = np.zeros(self.a.shape[0])
-        rest = zip(self.bounds[1:-1], self.bounds[2:])
-        futures = [_pool._executor().submit(self._rows, lo, hi, v, y)
-                   for lo, hi in rest]
-        try:
-            self._rows(self.bounds[0], self.bounds[1], v, y)
-        finally:
-            for future in futures:
-                future.result()
+        def rows(span):
+            lo, hi = span
+            csr_matvec(hi - lo, a.shape[1], a.indptr[lo:hi + 1], a.indices,
+                       a.data, v, y[lo:hi])
+        _pool._run_chunks(rows, spans)
         return y
+    return product
 
 
-def _product(a) -> _RowBlockProduct:
-    """A's product split over the usable CPUs, with at least
-    ``_pool._PRODUCT_FLOOR`` stored entries per block.  Inside a chunk of
-    a parallel stage it is one block: the pool's threads may all run that
-    stage, and a block queued behind them would wait on its own caller."""
-    if _pool._in_stage.get():
-        return _RowBlockProduct(a, 1)
-    blocks = min(_pool._usable_cpus(), a.nnz // _pool._PRODUCT_FLOOR)
-    return _RowBlockProduct(a, max(1, blocks))
-
-
-def _setup(system, b, precond):
+def _setup(system, b, tol, precond):
+    # a NaN or negative tol is never met, so CG would end in a false
+    # indefiniteness and BiCGSTAB in a breakdown; 0 runs every iteration,
+    # and inf takes the first iterate
+    if isinstance(tol, bool) or not isinstance(tol, Real) \
+            or not 0.0 < tol < np.inf:
+        raise SolverError(f"tol must be a positive finite number, got "
+                          f"{tol!r}")
     a = _sparse(system)
     b = np.asarray(b, dtype=float)
     if a.shape[0] != a.shape[1] or b.shape != (a.shape[0],):
@@ -140,7 +129,7 @@ def cg(system, b, tol: float = 1e-10, max_iter: int | None = None,
     ``tol`` is relative to |b|; ``max_iter`` defaults to 10 n.  The
     returned residual is the true relative residual.
     """
-    a, product, b, m, bnorm, scale = _setup(system, b, precond)
+    a, product, b, m, bnorm, scale = _setup(system, b, tol, precond)
     defect = check_symmetry(a)
     if defect > _SYM_RTOL * scale:
         raise NonSymmetricMatrixError(
@@ -196,7 +185,7 @@ def bicgstab(system, b, tol: float = 1e-10,
     A rho or omega breakdown restarts once from the current residual;
     a second breakdown raises BreakdownError.
     """
-    _, product, b, m, bnorm, _ = _setup(system, b, precond)
+    _, product, b, m, bnorm, _ = _setup(system, b, tol, precond)
     n = b.shape[0]
     if max_iter is None:
         max_iter = 10 * n

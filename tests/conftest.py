@@ -1,11 +1,14 @@
 """Shared fixtures: flat reference patches, Dziuk spaces, tube-point
-sampling and numpy memory tracing."""
+sampling, numpy memory tracing, the row spans of a Krylov product and
+runs in a forked child."""
 
+import multiprocessing
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from surfdg import _pool
 from surfdg.dgspace import DgSpace
 from surfdg.geometry import (eval_phi, get_surface, grad_phi, make_dziuk,
                              make_plane, project_points)
@@ -149,6 +152,36 @@ def traced_bytes(fn):
     finally:
         tracemalloc.stop()
     return out, peak, kept
+
+
+def product_spans(product, v):
+    """``(spans, product(v))``: the row spans ``(lo, hi)`` that one Krylov
+    product hands to ``_pool._run_chunks``, read from a spy on it."""
+    spans = []
+    run = _pool._run_chunks
+
+    def spy(fn, slices):
+        spans.append(list(slices))
+        run(fn, spans[-1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_pool, "_run_chunks", spy)
+        y = product(v)
+    assert len(spans) == 1
+    return spans[0], y
+
+
+def finishes_in_child(target, timeout=60):
+    """Run ``target`` in a forked child, so that a deadlock fails the test
+    after ``timeout`` seconds instead of hanging the suite; the child must
+    exit cleanly (a failed assert exits with code 1)."""
+    child = multiprocessing.get_context("fork").Process(target=target)
+    child.start()
+    child.join(timeout=timeout)
+    hung = child.is_alive()
+    if hung:
+        child.kill()
+        child.join(timeout=10)
+    assert not hung and child.exitcode == 0
 
 
 @pytest.fixture

@@ -444,6 +444,17 @@ def test_compare_choices_refuses_a_repeated_choice():
             compare_choices(cfg, choices)
 
 
+def test_compare_choices_refuses_a_string():
+    """A string of choices would be compared character by character:
+    "13" as Choices 1, 3 and 2, "4T" as 4 and an unknown T."""
+    cfg = RunConfig(surface="sphere", refinements=1)
+    for choices in ("13", "4T", "22", "2"):
+        with pytest.raises(HarnessError) as err:
+            compare_choices(cfg, choices)
+        assert str(err.value) == ("choices must be a list of choices, not "
+                                  f"the string {choices!r}")
+
+
 def test_compare_choices_needs_two():
     with pytest.raises(HarnessError, match="two choices"):
         compare_choices(RunConfig(surface="sphere", refinements=1), ["2"])

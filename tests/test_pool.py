@@ -2,7 +2,6 @@
 the serial loop's failures, error state and nesting."""
 
 import hashlib
-import multiprocessing
 import os
 import sys
 import threading
@@ -10,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import finishes_in_child
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -176,20 +176,6 @@ def test_numpy_error_state_reaches_pooled_chunks(workers, cpus):
     assert len(set(raised.values())) == cpus
 
 
-def _finishes_in_child(target, timeout=60):
-    """Run ``target`` in a forked child, so that a deadlock fails the test
-    after ``timeout`` seconds instead of hanging the suite; the child must
-    exit cleanly (a failed assert exits with code 1)."""
-    child = multiprocessing.get_context("fork").Process(target=target)
-    child.start()
-    child.join(timeout=timeout)
-    hung = child.is_alive()
-    if hung:
-        child.kill()
-        child.join(timeout=10)
-    assert not hung and child.exitcode == 0
-
-
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 @pytest.mark.filterwarnings("ignore:This process:DeprecationWarning")
 def test_nested_loops_run_serially_in_their_chunk(workers):
@@ -211,7 +197,7 @@ def test_nested_loops_run_serially_in_their_chunk(workers):
         _pool._run_chunks(chunk, range(6))
         assert len(inner) == 30 and all(inner)
 
-    _finishes_in_child(nested)
+    finishes_in_child(nested)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
@@ -245,7 +231,7 @@ def test_nested_projection_in_rhs_does_not_deadlock(monkeypatch):
         assert got.tobytes() == serial.tobytes()
         assert 4 in batches  # the rhs projections were split
 
-    _finishes_in_child(rhs)
+    finishes_in_child(rhs)
 
 
 def _failing_batches(monkeypatch, run):
@@ -440,7 +426,7 @@ def test_concurrent_choices_finish_with_the_serial_errors(monkeypatch):
         finally:
             sys.setswitchinterval(interval)
 
-    _finishes_in_child(concurrent)
+    finishes_in_child(concurrent)
 
 
 @pytest.mark.parametrize("cpus", [1, 3])

@@ -1,13 +1,13 @@
 """CG and BiCGSTAB with true-residual certification."""
 
-import multiprocessing
 import os
 import threading
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import dziuk_space, traced_bytes
+from conftest import dziuk_space, finishes_in_child, product_spans, \
+    traced_bytes
 
 from surfdg import _pool, solvers
 from surfdg.assembly import PenaltyParams, assemble_rhs, assemble_system
@@ -32,7 +32,8 @@ def force_blocks(monkeypatch, a, blocks):
     stored entries per block that ``a`` meets ``blocks`` times."""
     monkeypatch.setattr(_pool, "_usable_cpus", lambda: blocks)
     monkeypatch.setattr(_pool, "_PRODUCT_FLOOR", a.nnz // blocks)
-    assert len(solvers._product(a).bounds) == blocks + 1
+    spans = product_spans(solvers._product(a), np.zeros(a.shape[1]))[0]
+    assert len(spans) == blocks
 
 
 def tridiagonal(n):
@@ -114,7 +115,7 @@ def test_cg_energy_error_monotone():
     x_star = np.linalg.solve(a, b)
     errs = []
     for k in range(1, 26):
-        xk = cg(a, b, tol=0.0, max_iter=k).solution
+        xk = cg(a, b, tol=np.finfo(float).tiny, max_iter=k).solution
         e = x_star - xk
         errs.append(float(e @ a @ e))
     for prev, cur in zip(errs, errs[1:]):
@@ -188,6 +189,29 @@ def test_non_finite_operand_refused_before_iterating(solve, operand, value):
     assert not applied  # each solver preconditions before its first step
 
 
+@pytest.mark.parametrize("solve", [cg, bicgstab], ids=["cg", "bicgstab"])
+@pytest.mark.parametrize("tol", [np.nan, -1.0, 0.0, np.inf],
+                         ids=["nan", "negative", "zero", "inf"])
+def test_tol_not_positive_finite_refused_before_iterating(solve, tol):
+    """A ``tol`` that is not a positive finite number is refused by name
+    before the first preconditioner call: NaN or a negative one is never
+    met (CG used to end in a false indefiniteness, BiCGSTAB in a
+    breakdown), 0 runs all 10 n iterations and inf takes the first
+    iterate."""
+    applied = []
+
+    def precond(v):
+        applied.append(v)
+        return v
+
+    with pytest.raises(SolverError) as err:
+        solve(tridiagonal(2000), np.ones(2000), tol=tol, precond=precond)
+    assert type(err.value) is SolverError
+    assert str(err.value) == \
+        f"tol must be a positive finite number, got {tol!r}"
+    assert not applied
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("solve", [cg, bicgstab], ids=["cg", "bicgstab"])
 def test_overflowing_rhs_norm_refused_by_name(solve):
@@ -202,7 +226,7 @@ def test_overflowing_rhs_norm_refused_by_name(solve):
         "is finite (max |b_i| = 3.000e+200)")
     for big in (1e154, -1.3e154):
         b = np.array([big, 1.0, -2.5])
-        bnorm = solvers._setup(np.eye(3), b, None)[4]
+        bnorm = solvers._setup(np.eye(3), b, 1e-10, None)[4]
         assert bnorm.hex() == np.linalg.norm(b).hex()
         assert solve(np.eye(3), b).converged
 
@@ -383,7 +407,8 @@ def test_cg_holds_no_matrix_sized_temporary(monkeypatch, degree, blocks):
     monkeypatch.setattr(_pool, "_CHUNK_TRIPLETS", chunk)
     monkeypatch.setattr(_pool, "_PRODUCT_FLOOR", chunk)
     monkeypatch.setattr(_pool, "_usable_cpus", lambda: blocks or 1)
-    assert len(solvers._product(a).bounds) == (blocks or 1) + 1
+    spans = product_spans(solvers._product(a), np.zeros(a.shape[1]))[0]
+    assert len(spans) == (blocks or 1)
     b = np.ones(a.shape[0])
     rep, peak, kept = traced_bytes(
         lambda: cg(a, b, max_iter=50, precond="jacobi"))
@@ -424,16 +449,9 @@ def test_forked_child_makes_its_own_pool(monkeypatch):
     assert cg(a, b).converged
 
     def solve_in_child():
-        assert cg(a, b).converged  # exit code 1 otherwise
+        assert cg(a, b).converged
 
-    child = multiprocessing.get_context("fork").Process(target=solve_in_child)
-    child.start()
-    child.join(timeout=60)
-    hung = child.is_alive()
-    if hung:
-        child.kill()
-        child.join(timeout=10)
-    assert not hung and child.exitcode == 0
+    finishes_in_child(solve_in_child)
 
 
 @pytest.mark.parametrize("cpus, floor", [(1, 1), (4, None)],
@@ -455,23 +473,34 @@ def test_one_block_starts_no_thread(monkeypatch, cpus, floor):
     assert threading.active_count() == threads
 
 
-def test_product_inside_a_stage_is_one_block(monkeypatch):
-    """A product that two CPUs would split is one block in the calling
-    thread inside a chunk of a parallel stage, where a split block could
-    wait on a pool thread busy with the stage: the bits of ``A @ v``, no
-    pool and no new thread."""
-    monkeypatch.setattr(_pool, "_shared", None)
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+@pytest.mark.filterwarnings("ignore:This process:DeprecationWarning")
+def test_split_product_inside_a_pooled_chunk(monkeypatch):
+    """A product that two CPUs split into two blocks, called in both
+    chunks of a two-worker ``_run_chunks`` stage, one of them on the
+    pool's only thread, finishes (in a forked child, given 60 s) with the
+    bits of ``A @ v`` in both, and starts no thread beyond the pool's: a
+    block queued on the pool from that thread would wait on itself."""
     a = tridiagonal(2000)
     force_blocks(monkeypatch, a, 2)
     v = np.random.default_rng(3).standard_normal(2000)
-    threads = threading.active_count()
-    token = _pool._in_stage.set(True)
-    try:
+    expected = (a @ v).tobytes()
+
+    def nested():
+        _pool._shared = None
         product = solvers._product(a)
-        assert product.bounds == [0, 2000]
-        assert product(v).tobytes() == (a @ v).tobytes()
-        assert cg(a, np.ones(2000)).converged
-    finally:
-        _pool._in_stage.reset(token)
-    assert _pool._shared is None
-    assert threading.active_count() == threads
+        _pool._run_chunks(lambda k: None, range(2))  # makes the pool
+        threads = threading.active_count()
+        barrier = threading.Barrier(2, timeout=30)
+        seen = {}
+
+        def chunk(k):
+            barrier.wait()  # so the two chunks run on two threads at once
+            seen[k] = (product(v).tobytes(), threading.get_ident())
+        _pool._run_chunks(chunk, range(2))
+        assert sorted(seen) == [0, 1]
+        assert len({thread for _, thread in seen.values()}) == 2
+        assert all(y == expected for y, _ in seen.values())
+        assert threading.active_count() == threads
+
+    finishes_in_child(nested)

@@ -4,7 +4,7 @@ row-block product."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import dziuk_space
+from conftest import dziuk_space, product_spans
 
 from surfdg import _pool, solvers
 from surfdg.assembly import PenaltyParams, _sparse, assemble_system, \
@@ -42,15 +42,20 @@ def csr_and_vector(draw):
 @settings(max_examples=200, deadline=None)
 @given(case=csr_and_vector(), blocks=st.integers(1, 4))
 def test_block_product_equals_scipy_product(case, blocks):
-    """Any split into 1-4 row blocks gives the bits of ``a @ x``: blocks
-    of about equal stored entries that cover every row once, in order."""
+    """Forced to 1-4 row blocks (as many usable CPUs, a floor of one
+    stored entry per block; fewer where ``a`` stores fewer entries), the
+    product hands ``_pool._run_chunks`` blocks that cover every row once,
+    in order, and gives the bits of ``a @ x``."""
     a, x = case
-    product = solvers._RowBlockProduct(a, blocks)
-    bounds = product.bounds
-    assert len(bounds) == blocks + 1
-    assert bounds[0] == 0 and bounds[-1] == a.shape[0]
-    assert all(lo <= hi for lo, hi in zip(bounds, bounds[1:]))
-    assert product(x).tobytes() == (a @ x).tobytes()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_pool, "_usable_cpus", lambda: blocks)
+        mp.setattr(_pool, "_PRODUCT_FLOOR", 1)
+        spans, y = product_spans(solvers._product(a), x)
+    assert len(spans) == max(1, min(blocks, a.nnz))
+    assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
+    assert spans[-1][1] == a.shape[0]
+    assert all(lo <= hi for lo, hi in spans)
+    assert y.tobytes() == (a @ x).tobytes()
 
 
 @st.composite
@@ -148,7 +153,7 @@ def test_assembled_matrix_is_never_copied():
     assert _sparse(system) is system.matrix
     assert _sparse(system.matrix) is system.matrix
     b = np.ones(system.matrix.shape[0])
-    assert solvers._setup(system, b, "jacobi")[0] is system.matrix
+    assert solvers._setup(system, b, 1e-10, "jacobi")[0] is system.matrix
 
 
 def test_dense_input_multiplies_its_csr_conversion(monkeypatch):
@@ -157,11 +162,12 @@ def test_dense_input_multiplies_its_csr_conversion(monkeypatch):
     past the floor, it is split like any CSR matrix, with its bits."""
     dense = np.random.default_rng(2).standard_normal((30, 30))
     b = np.ones(30)
-    monkeypatch.setattr(_pool, "_usable_cpus", lambda: 4)
-    a, product = solvers._setup(dense, b, None)[:2]
-    assert a.format == "csr" and product.bounds == [0, 30]
-    monkeypatch.setattr(_pool, "_PRODUCT_FLOOR", 1)
-    a, product = solvers._setup(dense, b, None)[:2]
-    assert len(product.bounds) == 5
     x = np.random.default_rng(3).standard_normal(30)
-    assert product(x).tobytes() == (a @ x).tobytes()
+    monkeypatch.setattr(_pool, "_usable_cpus", lambda: 4)
+    a, product = solvers._setup(dense, b, 1e-10, None)[:2]
+    assert a.format == "csr" and product_spans(product, x)[0] == [(0, 30)]
+    monkeypatch.setattr(_pool, "_PRODUCT_FLOOR", 1)
+    a, product = solvers._setup(dense, b, 1e-10, None)[:2]
+    spans, y = product_spans(product, x)
+    assert len(spans) == 4
+    assert y.tobytes() == (a @ x).tobytes()
