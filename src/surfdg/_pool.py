@@ -3,12 +3,14 @@ that runs the pieces.
 
 The chunked loops (the rhs, the matrix rows, the errors and the point
 projection) take their slices from ``_slices``, the Krylov products and
-the symmetry check their row blocks from ``_row_blocks``.  Every chunk
+the symmetry check their row blocks from ``_row_blocks``, and the CG
+vector updates their slices from ``_vector_slices``.  Every chunk
 writes only its own slice of an output, and every sum over a whole array
 stays one call in the calling thread, so the split changes no bit.
 ``_run_chunks`` is the one way into the pool: the chunked loops, the
-compared choices of a level and the row blocks of a product all go
-through it, so the hand-out and the nesting rule live here alone.
+compared choices of a level, the row blocks of a product and the CG
+vector updates all go through it, so the hand-out and the nesting rule
+live here alone.
 """
 
 import contextvars
@@ -26,6 +28,9 @@ _LIFT_BATCH = 1 << 16
 _CHUNK_TRIPLETS = 1 << 18
 # stored entries per row block below which a Krylov product is not split
 _PRODUCT_FLOOR = 1 << 18
+# entries per slice below which a CG vector update is not split: on two
+# CPUs a split paid at 245,760 entries, not at 122,880 or 61,440
+_VECTOR_FLOOR = 1 << 16
 
 
 def _usable_cpus() -> int:
@@ -33,6 +38,19 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not every platform has CPU affinity
         return os.cpu_count() or 1
+
+
+def _parts(size: int, floor: int) -> int:
+    """How many pieces to cut work of ``size`` into: one per usable CPU,
+    but no more than leave ``floor`` per piece, and at least one."""
+    return max(1, min(_usable_cpus(), size // floor))
+
+
+def _vector_slices(n: int) -> list:
+    """Equal consecutive slices of ``n`` vector entries: one per usable
+    CPU, with at least ``_VECTOR_FLOOR`` entries each, and at least one."""
+    parts = _parts(n, _VECTOR_FLOOR)
+    return [slice(n * k // parts, n * (k + 1) // parts) for k in range(parts)]
 
 
 def _slices(count: int, total: int, budget: int) -> list:

@@ -503,6 +503,7 @@ def _project_batch(surface, seeds, tol, max_iter,
         dropped[lid] = True
 
     x, p, g = _polish_onto_surface(surface, x_out, p_out, g_out, tol)
+    del x_out, p_out, g_out  # the polish works on copies
     # the reported residual at the polished points
     res = np.empty(n)
     res[dropped] = _phi_residual(p[dropped], g[dropped])

@@ -2,17 +2,29 @@
 
 Hand-rolled CG and BiCGSTAB reference implementations with optional
 Jacobi preconditioning.  Both refuse a ``tol`` that is not a positive
-finite number, and a NaN or inf in A or b, before iterating.  CG refuses
-non-symmetric input and reports
-pAp <= 0 as indefiniteness, which in this package almost always means
-the jump penalty was forced below its stability bound.  Convergence is
-certified against the true residual b - Ax, not the recurrence residual.
+finite number, a ``max_iter`` that is not a non-negative int, and a NaN
+or inf in A or b, before iterating; a preconditioner whose first vector
+has the wrong shape, or whose values make a dot product of the loop NaN
+or inf, is refused by name and iteration.  CG refuses non-symmetric
+input and reports pAp <= 0 as indefiniteness, which in this package
+almost always means the jump penalty was forced below its stability
+bound.  Convergence is certified against the true residual b - Ax, not
+the recurrence residual.
+
 Every product with A runs its row blocks through ``_pool._run_chunks``
-and gives the bits of ``A @ v``.
+and gives the bits of ``A @ v``.  CG's vector updates run in two fused
+stages per iteration, each through ``_pool._run_chunks`` on slices of
+the work vectors: r -= alpha Ap with z = r / diag(A) (Jacobi), then
+x += alpha p with p = z + beta p.  A vector is cut into one slice per
+usable CPU, with at least ``_pool._VECTOR_FLOOR`` entries each
+(``_pool._vector_slices``), so only long vectors split.  Every entry is
+computed by the same operations whichever slice holds it, and every dot
+product and norm stays one whole-vector call, so the split changes no
+bit.
 """
 
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.sparse._sparsetools import csr_matvec
@@ -47,36 +59,41 @@ class SolveReport:
     converged: bool
 
 
-def jacobi_precondition(matrix):
-    """v -> v / diag(A), as the entrywise product with 1/diag(A)."""
-    d = _sparse(matrix).diagonal()
+def _inverse_diagonal(a):
+    d = a.diagonal()
     if np.any(d == 0.0):
         raise SolverError("zero diagonal entry; Jacobi preconditioner "
                           "undefined")
-    inv_diag = 1.0 / d
+    return 1.0 / d
+
+
+def jacobi_precondition(matrix):
+    """v -> v / diag(A), as the entrywise product with 1/diag(A)."""
+    inv_diag = _inverse_diagonal(_sparse(matrix))
     return lambda v: inv_diag * v
 
 
 def _product(a):
-    """v -> A v with the bits of ``A @ v``.  A's rows are cut once into
-    contiguous blocks of about equal stored entries
-    (``_pool._row_blocks``): one per usable CPU, with at least
-    ``_pool._PRODUCT_FLOOR`` entries each.  Each product zeroes one
-    output vector and hands the blocks to ``_pool._run_chunks``; a block
-    runs scipy's ``csr_matvec``, the kernel of ``A @ v``, on the slice
-    ``indptr[lo:hi + 1]`` over A's own ``data`` and ``indices`` into its
-    slice of the output.  So no entry is copied, and every row keeps its
-    one sum in stored order.  ``a`` is a float64 CSR matrix, as
-    ``_sparse`` gives every solver input."""
-    blocks = max(1, min(_pool._usable_cpus(), a.nnz // _pool._PRODUCT_FLOOR))
-    bounds = _pool._row_blocks(a.indptr, blocks)
+    """(v, out=None) -> A v with the bits of ``A @ v``, into ``out`` if
+    given.  A's rows are cut once into contiguous blocks of about equal
+    stored entries (``_pool._row_blocks``): one per usable CPU, with at
+    least ``_pool._PRODUCT_FLOOR`` entries each.  Each product hands the
+    blocks to ``_pool._run_chunks``; a block zeroes its slice of the
+    output and runs scipy's ``csr_matvec``, the kernel of ``A @ v``, on
+    the slice ``indptr[lo:hi + 1]`` over A's own ``data`` and ``indices``
+    into it.  So no entry is copied, and every row keeps its one sum in
+    stored order.  ``a`` is a float64 CSR matrix, as ``_sparse`` gives
+    every solver input."""
+    bounds = _pool._row_blocks(a.indptr,
+                               _pool._parts(a.nnz, _pool._PRODUCT_FLOOR))
     spans = list(zip(bounds[:-1], bounds[1:]))
 
-    def product(v):
-        y = np.zeros(a.shape[0])
+    def product(v, out=None):
+        y = np.empty(a.shape[0]) if out is None else out
 
         def rows(span):
             lo, hi = span
+            y[lo:hi] = 0.0
             csr_matvec(hi - lo, a.shape[1], a.indptr[lo:hi + 1], a.indices,
                        a.data, v, y[lo:hi])
         _pool._run_chunks(rows, spans)
@@ -84,7 +101,21 @@ def _product(a):
     return product
 
 
-def _setup(system, b, tol, precond):
+def _name(precond) -> str:
+    return getattr(precond, "__qualname__", None) or repr(precond)
+
+
+def _finite(value: float, what: str, precond, it: int) -> float:
+    """``value``, a dot product of the loop, refused by name unless it is
+    finite: A and b are, so a NaN or inf there comes from the
+    preconditioner, and the loop would run every iteration on it."""
+    if not np.isfinite(value):
+        raise SolverError(f"non-finite {what} = {value} at iteration {it} "
+                          f"with preconditioner {_name(precond)}")
+    return value
+
+
+def _setup(system, b, tol, precond, max_iter=None):
     # a NaN or negative tol is never met, so CG would end in a false
     # indefiniteness and BiCGSTAB in a breakdown; 0 runs every iteration,
     # and inf takes the first iterate
@@ -92,6 +123,13 @@ def _setup(system, b, tol, precond):
             or not 0.0 < tol < np.inf:
         raise SolverError(f"tol must be a positive finite number, got "
                           f"{tol!r}")
+    # a fraction or a bool would count iterations, a negative or NaN
+    # max_iter would run none
+    if max_iter is not None and (isinstance(max_iter, bool)
+                                 or not isinstance(max_iter, Integral)
+                                 or max_iter < 0):
+        raise SolverError(f"max_iter must be a non-negative integer, got "
+                          f"{max_iter!r}")
     a = _sparse(system)
     b = np.asarray(b, dtype=float)
     if a.shape[0] != a.shape[1] or b.shape != (a.shape[0],):
@@ -111,15 +149,29 @@ def _setup(system, b, tol, precond):
                 f"right-hand side b too large: |b| overflows, though every "
                 f"entry is finite (max |b_i| = {bmax:.3e})")
         raise SolverError(f"non-finite right-hand side b: |b| = {bnorm}")
+    inv_diag = None
     if precond in (None, "none"):
         m = lambda v: v
     elif precond == "jacobi":
-        m = jacobi_precondition(a)
+        inv_diag = _inverse_diagonal(a)
+        m = lambda v: inv_diag * v
     elif callable(precond):
         m = precond
     else:
         raise SolverError(f"unknown preconditioner {precond!r}")
-    return a, _product(a), b, m, bnorm, scale
+    max_iter = 10 * b.shape[0] if max_iter is None else int(max_iter)
+    return a, _product(a), b, m, bnorm, scale, max_iter, inv_diag
+
+
+def _shaped(m, v, precond, it: int):
+    """``m(v)``, refused by name unless it has the shape of ``v``; the
+    solvers check their first preconditioned vector so."""
+    z = m(v)
+    if np.shape(z) != v.shape:
+        raise SolverError(f"preconditioner {_name(precond)} gave shape "
+                          f"{np.shape(z)} for a vector of shape {v.shape} "
+                          f"at iteration {it}")
+    return z
 
 
 def cg(system, b, tol: float = 1e-10, max_iter: int | None = None,
@@ -129,52 +181,73 @@ def cg(system, b, tol: float = 1e-10, max_iter: int | None = None,
     ``tol`` is relative to |b|; ``max_iter`` defaults to 10 n.  The
     returned residual is the true relative residual.
     """
-    a, product, b, m, bnorm, scale = _setup(system, b, tol, precond)
+    a, product, b, m, bnorm, scale, max_iter, inv_diag = _setup(
+        system, b, tol, precond, max_iter)
     defect = check_symmetry(a)
     if defect > _SYM_RTOL * scale:
         raise NonSymmetricMatrixError(
             f"matrix not symmetric: defect {defect:.3e} > "
             f"{_SYM_RTOL:.0e} * {scale:.3e}")
     n = b.shape[0]
-    if max_iter is None:
-        max_iter = 10 * n
     x = np.zeros(n)
     if bnorm == 0.0:
         return SolveReport(x, 0, 0.0, True)
-    # the work vectors x, r and p are updated in place, in the operations
-    # of x += alpha p, r -= alpha Ap and p = z + beta p; Ap and z are the
-    # only vectors made per iteration (z may be r itself)
+    # the work vectors x, r, p, Ap and z are made once and updated in
+    # place, slice by slice, in two stages per iteration (see the module
+    # docstring); a callable preconditioner makes z anew, and without one
+    # z is r itself
     r = b.copy()
-    z = m(r)
+    z = _shaped(m, r, precond, 0)
     p = z.copy()
-    rz = float(r @ z)
+    rz = _finite(float(r @ z), "r^T z", precond, 0)
+    ap = np.empty(n)
+    parts = _pool._vector_slices(n)
+    alpha = beta = 0.0
+    stepped = False  # x += alpha p already done at the residual test
+
+    def update(s):  # r -= alpha Ap, then z = r / diag(A); Ap is spent
+        np.subtract(r[s], np.multiply(ap[s], alpha, out=ap[s]), out=r[s])
+        if inv_diag is not None:
+            np.multiply(inv_diag[s], r[s], out=z[s])
+
+    def step(s):  # x += alpha p, with Ap as the scratch
+        np.add(x[s], np.multiply(p[s], alpha, out=ap[s]), out=x[s])
+
+    def advance(s):  # x += alpha p, then p = z + beta p
+        if not stepped:
+            step(s)
+        np.multiply(p[s], beta, out=p[s])
+        np.add(p[s], z[s], out=p[s])
+
     it = 0
     while it < max_iter:
-        ap = product(p)
-        pap = float(p @ ap)
+        product(p, ap)
+        pap = _finite(float(p @ ap), "p^T A p", precond, it)
         if pap <= 0.0:
             raise IndefiniteSystemError(
                 f"p^T A p = {pap:.3e} <= 0 at iteration {it}; system is "
                 "not positive definite (penalty weight below the "
                 "stability bound?)")
         alpha = rz / pap
-        r -= np.multiply(ap, alpha, out=ap)
-        x += np.multiply(p, alpha, out=ap)  # Ap is spent: the scratch
-        del ap
+        _pool._run_chunks(update, parts)
         it += 1
-        if np.linalg.norm(r) <= tol * bnorm:
-            np.subtract(b, product(x), out=r)
+        stepped = np.linalg.norm(r) <= tol * bnorm
+        if stepped:
+            _pool._run_chunks(step, parts)
+            np.subtract(b, product(x, ap), out=r)
             rel = np.linalg.norm(r) / bnorm
             if rel <= tol:
                 return SolveReport(x, it, float(rel), True)
             # recurrence drifted; restart from the true residual in r
-        z = m(r)
-        rz_new = float(r @ z)
+            if inv_diag is not None:
+                np.multiply(inv_diag, r, out=z)
+        if inv_diag is None:
+            z = m(r)
+        rz_new = _finite(float(r @ z), "r^T z", precond, it)
         beta = rz_new / rz
         rz = rz_new
-        p *= beta
-        p += z
-    rel = float(np.linalg.norm(b - product(x)) / bnorm)
+        _pool._run_chunks(advance, parts)
+    rel = float(np.linalg.norm(b - product(x, ap)) / bnorm)
     return SolveReport(x, it, rel, rel <= tol)
 
 
@@ -185,10 +258,9 @@ def bicgstab(system, b, tol: float = 1e-10,
     A rho or omega breakdown restarts once from the current residual;
     a second breakdown raises BreakdownError.
     """
-    _, product, b, m, bnorm, _ = _setup(system, b, tol, precond)
+    _, product, b, m, bnorm, _, max_iter, _ = _setup(system, b, tol,
+                                                     precond, max_iter)
     n = b.shape[0]
-    if max_iter is None:
-        max_iter = 10 * n
     x = np.zeros(n)
     if bnorm == 0.0:
         return SolveReport(x, 0, 0.0, True)
@@ -234,9 +306,9 @@ def bicgstab(system, b, tol: float = 1e-10,
         p -= np.multiply(v, omega, out=w)
         p *= beta
         p += r
-        ph = m(p)
+        ph = m(p) if it else _shaped(m, p, precond, it)
         v = product(ph)
-        rv = float(r_hat @ v)
+        rv = _finite(float(r_hat @ v), "r_hat^T A ph", precond, it)
         if abs(rv) < 1e-300:
             breakdown("rho")
             continue
@@ -251,7 +323,7 @@ def bicgstab(system, b, tol: float = 1e-10,
             continue
         sh = m(s)
         t = product(sh)
-        tt = float(t @ t)
+        tt = _finite(float(t @ t), "t^T t", precond, it)
         if tt == 0.0:
             breakdown("omega")
             continue

@@ -115,6 +115,26 @@ def test_row_blocks_cut_at_equal_shares(lengths, long_row, at, parts):
         assert indptr[b] >= share and (b == 0 or indptr[b - 1] < share)
 
 
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 5000), floor=st.integers(1, 3000),
+       cpus=st.integers(1, 5))
+@example(n=0, floor=1, cpus=2)
+@example(n=245_760, floor=1 << 16, cpus=2)
+@example(n=122_880, floor=1 << 16, cpus=2)
+def test_vector_slices_cut_equal_parts_above_the_floor(n, floor, cpus):
+    """``_vector_slices`` cuts ``range(n)`` once, in order, into one slice
+    per usable CPU, but into no more than leave ``floor`` entries each,
+    and into one at least; the slices differ in length by at most one."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_pool, "_usable_cpus", lambda: cpus)
+        mp.setattr(_pool, "_VECTOR_FLOOR", floor)
+        cut = _items(_pool._vector_slices(n), n)
+    assert len(cut) == max(1, min(cpus, n // floor))
+    assert [i for r in cut for i in r] == list(range(n))
+    assert max(map(len, cut)) - min(map(len, cut)) <= 1
+    assert len(cut) == 1 or min(map(len, cut)) >= floor
+
+
 def _two_threads():
     """A chunk function whose first two chunks wait for each other, so
     they run on two threads at once."""
@@ -375,10 +395,10 @@ def _errors_of(result):
 
 @pytest.mark.parametrize("name", sorted(LADDERS))
 def test_ladders_keep_their_bits_on_1_2_and_3_workers(monkeypatch, name):
-    """Small versions of the benchmark ladders, with chunks and product
-    blocks small enough that every stage splits, give the same rhs,
-    matrices, solutions, iteration counts, residuals and errors, bit for
-    bit, with 1, 2 and 3 workers."""
+    """Small versions of the benchmark ladders, with chunks, product
+    blocks and CG vector slices small enough that every stage splits,
+    give the same rhs, matrices, solutions, iteration counts, residuals
+    and errors, bit for bit, with 1, 2 and 3 workers."""
     prints = []
     for cpus in (1, 2, 3):
         with pytest.MonkeyPatch.context() as mp:
@@ -387,6 +407,7 @@ def test_ladders_keep_their_bits_on_1_2_and_3_workers(monkeypatch, name):
             mp.setattr(_pool, "_LIFT_BATCH", 1 << 11)
             mp.setattr(_pool, "_CHUNK_TRIPLETS", 1 << 12)
             mp.setattr(_pool, "_PRODUCT_FLOOR", 1 << 10)
+            mp.setattr(_pool, "_VECTOR_FLOOR", 1 << 6)
             try:
                 prints.append(_fingerprint(
                     mp, lambda: _errors_of(LADDERS[name]())))

@@ -1,6 +1,7 @@
 """CG and BiCGSTAB with true-residual certification."""
 
 import os
+import sys
 import threading
 
 import numpy as np
@@ -34,6 +35,30 @@ def force_blocks(monkeypatch, a, blocks):
     monkeypatch.setattr(_pool, "_PRODUCT_FLOOR", a.nnz // blocks)
     spans = product_spans(solvers._product(a), np.zeros(a.shape[1]))[0]
     assert len(spans) == blocks
+
+
+def force_parts(monkeypatch, n, parts):
+    """Make CG split its vector updates of ``n`` entries into ``parts``
+    slices: as many usable CPUs, and a floor of entries per slice that
+    ``n`` meets ``parts`` times."""
+    monkeypatch.setattr(_pool, "_usable_cpus", lambda: parts)
+    monkeypatch.setattr(_pool, "_VECTOR_FLOOR", n // parts)
+
+
+def stage_slices(monkeypatch):
+    """The slices of every ``_pool._run_chunks`` stage over ``slice``
+    items (the CG vector updates; a product's items are row spans), read
+    from a spy on it, in call order."""
+    seen = []
+    run = _pool._run_chunks
+
+    def spy(fn, slices):
+        slices = list(slices)
+        if slices and isinstance(slices[0], slice):
+            seen.append(slices)
+        run(fn, slices)
+    monkeypatch.setattr(_pool, "_run_chunks", spy)
+    return seen
 
 
 def tridiagonal(n):
@@ -128,6 +153,93 @@ def test_cg_max_iter_exhaustion_reports():
     assert not rep.converged
     assert rep.iterations == 3
     assert rep.final_relative_residual > 1e-14
+
+
+@pytest.mark.parametrize("solve", [cg, bicgstab], ids=["cg", "bicgstab"])
+@pytest.mark.parametrize("max_iter", [1.5, True, False, -1, np.nan, "3",
+                                      np.float64(3.0)],
+                         ids=["fraction", "true", "false", "negative", "nan",
+                              "string", "float64"])
+def test_max_iter_not_a_count_refused_before_iterating(solve, max_iter):
+    """A ``max_iter`` that is not a non-negative int (nor a bool) is
+    refused by name before the first preconditioner call: 1.5 used to run
+    2 iterations and True 1, -1 and NaN to return an unconverged report
+    after none, and "3" to raise a raw TypeError."""
+    a, b = random_spd(50, 1, cond=1e6)
+    applied = []
+
+    def precond(v):
+        applied.append(v)
+        return v
+
+    with pytest.raises(SolverError) as err:
+        solve(a, b, tol=1e-14, max_iter=max_iter, precond=precond)
+    assert type(err.value) is SolverError
+    assert str(err.value) == \
+        f"max_iter must be a non-negative integer, got {max_iter!r}"
+    assert not applied
+
+
+@pytest.mark.parametrize("solve", [cg, bicgstab], ids=["cg", "bicgstab"])
+def test_max_iter_counts_are_accepted(solve):
+    """0 runs no iteration; a numpy integer counts as its int."""
+    a, b = random_spd(50, 1, cond=1e6)
+    assert solve(a, b, tol=1e-14, max_iter=0).iterations == 0
+    rep = solve(a, b, tol=1e-14, max_iter=np.int64(3))
+    assert rep.iterations == solve(a, b, tol=1e-14, max_iter=3).iterations
+    assert rep.iterations <= 3
+
+
+def _nan_from(call):
+    """A preconditioner that returns its argument, and NaN everywhere from
+    its ``call``-th call (0-based) on."""
+    calls = []
+
+    def nan_from(v):
+        calls.append(1)
+        return v if len(calls) <= call else np.full_like(v, np.nan)
+    return nan_from
+
+
+@pytest.mark.parametrize("solve, call, message", [
+    (cg, 0, "non-finite r^T z = nan at iteration 0"),
+    (cg, 3, "non-finite r^T z = nan at iteration 3"),
+    (bicgstab, 0, "non-finite r_hat^T A ph = nan at iteration 0"),
+    (bicgstab, 1, "non-finite t^T t = nan at iteration 1"),
+    (bicgstab, 4, "non-finite r_hat^T A ph = nan at iteration 2"),
+], ids=["cg-first", "cg-later", "bicgstab-first", "bicgstab-omega",
+        "bicgstab-later"])
+def test_non_finite_preconditioned_value_refused(solve, call, message):
+    """A preconditioner that returns NaN is refused at the first dot
+    product that sees it, by name and iteration, instead of running all
+    10 n iterations to an unconverged report without a message."""
+    a, b = random_spd(50, 1, cond=1e6)
+    precond = _nan_from(call)
+    with pytest.raises(SolverError) as err:
+        solve(a, b, precond=precond)
+    assert type(err.value) is SolverError
+    assert str(err.value) == (
+        f"{message} with preconditioner "
+        "_nan_from.<locals>.nan_from")
+
+
+@pytest.mark.parametrize("solve", [cg, bicgstab], ids=["cg", "bicgstab"])
+@pytest.mark.parametrize("shape", [(49,), (50, 1), ()],
+                         ids=["short", "column", "scalar"])
+def test_misshaped_preconditioned_vector_refused(solve, shape):
+    """A preconditioner whose first vector has another shape than its
+    argument is refused by name, not by a raw numpy error."""
+    a, b = random_spd(50, 1, cond=1e6)
+
+    def misshaped(v):
+        return np.ones(shape)
+
+    with pytest.raises(SolverError) as err:
+        solve(a, b, precond=misshaped)
+    assert type(err.value) is SolverError
+    assert str(err.value) == (
+        f"preconditioner {misshaped.__qualname__} gave shape {shape} for a "
+        "vector of shape (50,) at iteration 0")
 
 
 def test_jacobi_speeds_up_diagonal_dominance():
@@ -274,9 +386,10 @@ def _dziuk_system(refinements, degree, choice):
     return system, assemble_rhs(space, problem.surface, problem.f)
 
 
-def _textbook_cg(a, b, tol, max_iter, m):
+def _textbook_cg(a, b, tol, max_iter, m, restarts=None):
     """The CG loop with a new vector for every update: the reference for
-    the in-place loop of ``cg``."""
+    the in-place loop of ``cg``; the iterations that restart from the
+    true residual are appended to ``restarts``."""
     bnorm = np.linalg.norm(b)
     x = np.zeros(len(b))
     r = b.copy()
@@ -295,6 +408,8 @@ def _textbook_cg(a, b, tol, max_iter, m):
             rel = np.linalg.norm(true_r) / bnorm
             if rel <= tol:
                 return x, it, float(rel)
+            if restarts is not None:
+                restarts.append(it)
             r = true_r
         z = m(r)
         rz_new = float(r @ z)
@@ -353,27 +468,53 @@ def split(cases, blocks=(2, 3)):
                for k in blocks for name, case in cases])
 
 
-@pytest.mark.parametrize("solve, textbook, choice, blocks", split([
-    ("cg-_textbook_cg-2", (cg, _textbook_cg, 2)),
-    ("bicgstab-_textbook_bicgstab-1", (bicgstab, _textbook_bicgstab, 1))]))
-@pytest.mark.parametrize("precond", ["jacobi", "none"])
+def split_vectors(cases, parts=(2, 3)):
+    """The cases of ``split`` with no forced vector parts (None), then
+    each CG case with its products and its vector updates forced into
+    each count of ``parts``, with "-<count>-parts" appended to its id."""
+    return ([pytest.param(*case.values, None, id=case.id)
+             for case in split(cases)]
+            + [pytest.param(*case, k, k, id=f"{name}-{k}-parts")
+               for k in parts for name, case in cases if case[0] is cg])
+
+
+@pytest.mark.parametrize("solve, textbook, choice, blocks, parts",
+                         split_vectors([
+                             ("cg-_textbook_cg-2", (cg, _textbook_cg, 2)),
+                             ("bicgstab-_textbook_bicgstab-1",
+                              (bicgstab, _textbook_bicgstab, 1))]))
+@pytest.mark.parametrize("precond", ["jacobi", "none", "callable"])
 def test_solvers_equal_textbook_loops(monkeypatch, solve, textbook, choice,
-                                      precond, blocks):
+                                      precond, blocks, parts):
     """On a 3-refinement Dziuk system the in-place loops give the textbook
     loops' solution, iteration count and residual bit for bit, also when
-    the preconditioner hands back its argument, and also when every
-    product is split into 2 or 3 row blocks (None: the default, one block
-    below the floor)."""
+    the preconditioner hands back its argument or is a callable (which
+    CG applies whole, between its stages), also when every product is
+    split into 2 or 3 row blocks (None: the default, one block below the
+    floor), and also when CG splits its vector updates into as many
+    slices as well."""
     system, b = _dziuk_system(3, 1, choice)
     a = system.matrix
     if blocks:
         force_blocks(monkeypatch, a, blocks)
-    m = jacobi_precondition(a) if precond == "jacobi" else (lambda v: v)
-    rep = solve(system, b, tol=1e-10, precond=precond)
+    if parts:
+        force_parts(monkeypatch, len(b), parts)
+    stages = stage_slices(monkeypatch)
+    m = jacobi_precondition(a) if precond != "none" else (lambda v: v)
+    rep = solve(system, b, tol=1e-10,
+                precond=m if precond == "callable" else precond)
     x, it, rel = textbook(a, b, 1e-10, 10 * len(b), m)
     assert rep.converged
     assert np.array_equal(rep.solution, x)
     assert (rep.iterations, rep.final_relative_residual) == (it, rel)
+    if solve is cg:  # two stages per iteration: the last one steps x
+        assert len(stages) == 2 * it
+        cut = [range(len(b))[s] for s in stages[0]]
+        assert len(cut) == (parts or 1)
+        assert [i for part in cut for i in part] == list(range(len(b)))
+        assert all(slices == stages[0] for slices in stages)
+    else:
+        assert not stages
 
 
 @pytest.mark.parametrize("solve, textbook, blocks", split([
@@ -392,6 +533,45 @@ def test_restarts_equal_textbook_loops(monkeypatch, solve, textbook, blocks):
         x, it, rel = textbook(a, b, 1e-13, 400, lambda v: v)
         assert np.array_equal(rep.solution, x)
         assert (rep.iterations, rep.final_relative_residual) == (it, rel)
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+@pytest.mark.parametrize("precond", ["jacobi", "none"])
+def test_cg_restarts_keep_their_bits_with_split_vectors(monkeypatch, parts,
+                                                        precond):
+    """Near roundoff the recurrence residual passes where the true one
+    does not, so CG steps x at the test and restarts from the true
+    residual; with its products and vector updates split into 2 or 3
+    parts (3 workers on fewer cores, under a short thread switch
+    interval) it gives the bits of the unsplit loop and of the textbook
+    one."""
+    for seed in range(3):
+        dense, b = random_spd(40, seed, cond=1e4)
+        a = sp.csr_matrix(dense)
+        m = jacobi_precondition(a) if precond == "jacobi" else (lambda v: v)
+        restarts = []
+        x, it, rel = _textbook_cg(a, b, 1e-13, 400, m, restarts)
+        assert restarts
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_pool, "_usable_cpus", lambda: 1)
+            whole = cg(a, b, tol=1e-13, max_iter=400, precond=precond)
+        with pytest.MonkeyPatch.context() as mp:
+            force_blocks(mp, a, parts)
+            force_parts(mp, len(b), parts)
+            stages = stage_slices(mp)
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                split_rep = cg(a, b, tol=1e-13, max_iter=400,
+                               precond=precond)
+            finally:
+                sys.setswitchinterval(interval)
+        # a restart adds the step of x at the test to its two stages
+        assert len(stages) == 2 * it + len(restarts)
+        assert all(len(slices) == parts for slices in stages)
+        for rep in (whole, split_rep):
+            assert np.array_equal(rep.solution, x)
+            assert (rep.iterations, rep.final_relative_residual) == (it, rel)
 
 
 @pytest.mark.parametrize("degree, blocks", split(
