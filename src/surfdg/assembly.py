@@ -25,7 +25,7 @@ import scipy.sparse as sp
 from . import _pool
 from .dgspace import DgSpace, _ref_grads, _values, get_quadrature
 from .geometry import LevelSetSurface, project_points
-from .mesh import EdgeIntersection, SurfaceMesh, _require_edges
+from .mesh import EdgeIntersection, SurfaceMesh
 
 CHOICES = ("1", "2", "3", "4", "4T")
 
@@ -49,14 +49,12 @@ def normalize_choice(choice) -> str:
 class PenaltyParams:
     """Jump-penalty weights beta_e = omega_e / h_e.
 
-    With ``omega`` unset, omega_e = sigma * (stability lower bound); the
-    global mode uses the mesh-wide maximum bound for every intersection,
-    the per-edge mode each intersection's own bound.  A given ``omega``
-    is every omega_e, so it refuses a ``sigma`` or ``mode`` of its own.
+    With ``omega`` unset, every omega_e is sigma times the mesh-wide
+    maximum of the stability lower bounds.  A given ``omega`` is every
+    omega_e, so it refuses a ``sigma`` of its own.
     """
 
     sigma: float = 2.0
-    mode: str = "global"
     omega: float | None = None
 
     def __post_init__(self):
@@ -64,17 +62,13 @@ class PenaltyParams:
             raise PenaltyError(f"safety factor {self.sigma} < 1")
         if not np.isfinite(self.sigma):
             raise PenaltyError(f"safety factor {self.sigma} is not finite")
-        if self.mode not in ("global", "per-edge"):
-            raise PenaltyError(f"unknown penalty mode {self.mode!r}")
         if self.omega is None:
             return
         if not np.isfinite(self.omega):
             raise PenaltyError(f"omega {self.omega} is not finite")
-        for name in ("sigma", "mode"):
-            if getattr(self, name) != getattr(PenaltyParams, name):
-                raise PenaltyError(
-                    f"omega {self.omega} fixes every weight; {name} "
-                    f"{getattr(self, name)!r} would be ignored")
+        if self.sigma != PenaltyParams.sigma:
+            raise PenaltyError(f"omega {self.omega} fixes every weight; "
+                               f"sigma {self.sigma!r} would be ignored")
 
     def omegas(self, mesh: SurfaceMesh) -> np.ndarray:
         """Per-intersection omega_e, refusing weights at or below the
@@ -82,10 +76,8 @@ class PenaltyParams:
         bounds = penalty_bounds(mesh)
         if self.omega is not None:
             om = np.full(len(bounds), float(self.omega))
-        elif self.mode == "global":
-            om = np.full(len(bounds), self.sigma * bounds.max())
         else:
-            om = self.sigma * bounds
+            om = np.full(len(bounds), self.sigma * bounds.max())
         bad = om <= bounds
         if np.any(bad):
             worst = int(np.argmax(bounds - om))
@@ -97,14 +89,14 @@ class PenaltyParams:
 
 def penalty_bounds(mesh: SurfaceMesh) -> np.ndarray:
     """Stability lower bound for omega_e on every intersection."""
-    term = _require_edges(mesh).edge_area_ratios
+    term = mesh.edge_area_ratios
     return np.maximum(term[mesh.edges.minus], term[mesh.edges.plus])
 
 
 def penalty_lower_bound(mesh: SurfaceMesh, e: EdgeIntersection) -> float:
     """Stability lower bound for a single intersection: the larger of the
     two incident elements' (sum of squared edge lengths) / (2 area)."""
-    term = _require_edges(mesh).edge_area_ratios
+    term = mesh.edge_area_ratios
     return float(max(term[e.minus_element], term[e.plus_element]))
 
 
@@ -198,7 +190,7 @@ def _assemble_by_rows(space: DgSpace, volume, faces, face_rule=None,
     """
     n, dofs = space.dofs_per_element, space.total_dofs
     m = len(space.mesh.triangles)
-    edges = _require_edges(space.mesh).edges
+    edges = space.mesh.edges
     elems = np.arange(m)
     pairs = [(elems, elems)] if volume is not None else []
     if faces is not None:
@@ -419,7 +411,7 @@ def assemble_rhs(space: DgSpace, surface: LevelSetSurface, f) -> np.ndarray:
     is handled on its own, so the chunks change no value.  So ``f`` and
     the surface's callables may be called from several threads at once.
     """
-    mesh = _require_edges(space.mesh)
+    mesh = space.mesh
     tri_rule = get_quadrature("triangle", _quad_degrees(space.degree)[0])
     w = tri_rule.weights
     vref = _values(space.degree, tri_rule.points)

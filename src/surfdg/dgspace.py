@@ -4,8 +4,8 @@ Fully discontinuous nodal Lagrange spaces of degree 1 or 2 with
 element-major dof numbering, tangential (in-plane) basis gradients, and
 quadrature rules on the reference triangle and unit segment.  The
 element geometry (pushforwards, areas, normals) belongs to the mesh,
-which ``mesh.build_edges`` fills once; a space adds the basis and keeps
-nothing else.
+which computes it once, when the mesh is made; a space adds the basis
+and keeps nothing else.
 
 Reference coordinates (xi, eta) relate to barycentric ones by
 lam = (1 - xi - eta, xi, eta).  P2 nodes 3, 4, 5 sit on the midpoints of

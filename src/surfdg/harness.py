@@ -143,8 +143,6 @@ def _errors(space: DgSpace, problem: TestProblem, coefficients) -> list:
     the chunks nor the other solutions of the call change a bit.
     """
     mesh = space.mesh
-    if mesh.edges is None:
-        raise HarnessError("mesh edges not built")
     tmap, areas, normals = mesh.pushforward, mesh.jacobian_areas, mesh.normals
     rule = get_quadrature("triangle", 6)
     w = rule.weights

@@ -5,8 +5,9 @@ vertex is projected onto the zero level set.  Supports conforming uniform
 refinement and nonconforming (hanging-node) refinement with a level
 difference of at most one across any face, plus ASCII OFF input/output.
 
-Meshes are immutable once their edges are built; refinement returns a new
-mesh and never mutates its input.
+A mesh builds its intersections and per-element table when it is made, so
+none exists without them; refinement returns a new mesh and never mutates
+its input.
 """
 
 from collections.abc import Sequence
@@ -46,6 +47,7 @@ class EdgeIntersection:
     conormal_minus: np.ndarray
 
 
+@dataclass(eq=False)
 class EdgeSet(Sequence):
     """All intersection segments of a mesh, stored as flat arrays.
 
@@ -53,15 +55,13 @@ class EdgeSet(Sequence):
     arrays directly.
     """
 
-    def __init__(self, endpoints, plus, minus, lengths, conormal_plus,
-                 conormal_minus, conforming):
-        self.endpoints = endpoints
-        self.plus = plus
-        self.minus = minus
-        self.lengths = lengths
-        self.conormal_plus = conormal_plus
-        self.conormal_minus = conormal_minus
-        self.conforming = bool(conforming)
+    endpoints: np.ndarray  # (E, 2, 3)
+    plus: np.ndarray
+    minus: np.ndarray
+    lengths: np.ndarray
+    conormal_plus: np.ndarray
+    conormal_minus: np.ndarray
+    conforming: bool
 
     def __len__(self) -> int:
         return self.plus.shape[0]
@@ -79,12 +79,13 @@ class EdgeSet(Sequence):
         )
 
 
-_UNSET = {"default": None, "init": False, "repr": False}
-
-
 @dataclass
 class SurfaceMesh:
     """Flat triangulation of a closed surface, vertices on the surface.
+
+    Construction builds the intersections and the per-element table
+    (``_build``), so every mesh carries both, and an invalid triangulation
+    is refused where it is made.
 
     ``edge_midpoints`` holds one row ``(i, j, midpoint)`` per edge ever
     split, ``i < j``, sorted by edge key: the index of the projected
@@ -96,33 +97,30 @@ class SurfaceMesh:
     vertices: np.ndarray  # (n, 3)
     triangles: np.ndarray  # (m, 3) int
     levels: np.ndarray  # (m,) per-triangle refinement level
-    edges: EdgeSet | None = None
     edge_midpoints: np.ndarray = field(
         default_factory=lambda: np.empty((0, 3), dtype=np.int64))
     # closed surfaces have no boundary; planar test patches opt out
     allow_boundary: bool = False
-    # per element, set by build_edges; jacobian_areas and areas can differ
-    # in the last bit, so merging them waits for a re-recorded benchmark
-    areas: np.ndarray | None = field(**_UNSET)  # 0.5 |e1 x e2|
-    normals: np.ndarray | None = field(**_UNSET)  # unit e1 x e2
-    pushforward: np.ndarray | None = field(**_UNSET)  # (m, 2, 3) G^-1 J^T
-    jacobian_areas: np.ndarray | None = field(**_UNSET)  # 0.5 sqrt(det G)
-    edge_area_ratios: np.ndarray | None = field(**_UNSET)  # sum |e|^2 / 2|K|
+    # set by _build; per element, jacobian_areas and areas can differ in
+    # the last bit, so merging them waits for a re-recorded benchmark
+    edges: EdgeSet = field(init=False, repr=False)
+    areas: np.ndarray = field(init=False, repr=False)  # 0.5 |e1 x e2|
+    normals: np.ndarray = field(init=False, repr=False)  # unit e1 x e2
+    # (m, 2, 3) G^-1 J^T, 0.5 sqrt(det G) and sum |e|^2 / 2|K|
+    pushforward: np.ndarray = field(init=False, repr=False)
+    jacobian_areas: np.ndarray = field(init=False, repr=False)
+    edge_area_ratios: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        _build(self)
 
     @property
     def conforming(self) -> bool:
-        return _require_edges(self).edges.conforming
+        return self.edges.conforming
 
     def triangle_vertices(self):
         """Vertex coordinate array of shape (m, 3, 3)."""
         return self.vertices[self.triangles]
-
-
-def _require_edges(mesh: SurfaceMesh) -> SurfaceMesh:
-    """``mesh``, refused unless build_edges has run on it."""
-    if mesh.edges is None:
-        raise MeshError("edges not built; call build_edges first")
-    return mesh
 
 
 def _edge_vectors(tv):
@@ -242,9 +240,9 @@ def _pair_segments(mesh: SurfaceMesh):
     return endpoints, minus, plus, len(halves) == 0
 
 
-def build_edges(mesh: SurfaceMesh) -> SurfaceMesh:
-    """Return a mesh with the intersections (``_pair_segments``) and the
-    per-element table set, all from one gather of the triangle vertices."""
+def _build(mesh: SurfaceMesh) -> None:
+    """Set the intersections (``_pair_segments``) and the per-element table
+    of ``mesh``, all from one gather of the triangle vertices."""
     tv = mesh.triangle_vertices()
     e1, e2 = _edge_vectors(tv)
     nrm = np.cross(e1, e2)
@@ -267,18 +265,23 @@ def build_edges(mesh: SurfaceMesh) -> SurfaceMesh:
     lengths = np.linalg.norm(p1 - p0, axis=1)
     if np.any(lengths <= 0.0):
         raise MeshError("zero-length intersection segment")
-    edges = EdgeSet(endpoints, plus, minus, lengths,
-                    _conormals(nrm[plus], cent[plus], p0, p1),
-                    _conormals(nrm[minus], cent[minus], p0, p1), conforming)
-    out = replace(mesh, edges=edges)
-    vars(out).update(areas=areas, normals=normals, pushforward=pushforward,
-                     jacobian_areas=jacobian_areas, edge_area_ratios=ratios)
-    return out
+    mesh.edges = EdgeSet(endpoints, plus, minus, lengths,
+                         _conormals(nrm[plus], cent[plus], p0, p1),
+                         _conormals(nrm[minus], cent[minus], p0, p1),
+                         conforming)
+    mesh.areas, mesh.normals, mesh.pushforward = areas, normals, pushforward
+    mesh.jacobian_areas, mesh.edge_area_ratios = jacobian_areas, ratios
+
+
+def build_edges(mesh: SurfaceMesh) -> SurfaceMesh:
+    """A new mesh of the same triangulation, its intersections and
+    per-element table built again."""
+    return replace(mesh)
 
 
 def mesh_width(mesh: SurfaceMesh) -> float:
     """Maximum intersection segment length h."""
-    return float(_require_edges(mesh).edges.lengths.max())
+    return float(mesh.edges.lengths.max())
 
 
 # golden-ratio icosahedron, outward orientation
@@ -354,8 +357,8 @@ def write_off(mesh: SurfaceMesh, path) -> None:
     """Write the mesh as ASCII OFF (same dialect read_off accepts)."""
     with open(path, "w") as fh:
         fh.write("OFF\n")
-        ne = 0 if mesh.edges is None else len(mesh.edges)
-        fh.write(f"{len(mesh.vertices)} {len(mesh.triangles)} {ne}\n")
+        fh.write(f"{len(mesh.vertices)} {len(mesh.triangles)} "
+                 f"{len(mesh.edges)}\n")
         for v in mesh.vertices:
             fh.write(f"{v[0]:.17g} {v[1]:.17g} {v[2]:.17g}\n")
         for t in mesh.triangles:
@@ -377,10 +380,9 @@ def initial_mesh(surface: LevelSetSurface, kind: str = "icosahedron",
     else:
         verts, tris = read_off(kind)
     proj = project_points(surface, verts * scale)
-    mesh = SurfaceMesh(vertices=proj.points,
+    return SurfaceMesh(vertices=proj.points,
                        triangles=np.asarray(tris, dtype=np.int64),
                        levels=np.zeros(len(tris), dtype=np.int32))
-    return build_edges(mesh)
 
 
 def _edge_split_points(surface: LevelSetSurface, pa: np.ndarray,
@@ -469,15 +471,12 @@ def _split(mesh: SurfaceMesh, surface: LevelSetSurface, marked) -> SurfaceMesh:
     new_tris = np.repeat(mesh.triangles, counts, axis=0)
     new_tris[(np.cumsum(counts) - 4)[midx, None] + np.arange(4)] = children
     new_levels = np.repeat(mesh.levels + marked, counts)
-    return build_edges(SurfaceMesh(verts, new_tris, new_levels,
-                                   edge_midpoints=registry,
-                                   allow_boundary=mesh.allow_boundary))
+    return SurfaceMesh(verts, new_tris, new_levels, edge_midpoints=registry,
+                       allow_boundary=mesh.allow_boundary)
 
 
 def refine_uniform(mesh: SurfaceMesh, surface: LevelSetSurface) -> SurfaceMesh:
     """Quadrisect every triangle; requires a conforming mesh."""
-    if mesh.edges is None:
-        mesh = build_edges(mesh)
     if not mesh.conforming:
         raise MeshError("uniform refinement requires a conforming mesh")
     marked = np.ones(len(mesh.triangles), dtype=bool)
@@ -509,8 +508,6 @@ def refine_nonconforming(mesh: SurfaceMesh, marked,
             f"marked element {bad[0]} is not an element index in [0, {m})")
     flags = np.zeros(m, dtype=bool)
     flags[idx] = True
-    if mesh.edges is None:
-        mesh = build_edges(mesh)
     plus, minus = mesh.edges.plus, mesh.edges.minus
     while True:
         post = mesh.levels + flags

@@ -14,9 +14,10 @@ the recurrence residual.
 Every product with A runs its row blocks through ``_pool._run_chunks``
 and gives the bits of ``A @ v``.  CG's vector updates run in two fused
 stages per iteration, each through ``_pool._run_chunks`` on slices of
-the work vectors: r -= alpha Ap with z = r / diag(A) (Jacobi), then
-x += alpha p with p = z + beta p.  A vector is cut into one slice per
-usable CPU, with at least ``_pool._VECTOR_FLOOR`` entries each
+the work vectors, in textbook order: r -= alpha Ap, x += alpha p and
+z = r / diag(A) (Jacobi), then p = z + beta p, which a converged last
+iteration skips.  A vector is cut into one slice per usable CPU, with
+at least ``_pool._VECTOR_FLOOR`` entries each
 (``_pool._vector_slices``), so only long vectors split.  Every entry is
 computed by the same operations whichever slice holds it, and every dot
 product and norm stays one whole-vector call, so the split changes no
@@ -203,19 +204,15 @@ def cg(system, b, tol: float = 1e-10, max_iter: int | None = None,
     ap = np.empty(n)
     parts = _pool._vector_slices(n)
     alpha = beta = 0.0
-    stepped = False  # x += alpha p already done at the residual test
 
-    def update(s):  # r -= alpha Ap, then z = r / diag(A); Ap is spent
+    def update(s):  # r -= alpha Ap, x += alpha p, z = r / diag(A)
         np.subtract(r[s], np.multiply(ap[s], alpha, out=ap[s]), out=r[s])
+        # Ap is spent, so it holds alpha p
+        np.add(x[s], np.multiply(p[s], alpha, out=ap[s]), out=x[s])
         if inv_diag is not None:
             np.multiply(inv_diag[s], r[s], out=z[s])
 
-    def step(s):  # x += alpha p, with Ap as the scratch
-        np.add(x[s], np.multiply(p[s], alpha, out=ap[s]), out=x[s])
-
-    def advance(s):  # x += alpha p, then p = z + beta p
-        if not stepped:
-            step(s)
+    def advance(s):  # p = z + beta p
         np.multiply(p[s], beta, out=p[s])
         np.add(p[s], z[s], out=p[s])
 
@@ -231,9 +228,7 @@ def cg(system, b, tol: float = 1e-10, max_iter: int | None = None,
         alpha = rz / pap
         _pool._run_chunks(update, parts)
         it += 1
-        stepped = np.linalg.norm(r) <= tol * bnorm
-        if stepped:
-            _pool._run_chunks(step, parts)
+        if np.linalg.norm(r) <= tol * bnorm:
             np.subtract(b, product(x, ap), out=r)
             rel = np.linalg.norm(r) / bnorm
             if rel <= tol:

@@ -12,8 +12,8 @@ from surfdg import _pool
 from surfdg.dgspace import DgSpace
 from surfdg.geometry import (eval_phi, get_surface, grad_phi, make_dziuk,
                              make_plane, project_points)
-from surfdg.mesh import (SurfaceMesh, build_edges, initial_mesh,
-                         refine_nonconforming, refine_uniform)
+from surfdg.mesh import (SurfaceMesh, initial_mesh, refine_nonconforming,
+                         refine_uniform)
 from surfdg.problems import TestProblem
 
 # a domain dataclass, not a test case
@@ -52,11 +52,10 @@ def flat_grid(cells: int) -> SurfaceMesh:
             v11 = v01 + 1
             tris.append((v00, v10, v11))
             tris.append((v00, v11, v01))
-    mesh = SurfaceMesh(vertices=verts,
+    return SurfaceMesh(vertices=verts,
                        triangles=np.asarray(tris, dtype=np.int64),
                        levels=np.zeros(len(tris), dtype=np.int32),
                        allow_boundary=True)
-    return build_edges(mesh)
 
 
 def flat_pair() -> SurfaceMesh:
@@ -70,10 +69,9 @@ def flat_pair() -> SurfaceMesh:
                       [1.0, 1.0, 0.0],
                       [0.0, 1.0, 0.0]])
     tris = np.array([[0, 1, 2], [0, 2, 3]], dtype=np.int64)
-    mesh = SurfaceMesh(vertices=verts, triangles=tris,
+    return SurfaceMesh(vertices=verts, triangles=tris,
                        levels=np.zeros(2, dtype=np.int32),
                        allow_boundary=True)
-    return build_edges(mesh)
 
 
 def dziuk_space(refinements, degree):
@@ -100,8 +98,8 @@ def perturbed_mesh(name, seed, amplitude, nonconforming):
     d *= (amplitude * mesh.edges.lengths.min()
           / np.linalg.norm(d, axis=1, keepdims=True))
     moved = project_points(surface, v + d).points
-    mesh = build_edges(SurfaceMesh(vertices=moved, triangles=mesh.triangles,
-                                   levels=mesh.levels))
+    mesh = SurfaceMesh(vertices=moved, triangles=mesh.triangles,
+                       levels=mesh.levels)
     if nonconforming:
         cent = mesh.triangle_vertices().mean(axis=1)
         mesh = refine_nonconforming(mesh, np.flatnonzero(cent[:, 0] > 0.0),

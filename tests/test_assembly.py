@@ -26,8 +26,8 @@ from surfdg.assembly import (
 )
 from surfdg.dgspace import DgSpace, get_quadrature
 from surfdg.geometry import make_plane, make_sphere
-from surfdg.mesh import (MeshError, SurfaceMesh, build_edges, initial_mesh,
-                         refine_nonconforming, refine_uniform)
+from surfdg.mesh import (SurfaceMesh, initial_mesh, refine_nonconforming,
+                         refine_uniform)
 from surfdg.problems import make_problem
 
 
@@ -36,9 +36,8 @@ def equilateral_pair():
     verts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0],
                       [0.5, s3, 0.0], [0.5, -s3, 0.0]])
     tris = np.array([[0, 1, 2], [1, 0, 3]], dtype=np.int64)
-    mesh = SurfaceMesh(vertices=verts, triangles=tris,
+    return SurfaceMesh(vertices=verts, triangles=tris,
                        levels=np.zeros(2, np.int32), allow_boundary=True)
-    return build_edges(mesh)
 
 
 def sphere_mesh(refinements=1):
@@ -77,8 +76,6 @@ def test_penalty_bounds_array():
 def test_penalty_params_validation():
     with pytest.raises(PenaltyError, match="safety factor"):
         PenaltyParams(sigma=0.5)
-    with pytest.raises(PenaltyError, match="mode"):
-        PenaltyParams(mode="local")
 
 
 @pytest.mark.parametrize("kwargs, match", [
@@ -87,21 +84,16 @@ def test_penalty_params_validation():
     ({"omega": float("nan")}, "omega nan is not finite"),
     ({"omega": float("inf")}, "omega inf is not finite"),
     ({"omega": 100.0, "sigma": 5.0},
-     "omega 100.0 fixes every weight; sigma 5.0 would be ignored"),
-    ({"omega": 100.0, "mode": "per-edge"},
-     "omega 100.0 fixes every weight; mode 'per-edge' would be ignored"),
-    ({"omega": 100.0, "sigma": 5.0, "mode": "per-edge"},
-     "omega 100.0 fixes every weight; sigma 5.0")],
-    ids=["sigma-nan", "sigma-inf", "omega-nan", "omega-inf", "omega-sigma",
-         "omega-mode", "omega-sigma-mode"])
+     "omega 100.0 fixes every weight; sigma 5.0 would be ignored")],
+    ids=["sigma-nan", "sigma-inf", "omega-nan", "omega-inf", "omega-sigma"])
 def test_penalty_params_refuse_non_finite_and_ignored(kwargs, match):
     """A non-finite sigma or omega is refused where it is given, not as a
-    NaN matrix at the solve; an omega fixes every weight, so a sigma or
-    mode given with it is refused instead of ignored."""
+    NaN matrix at the solve; an omega fixes every weight, so a sigma
+    given with it is refused instead of ignored."""
     with pytest.raises(PenaltyError, match=f"^{re.escape(match)}"):
         PenaltyParams(**kwargs)
-    # the defaults, spelt out, are no second setting
-    assert PenaltyParams(omega=100.0, sigma=2.0, mode="global").omega == 100.0
+    # the default sigma, spelt out, is no second setting
+    assert PenaltyParams(omega=100.0, sigma=2.0).omega == 100.0
 
 
 def test_penalty_refuses_bound_violations():
@@ -118,10 +110,8 @@ def test_penalty_refuses_bound_violations():
 def test_penalty_modes():
     mesh = sphere_mesh(0)
     b = penalty_bounds(mesh)
-    om_global = PenaltyParams(sigma=2.0, mode="global").omegas(mesh)
+    om_global = PenaltyParams(sigma=2.0).omegas(mesh)
     assert np.allclose(om_global, 2.0 * b.max())
-    om_edge = PenaltyParams(sigma=1.5, mode="per-edge").omegas(mesh)
-    assert np.allclose(om_edge, 1.5 * b)
 
 
 # ------------------------------------------------------- conormal choices
@@ -367,14 +357,6 @@ def test_matrix_market_roundtrip(tmp_path):
     write_matrix_market(sys_, path)
     back = mmread(path).toarray()
     assert np.abs(back - sys_.matrix.toarray()).max() <= 1e-14
-
-
-def test_assemble_requires_edges():
-    mesh = flat_pair()
-    bare = SurfaceMesh(vertices=mesh.vertices, triangles=mesh.triangles,
-                       levels=mesh.levels, allow_boundary=True)
-    with pytest.raises(MeshError, match="edges not built"):
-        assemble_system(DgSpace(bare, 1), 2, PenaltyParams(sigma=2.0))
 
 
 def test_assembly_p2_smoke():

@@ -13,7 +13,7 @@ from surfdg.assembly import (PenaltyParams, assemble_mass_stiffness,
                              check_symmetry)
 from surfdg.dgspace import DgSpace
 from surfdg.geometry import make_plane
-from surfdg.mesh import EdgeSet, SurfaceMesh, build_edges, refine_nonconforming
+from surfdg.mesh import EdgeSet, SurfaceMesh, refine_nonconforming
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -141,8 +141,8 @@ def test_flat_choices_assemble_equal_matrices(cells, degree, seed, amplitude,
     v = grid.vertices.copy()
     v[:, 0] += radius * np.cos(angle)
     v[:, 1] += radius * np.sin(angle)
-    mesh = build_edges(SurfaceMesh(vertices=v, triangles=grid.triangles,
-                                   levels=grid.levels, allow_boundary=True))
+    mesh = SurfaceMesh(vertices=v, triangles=grid.triangles,
+                       levels=grid.levels, allow_boundary=True)
     if nonconforming:
         marked = np.flatnonzero(rng.random(len(mesh.triangles)) < 0.3)
         mesh = refine_nonconforming(mesh, marked if len(marked) else [0],

@@ -1,6 +1,5 @@
 """Convergence harness: error norms, EOC tables, CSV/VTK artifacts."""
 
-import dataclasses
 import weakref
 from pathlib import Path
 
@@ -147,20 +146,6 @@ def test_dg_error_dominates_l2():
     u_h = DgFunction(space, cg(system, rhs, precond="jacobi").solution)
     l2, dg = compute_errors(u_h, prob)
     assert dg >= l2 > 0.0
-
-
-def test_compute_errors_needs_edges_before_any_work():
-    """A mesh without intersections is refused before the exact solution
-    is evaluated anywhere."""
-    def refuse(x):
-        raise AssertionError("exact solution evaluated")
-
-    prob = TestProblem(name="refuse", surface=make_sphere(),
-                       exact_u=ScalarField3(value=refuse, gradient=refuse),
-                       forcing_mode="analytic", f=refuse)
-    space = DgSpace(dataclasses.replace(sphere_mesh(0), edges=None), 1)
-    with pytest.raises(HarnessError, match="mesh edges not built"):
-        compute_errors(DgFunction(space, np.zeros(space.total_dofs)), prob)
 
 
 def test_compute_errors_repeat_keeps_nothing():

@@ -183,9 +183,7 @@ def test_build_edges_frees_pairing_temporaries():
     mesh = initial_mesh(surf, "icosahedron")
     for _ in range(4):
         mesh = refine_uniform(mesh, surf)
-    bare = SurfaceMesh(mesh.vertices, mesh.triangles, mesh.levels,
-                       edge_midpoints=mesh.edge_midpoints)
-    built, peak, kept = traced_bytes(lambda: build_edges(bare))
+    built, peak, kept = traced_bytes(lambda: build_edges(mesh))
     assert len(built.edges) == len(mesh.edges)
     assert peak - kept <= 1.25 * kept
 
@@ -282,21 +280,19 @@ def test_nonmanifold_fan_rejected():
     verts = np.array([[0, 0, 0], [1, 0, 0], [0.5, 1, 0],
                       [0.5, -1, 0], [0.5, 0.5, 1.0]], dtype=float)
     tris = np.array([[0, 1, 2], [1, 0, 3], [0, 1, 4]], dtype=np.int64)
-    fan = SurfaceMesh(vertices=verts, triangles=tris,
-                      levels=np.zeros(3, np.int32), allow_boundary=True)
     with pytest.raises(NonManifoldError,
                        match=r"^edge \(0, 1\) shared by 3 triangles$"):
-        build_edges(fan)
+        SurfaceMesh(vertices=verts, triangles=tris,
+                    levels=np.zeros(3, np.int32), allow_boundary=True)
 
 
 def test_boundary_rejected_on_closed_surfaces():
     # a closed-surface mesh with a missing face has boundary edges
     sph = make_sphere()
     m = initial_mesh(sph, "icosahedron")
-    broken = SurfaceMesh(vertices=m.vertices, triangles=m.triangles[:-1],
-                         levels=m.levels[:-1])
     with pytest.raises(MeshError):
-        build_edges(broken)
+        SurfaceMesh(vertices=m.vertices, triangles=m.triangles[:-1],
+                    levels=m.levels[:-1])
 
 
 def test_off_roundtrip(tmp_path):
@@ -323,13 +319,3 @@ def test_off_parse_errors(tmp_path):
     p.write_text("OFF\n# comment\n1 1 0\n0 0 0\n4 0 0 0 0\n")
     with pytest.raises(MeshError, match="triangular"):
         read_off(p)
-
-
-def test_mesh_width_requires_edges():
-    m = initial_mesh(make_sphere(), "icosahedron")
-    bare = SurfaceMesh(vertices=m.vertices, triangles=m.triangles,
-                       levels=m.levels)
-    with pytest.raises(MeshError, match="edges not built"):
-        mesh_width(bare)
-    with pytest.raises(MeshError):
-        bare.conforming

@@ -5,8 +5,9 @@ import pytest
 
 from conftest import flat_grid, perturbed_mesh
 from surfdg.geometry import get_surface, make_plane
-from surfdg.mesh import (_conormals, _edge_split_points, initial_mesh,
-                         refine_nonconforming, refine_uniform)
+from surfdg.mesh import (SurfaceMesh, _conormals, _edge_split_points,
+                         build_edges, initial_mesh, refine_nonconforming,
+                         refine_uniform)
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -55,6 +56,50 @@ def test_conforming_intersections_cover_half_the_perimeter(
                                    axis=1).sum() for k in range(3))
     total = mesh.edges.lengths.sum()
     assert abs(total - 0.5 * perimeter) <= 1e-12 * perimeter
+
+
+# the per-element table of a mesh, with the shape of its rows
+TABLE = {"areas": (), "normals": (3,), "pushforward": (2, 3),
+         "jacobian_areas": (), "edge_area_ratios": ()}
+EDGE_ARRAYS = ("endpoints", "plus", "minus", "lengths", "conormal_plus",
+               "conormal_minus")
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(("sphere", "dziuk")),
+       seed=st.integers(0, 2**32 - 1), amplitude=st.floats(0.0, 0.15),
+       nonconforming=st.booleans())
+def test_every_mesh_is_built_whole(name, seed, amplitude, nonconforming):
+    """A mesh made by the constructor, by ``initial_mesh``, by
+    ``refine_uniform`` or by ``refine_nonconforming`` carries its
+    intersections and its per-element table, and ``build_edges`` builds
+    every one of their arrays again bit for bit."""
+    surface = get_surface(name)
+    mesh = perturbed_mesh(name, seed, amplitude, nonconforming)
+    meshes = [mesh, SurfaceMesh(mesh.vertices, mesh.triangles, mesh.levels,
+                                edge_midpoints=mesh.edge_midpoints),
+              initial_mesh(surface, "icosahedron"),
+              refine_nonconforming(mesh, [0], surface)]
+    if mesh.conforming:
+        meshes.append(refine_uniform(mesh, surface))
+    for m in meshes:
+        elements = len(m.triangles)
+        for key, row in TABLE.items():
+            assert getattr(m, key).shape == (elements,) + row, key
+        e = m.edges
+        assert len(e) > 0 and m.conforming == (m.levels.min()
+                                               == m.levels.max())
+        for key in EDGE_ARRAYS:
+            assert len(getattr(e, key)) == len(e), key
+        again = build_edges(m)
+        assert again is not m and again.edges is not e
+        assert again.conforming == m.conforming
+        pairs = [(getattr(again, k), getattr(m, k)) for k in TABLE]
+        pairs += [(getattr(again.edges, k), getattr(e, k))
+                  for k in EDGE_ARRAYS]
+        for got, want in pairs:
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
 
 # Reference: the intersection matching and registry update written with

@@ -507,8 +507,8 @@ def test_solvers_equal_textbook_loops(monkeypatch, solve, textbook, choice,
     assert rep.converged
     assert np.array_equal(rep.solution, x)
     assert (rep.iterations, rep.final_relative_residual) == (it, rel)
-    if solve is cg:  # two stages per iteration: the last one steps x
-        assert len(stages) == 2 * it
+    if solve is cg:  # two stages per iteration, the converged last one
+        assert len(stages) == 2 * it - 1  # only steps x, r and z
         cut = [range(len(b))[s] for s in stages[0]]
         assert len(cut) == (parts or 1)
         assert [i for part in cut for i in part] == list(range(len(b)))
@@ -540,11 +540,10 @@ def test_restarts_equal_textbook_loops(monkeypatch, solve, textbook, blocks):
 def test_cg_restarts_keep_their_bits_with_split_vectors(monkeypatch, parts,
                                                         precond):
     """Near roundoff the recurrence residual passes where the true one
-    does not, so CG steps x at the test and restarts from the true
-    residual; with its products and vector updates split into 2 or 3
-    parts (3 workers on fewer cores, under a short thread switch
-    interval) it gives the bits of the unsplit loop and of the textbook
-    one."""
+    does not, so CG restarts from the true residual; with its products
+    and vector updates split into 2 or 3 parts (3 workers on fewer
+    cores, under a short thread switch interval) it gives the bits of
+    the unsplit loop and of the textbook one."""
     for seed in range(3):
         dense, b = random_spd(40, seed, cond=1e4)
         a = sp.csr_matrix(dense)
@@ -566,8 +565,9 @@ def test_cg_restarts_keep_their_bits_with_split_vectors(monkeypatch, parts,
                                precond=precond)
             finally:
                 sys.setswitchinterval(interval)
-        # a restart adds the step of x at the test to its two stages
-        assert len(stages) == 2 * it + len(restarts)
+        # two stages per iteration, less the second one of a converged
+        # last iteration; a restart adds none
+        assert len(stages) == 2 * it - split_rep.converged
         assert all(len(slices) == parts for slices in stages)
         for rep in (whole, split_rep):
             assert np.array_equal(rep.solution, x)
