@@ -7,7 +7,11 @@ surface.
 
 Face terms are assembled elementwise: every intersection is visited once
 and contributes four blocks, with each incident element playing the
-"minus" role for its own rows.  Conormal choices:
+"minus" role for its own rows.  Several choices are assembled in one
+row-chunked pass (``_assemble_choices``; ``assemble_system`` is its
+one-choice case): per chunk the volume blocks, the traces and the face
+mass products are made once and only the conormal terms per choice, and
+the matrices share one pattern.  Conormal choices:
 
   1   planar:          (n-, n-, -n-)       generally non-symmetric
   2   analysis:        (n-, n-, n+)        symmetric
@@ -138,7 +142,7 @@ def _resolve_batch(tag, nm, npl):
     return nm, -npl, -nm
 
 
-@dataclass
+@dataclass(eq=False)
 class SparseSystem:
     """Assembled CSR matrix over a DgSpace."""
 
@@ -165,28 +169,36 @@ def _volume_block(space: DgSpace, rule, part=slice(None)) -> np.ndarray:
 
 
 def _assemble_by_rows(space: DgSpace, volume, faces, face_rule=None,
-                      grads: bool = False) -> SparseSystem:
-    """CSR matrix of dense (n, n) element-pair blocks, summed one chunk of
-    element rows at a time into arrays preallocated from the pattern.
+                      grads: bool = False, outputs: int = 1) -> list:
+    """``outputs`` CSR matrices of dense (n, n) element-pair blocks on one
+    pattern, summed one chunk of element rows at a time into arrays
+    preallocated from the pattern.
 
     ``volume(part)`` gives the diagonal blocks (E, n, n) of the elements
-    ``part`` (a slice).  ``faces(ids, minus, own_tr, other_tr)`` gives the
-    diagonal and the off-diagonal face block of the intersections ``ids``,
-    seen from their minus element (``minus``) or from their plus element,
-    with the traces of the own and of the other element at the points of
-    ``face_rule`` (``grads`` adds the gradients).  Either may be None.
+    ``part`` (a slice), the same for every output.  ``faces(ids, minus,
+    own_tr, other_tr)`` takes the intersections ``ids``, seen from their
+    minus element (``minus``) or from their plus element, with the traces
+    of the own and of the other element at the points of ``face_rule``
+    (``grads`` adds the gradients); it computes what the outputs share and
+    returns a function of the output k that gives k's diagonal and
+    off-diagonal face block.  Either may be None.
 
     A chunk holds the rows of consecutive elements, about
-    ``_pool._CHUNK_TRIPLETS`` triplets per usable CPU, and the chunks run
-    across those CPUs (``_pool._run_chunks``), each into its own rows of
-    ``indices`` and ``data``.  Its blocks are written in the order of
-    the whole matrix's block stream: volume, minus-diagonal, minus-off,
-    plus-diagonal, plus-off, each in intersection order.  So every row gets
-    the same triplet sequence as in one conversion of the whole stream.
-    scipy's conversion counts the triplets into rows in written order,
-    sorts each row by column with a permutation that depends on that row's
-    column sequence alone, and sums the duplicates in the sorted order; so
-    the chunks change no entry's rounding.
+    ``_pool._CHUNK_TRIPLETS`` triplets of all outputs together per usable
+    CPU, so the chunks in flight hold what one output's chunks would; the
+    chunks run across those CPUs (``_pool._run_chunks``), each into its
+    own rows of ``indices`` and of every output's ``data``.  Per chunk the
+    volume blocks and the traces are made once; then each output's blocks
+    are written in the order of the whole matrix's block stream: volume,
+    minus-diagonal, minus-off, plus-diagonal, plus-off, each in
+    intersection order.  So every row gets the same triplet sequence as in
+    one conversion of the whole stream.  scipy's conversion counts the
+    triplets into rows in written order, sorts each row by column with a
+    permutation that depends on that row's column sequence alone, and sums
+    the duplicates in the sorted order; so the chunks change no entry's
+    rounding, and every output gets the columns of the first.  The outputs
+    share one ``indices`` and one ``indptr``, so none may be changed in
+    place.
     """
     n, dofs = space.dofs_per_element, space.total_dofs
     m = len(space.mesh.triangles)
@@ -199,9 +211,9 @@ def _assemble_by_rows(space: DgSpace, volume, faces, face_rule=None,
     triplets = n * n * sum(len(rows) for rows, _ in pairs)
     indptr = _row_pointers(m, n, pairs)
     indices = np.empty(indptr[-1], dtype=indptr.dtype)
-    data = np.empty(indptr[-1])
+    data = [np.empty(indptr[-1]) for _ in range(outputs)]
 
-    chunks = _pool._slices(m, triplets, _pool._CHUNK_TRIPLETS)
+    chunks = _pool._slices(m, triplets * outputs, _pool._CHUNK_TRIPLETS)
     step = chunks[0].stop if chunks else 1  # elements per chunk
     # per side, its intersections grouped by the chunk of their own
     # element, in intersection order within a chunk, and the group bounds
@@ -216,21 +228,27 @@ def _assemble_by_rows(space: DgSpace, volume, faces, face_rule=None,
     def fill(rows):
         lo, hi, k = rows.start, rows.stop, rows.start // step
         sel = [order[bounds[k]:bounds[k + 1]] for order, bounds in sides]
-        part = _chunk_csr(_chunk_blocks(space, volume, faces, face_rule,
-                                        grads, lo, hi, sel),
-                          lo, hi, n, dofs, indptr.dtype)
         a, b = indptr[lo * n], indptr[hi * n]
-        if not np.array_equal(part.indptr, indptr[lo * n:hi * n + 1] - a):
-            raise RuntimeError(
-                f"row chunk {k} (elements {lo} to {hi - 1}): its "
-                f"{part.nnz} summed entries do not fill the preallocated "
-                f"pattern of {b - a} row by row")
-        indices[a:b] = part.indices
-        data[a:b] = part.data
+        where = f"row chunk {k} (elements {lo} to {hi - 1})"
+        for out, blocks in enumerate(_chunk_blocks(
+                space, volume, faces, face_rule, grads, lo, hi, sel,
+                outputs)):
+            part = _chunk_csr(blocks, lo, hi, n, dofs, indptr.dtype)
+            if not np.array_equal(part.indptr, indptr[lo * n:hi * n + 1] - a):
+                raise RuntimeError(
+                    f"{where}: its {part.nnz} summed entries do not fill "
+                    f"the preallocated pattern of {b - a} row by row")
+            if out == 0:
+                indices[a:b] = part.indices
+            elif not np.array_equal(part.indices, indices[a:b]):
+                raise RuntimeError(f"{where}: the columns of output {out} "
+                                   "differ from those of output 0")
+            data[out][a:b] = part.data
 
     _pool._run_chunks(fill, chunks)
-    mat = sp.csr_matrix((data, indices, indptr), shape=(dofs, dofs))
-    return SparseSystem(matrix=mat)
+    return [SparseSystem(matrix=sp.csr_matrix((d, indices, indptr),
+                                              shape=(dofs, dofs)))
+            for d in data]
 
 
 def _row_pointers(m: int, n: int, pairs) -> np.ndarray:
@@ -254,18 +272,32 @@ def _row_pointers(m: int, n: int, pairs) -> np.ndarray:
     return indptr
 
 
-def _chunk_blocks(space, volume, faces, face_rule, grads, lo, hi,
-                  sel) -> list:
-    """The blocks (block, row elements, column elements) of the rows of
-    elements lo..hi-1 in written order; ``sel`` holds the intersections of
-    the minus and of the plus side whose own element lies in lo..hi-1, in
-    intersection order.  The traces die on return."""
-    blocks = []
+def _chunk_blocks(space, volume, faces, face_rule, grads, lo, hi, sel,
+                  outputs):
+    """Per output, the blocks (block, row elements, column elements) of
+    the rows of elements lo..hi-1 in written order.  The volume blocks
+    and the face kernels (``_chunk_faces``) are made once, and die once
+    the last output's blocks are made."""
+    shared = []
     if volume is not None:
         elems = np.arange(lo, hi)
-        blocks.append((volume(slice(lo, hi)), elems, elems))
-    if faces is None:
-        return blocks
+        shared.append((volume(slice(lo, hi)), elems, elems))
+    sides = ([] if faces is None else
+             _chunk_faces(space, faces, face_rule, grads, lo, hi, sel))
+    for k in range(outputs):
+        blocks = list(shared)
+        for face, own, other in sides:
+            blocks += zip(face(k), (own, own), (own, other))
+        if k == outputs - 1:  # free the traces before the last conversion
+            shared = sides = face = None
+        yield blocks
+
+
+def _chunk_faces(space, faces, face_rule, grads, lo, hi, sel) -> list:
+    """Per side, minus then plus, the output kernel that ``faces`` gives
+    for the intersections of ``sel`` (per side, those whose own element
+    lies in lo..hi-1, in intersection order) and their own and other
+    elements.  The traces that no kernel keeps die on return."""
     edges = space.mesh.edges
     sel_m, sel_p = sel
     # trace each intersection once: the minus side's, then those of the
@@ -278,13 +310,12 @@ def _chunk_blocks(space, volume, faces, face_rule, grads, lo, hi,
     tr_m = space.trace(edges.minus[both], x, grads)
     tr_p = space.trace(edges.plus[both], x, grads)
     del x
-    for minus, own, other, ids, at, own_tr, other_tr in (
-            (True, edges.minus, edges.plus, sel_m, slice(0, len(sel_m)),
-             tr_m, tr_p),
-            (False, edges.plus, edges.minus, sel_p, at_p, tr_p, tr_m)):
-        diag, off = faces(ids, minus, _rows(own_tr, at), _rows(other_tr, at))
-        blocks += [(diag, own[ids], own[ids]), (off, own[ids], other[ids])]
-    return blocks
+    return [(faces(ids, minus, _rows(own_tr, at), _rows(other_tr, at)),
+             own[ids], other[ids])
+            for minus, own, other, ids, at, own_tr, other_tr in (
+                (True, edges.minus, edges.plus, sel_m, slice(0, len(sel_m)),
+                 tr_m, tr_p),
+                (False, edges.plus, edges.minus, sel_p, at_p, tr_p, tr_m))]
 
 
 def _rows(trace, at):
@@ -332,7 +363,17 @@ def assemble_system(space: DgSpace, choice, penalty: PenaltyParams,
     ``quadrature`` optionally overrides the (triangle, segment) rule
     exactness; entries must not change beyond roundoff when raised.
     """
-    tag = normalize_choice(choice)
+    return _assemble_choices(space, [normalize_choice(choice)], penalty,
+                             quadrature)[0]
+
+
+def _assemble_choices(space: DgSpace, tags, penalty: PenaltyParams,
+                      quadrature: tuple | None = None) -> list:
+    """The IP matrices of the normalized conormal choices ``tags``, in one
+    row-chunked pass (``_assemble_by_rows``): the volume blocks, the
+    traces and the face mass products are computed once for all choices,
+    the conormal terms per choice.  Each matrix is, bit for bit, the one
+    ``assemble_system`` gives for its choice; they share one pattern."""
     tri_deg, seg_deg = quadrature or _quad_degrees(space.degree)
     seg_rule = get_quadrature("segment", seg_deg)
     beta, wseg = _face_weights(space, penalty, seg_rule)
@@ -343,39 +384,47 @@ def assemble_system(space: DgSpace, choice, penalty: PenaltyParams,
         n_own, n_other = edges.conormal_minus[ids], edges.conormal_plus[ids]
         if not minus:
             n_own, n_other = n_other, n_own
-        n_d, n_e_own, n_e_oth = _resolve_batch(tag, n_own, n_other)
         b, w = beta[ids], wseg[ids]
-        # 4T weights the cross mass by beta n+ . n-, the others by -beta
-        cross_w = (b * np.einsum("ed,ed->e", n_own, n_other)
-                   if tag == "4T" else -b)
-        return (_diag_face_block(b, w, own_tr, n_d),
-                _off_face_block(w, own_tr, other_tr, n_e_own, n_e_oth,
-                                cross_w))
+        v_r, v_n = own_tr[0], other_tr[0]
+        mass_f = np.einsum("ek,eki,ekj->eij", w, v_r, v_r)
+        cross = np.einsum("ek,eki,ekj->eij", w, v_r, v_n)
+
+        def blocks(k):
+            tag = tags[k]
+            n_d, n_e_own, n_e_oth = _resolve_batch(tag, n_own, n_other)
+            # 4T weights the cross mass by beta n+ . n-, the others by -beta
+            cross_w = (b * np.einsum("ed,ed->e", n_own, n_other)
+                       if tag == "4T" else -b)
+            return (_diag_face_block(b, w, own_tr, n_d, mass_f),
+                    _off_face_block(w, own_tr, other_tr, n_e_own, n_e_oth,
+                                    cross_w, cross))
+        return blocks
 
     return _assemble_by_rows(
         space, lambda part: _volume_block(space, tri_rule, part), faces,
-        seg_rule, grads=True)
+        seg_rule, grads=True, outputs=len(tags))
 
 
-def _diag_face_block(beta, wseg, own_tr, n_d):
-    """Face block (E, n, n) coupling the own element to itself."""
+def _diag_face_block(beta, wseg, own_tr, n_d, mass_f):
+    """Face block (E, n, n) coupling the own element to itself, from its
+    face mass ``mass_f``."""
     v_r, g_r = own_tr
     dn_d = np.einsum("eknd,ed->ekn", g_r, n_d)
-    mass_f = np.einsum("ek,eki,ekj->eij", wseg, v_r, v_r)
     return (-0.5) * (np.einsum("ek,ekj,eki->eij", wseg, v_r, dn_d)
                      + np.einsum("ek,eki,ekj->eij", wseg, v_r, dn_d)) \
         + beta[:, None, None] * mass_f
 
 
-def _off_face_block(wseg, own_tr, other_tr, n_e_own, n_e_oth, cross_w):
-    """Face block (E, n, n) coupling the own element to the other one."""
+def _off_face_block(wseg, own_tr, other_tr, n_e_own, n_e_oth, cross_w,
+                    cross):
+    """Face block (E, n, n) coupling the own element to the other one,
+    from their cross mass ``cross``."""
     (v_r, g_r), (v_n, g_n) = own_tr, other_tr
     dr = np.einsum("eknd,ed->ekn", g_r, n_e_own)
     dn = np.einsum("eknd,ed->ekn", g_n, n_e_oth)
     off = 0.5 * (np.einsum("ek,ekj,eki->eij", wseg, v_n, dr)
                  + np.einsum("ek,eki,ekj->eij", wseg, v_r, dn))
-    off += cross_w[:, None, None] * np.einsum("ek,eki,ekj->eij",
-                                              wseg, v_r, v_n)
+    off += cross_w[:, None, None] * cross
     return off
 
 
@@ -383,7 +432,7 @@ def assemble_mass_stiffness(space: DgSpace) -> SparseSystem:
     """Volume-only operator (broken stiffness + mass), no face terms."""
     rule = get_quadrature("triangle", _quad_degrees(space.degree)[0])
     return _assemble_by_rows(
-        space, lambda part: _volume_block(space, rule, part), None)
+        space, lambda part: _volume_block(space, rule, part), None)[0]
 
 
 def assemble_penalty_matrix(space: DgSpace, penalty: PenaltyParams
@@ -395,10 +444,11 @@ def assemble_penalty_matrix(space: DgSpace, penalty: PenaltyParams
 
     def faces(ids, minus, v_r, v_n):
         b, w = beta[ids][:, None, None], wseg[ids]
-        return (b * np.einsum("ek,eki,ekj->eij", w, v_r, v_r),
-                -b * np.einsum("ek,eki,ekj->eij", w, v_r, v_n))
+        diag = b * np.einsum("ek,eki,ekj->eij", w, v_r, v_r)
+        off = -b * np.einsum("ek,eki,ekj->eij", w, v_r, v_n)
+        return lambda k: (diag, off)
 
-    return _assemble_by_rows(space, None, faces, seg_rule)
+    return _assemble_by_rows(space, None, faces, seg_rule)[0]
 
 
 def assemble_rhs(space: DgSpace, surface: LevelSetSurface, f) -> np.ndarray:

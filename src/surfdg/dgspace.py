@@ -156,7 +156,7 @@ def _barycentric(tmap, v0, x) -> np.ndarray:
     return lam
 
 
-@dataclass
+@dataclass(eq=False)
 class DgSpace:
     """Fully discontinuous P1/P2 space with element-major numbering."""
 
@@ -227,7 +227,7 @@ class DgSpace:
         return p0[:, None, :] + t * (p1 - p0)[:, None, :]
 
 
-@dataclass
+@dataclass(eq=False)
 class DgFunction:
     """Coefficient vector over a DgSpace (nodal values)."""
 

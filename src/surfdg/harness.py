@@ -10,13 +10,13 @@ from numbers import Integral, Real
 import numpy as np
 
 from . import _pool
-from .assembly import (PenaltyParams, assemble_rhs, assemble_system,
+from .assembly import (PenaltyParams, _assemble_choices, assemble_rhs,
                        normalize_choice)
 from .dgspace import DgFunction, DgSpace, _ref_grads, _values, get_quadrature
 from .mesh import (SurfaceMesh, initial_mesh, mesh_width,
                    refine_nonconforming, refine_uniform)
 from .problems import TestProblem, exact_u_on_gammah, make_problem
-from .solvers import SolveReport, bicgstab, cg
+from .solvers import bicgstab, cg
 
 
 class HarnessError(RuntimeError):
@@ -213,12 +213,12 @@ def compute_errors(u_h: DgFunction, problem: TestProblem) -> tuple:
     return _errors(u_h.space, problem, [u_h.coefficients])[0]
 
 
-def _solve_level(space, choice, penalty, rhs, solver, tol) -> SolveReport:
-    system = assemble_system(space, choice, penalty)
+def _solver_for(choice, solver):
+    """The solver of ``choice``: ``solver``, or with "auto" BiCGSTAB for
+    the non-symmetric Choice 1 and CG otherwise."""
     if solver == "auto":
         solver = "bicgstab" if choice == "1" else "cg"
-    fn = cg if solver == "cg" else bicgstab
-    return fn(system, rhs, tol=tol, precond="jacobi")
+    return cg if solver == "cg" else bicgstab
 
 
 def _marked_halfspace(mesh: SurfaceMesh):
@@ -248,21 +248,24 @@ def _stage(failed: str):
 
 def _solve_choices(space, problem, tags, penalty, solver, tol,
                    level) -> dict:
-    """rhs, then assemble+solve on ``space`` for every choice in ``tags``,
-    then the errors of all solutions at once; maps each tag to
-    (report, u_h, l2, dg).
+    """rhs, then the matrices of every choice in ``tags`` in one pass
+    (``_assemble_choices``), then a solve per choice, then the errors of
+    all solutions at once; maps each tag to (report, u_h, l2, dg).
 
-    The choices run across the usable CPUs (``_pool._run_chunks``, one
-    chunk per choice), each into its own place of the reports; the loops
-    and products inside a choice then run in its thread, so no bit moves,
-    and a failure is the one of the first failing choice in order."""
+    The solves run across the usable CPUs (``_pool._run_chunks``, one
+    chunk per choice), each into its own place of the reports and each
+    dropping its matrix when done; the loops and products inside a solve
+    then run in its thread, so no bit moves, and a failure is the one of
+    the first failing choice in order."""
     with _stage(f"assemble/solve stage failed at level {level}"):
         rhs = assemble_rhs(space, problem.surface, problem.f)
+        systems = _assemble_choices(space, tags, penalty)
         reports = [None] * len(tags)
 
         def solve(k):
-            reports[k] = _solve_level(space, tags[k], penalty, rhs, solver,
-                                      tol)
+            system, systems[k] = systems[k], None
+            reports[k] = _solver_for(tags[k], solver)(
+                system, rhs, tol=tol, precond="jacobi")
 
         _pool._run_chunks(solve, range(len(tags)))
     with _stage(f"error stage failed at level {level}"):

@@ -79,7 +79,7 @@ class EdgeSet(Sequence):
         )
 
 
-@dataclass
+@dataclass(eq=False)
 class SurfaceMesh:
     """Flat triangulation of a closed surface, vertices on the surface.
 

@@ -24,7 +24,7 @@ from surfdg.assembly import (
     resolve_conormal_choice,
     write_matrix_market,
 )
-from surfdg.dgspace import DgSpace, get_quadrature
+from surfdg.dgspace import DgFunction, DgSpace, get_quadrature
 from surfdg.geometry import make_plane, make_sphere
 from surfdg.mesh import (SurfaceMesh, initial_mesh, refine_nonconforming,
                          refine_uniform)
@@ -403,6 +403,19 @@ def test_rhs_batches_do_not_change_values(monkeypatch, name, degree,
     assert np.array_equal(batched, assemble_rhs(space, surf, problem.f))
 
 
+def test_meshes_spaces_functions_and_systems_compare_by_identity():
+    """``==`` on two meshes built alike, on spaces of two meshes, on
+    functions and on systems compares identities, not their arrays (whose
+    truth value is ambiguous), and each of them hashes."""
+    meshes = [flat_grid(2), flat_grid(2)]
+    spaces = [DgSpace(m, 1) for m in meshes]
+    funcs = [DgFunction(s, np.zeros(s.total_dofs)) for s in spaces]
+    systems = [assemble_system(s, 2, PenaltyParams()) for s in spaces]
+    for a, b in (meshes, spaces, funcs, systems):
+        assert a == a and a != b and not a == b
+        assert len({a, b, a}) == 2
+
+
 def _csr_bytes(a):
     return a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
 
@@ -431,6 +444,37 @@ def test_assemble_system_memory(monkeypatch, degree):
     assert len(chunks) >= 8
     assert peak <= 2 * _csr_bytes(a)
     assert kept == _csr_bytes(a)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_shared_pass_memory(monkeypatch, degree):
+    """With row chunks sized for 16 chunks of one Choice 2 matrix, the
+    four-choice pass on the 4-refinement Dziuk mesh peaks, above the bytes
+    of the matrices it returns, at no more than the one-choice call peaks
+    above its CSR: its chunk budget counts the triplets of every output."""
+    space = dziuk_space(4, degree)
+    n = space.dofs_per_element
+    triplets = n * n * (len(space.mesh.triangles) + 4 * len(space.mesh.edges))
+    monkeypatch.setattr(_pool, "_CHUNK_TRIPLETS", triplets // 16)
+    chunks = []
+    convert = assembly._chunk_csr
+
+    def counted(*args):
+        chunks.append(args[1:3])  # lo, hi
+        return convert(*args)
+
+    monkeypatch.setattr(assembly, "_chunk_csr", counted)
+    one, peak_one, _ = traced_bytes(
+        lambda: assemble_system(space, 2, PenaltyParams()))
+    assert len(set(chunks)) >= 8
+    four, peak_four, kept = traced_bytes(
+        lambda: assembly._assemble_choices(space, ["1", "2", "3", "4"],
+                                           PenaltyParams()))
+    # the outputs share the first one's indices and indptr
+    out_bytes = _csr_bytes(four[0].matrix) + sum(
+        s.matrix.data.nbytes for s in four[1:])
+    assert kept == out_bytes
+    assert peak_four - out_bytes <= peak_one - _csr_bytes(one.matrix)
 
 
 def test_chunk_off_the_pattern_is_refused(monkeypatch):

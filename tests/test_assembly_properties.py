@@ -51,14 +51,16 @@ def recorded(calls, build):
         return build()
 
 
-def whole_stream(space, volume, faces, face_rule=None, grads=False):
-    """The whole matrix's block stream, (block, row elements, column
-    elements), in the written order of a one-shot assembly: the volume
-    blocks of all elements, then the minus-diagonal, minus-off,
+def whole_streams(space, volume, faces, face_rule=None, grads=False,
+                  outputs=1):
+    """Per output, the whole matrix's block stream, (block, row elements,
+    column elements), in the written order of a one-shot assembly: the
+    volume blocks of all elements, then the minus-diagonal, minus-off,
     plus-diagonal and plus-off blocks of all intersections."""
     m = len(space.mesh.triangles)
     elems = np.arange(m)
-    stream = [] if volume is None else [(volume(slice(None)), elems, elems)]
+    shared = [] if volume is None else [(volume(slice(None)), elems, elems)]
+    sides = []
     if faces is not None:
         edges = space.mesh.edges
         ids = np.arange(len(edges))
@@ -68,9 +70,15 @@ def whole_stream(space, volume, faces, face_rule=None, grads=False):
         for minus, own, other, own_tr, other_tr in (
                 (True, edges.minus, edges.plus, tr_minus, tr_plus),
                 (False, edges.plus, edges.minus, tr_plus, tr_minus)):
-            diag, off = faces(ids, minus, own_tr, other_tr)
+            sides.append((faces(ids, minus, own_tr, other_tr), own, other))
+    streams = []
+    for k in range(outputs):
+        stream = list(shared)
+        for face, own, other in sides:
+            diag, off = face(k)
             stream += [(diag, own, own), (off, own, other)]
-    return stream
+        streams.append(stream)
+    return streams
 
 
 def listed_csr(space, stream):
@@ -88,6 +96,13 @@ def listed_csr(space, stream):
     return mat
 
 
+def same_csr(got, want):
+    """Whether two CSR matrices hold the same arrays, dtypes included."""
+    return all(getattr(got, part).dtype == getattr(want, part).dtype
+               and np.array_equal(getattr(got, part), getattr(want, part))
+               for part in ("indptr", "indices", "data"))
+
+
 @settings(max_examples=50, deadline=None)
 @given(name=st.sampled_from(("sphere", "dziuk")), degree=st.sampled_from((1, 2)),
        nonconforming=st.booleans(), seed=st.integers(0, 2**32 - 1),
@@ -99,28 +114,67 @@ def test_row_chunks_match_one_shot_conversion(name, degree, nonconforming,
     triplets (down to one element per chunk, up to a single chunk), is,
     array for array, scipy's one-shot conversion of the whole block stream
     in its written order, and Choices 2, 3 and 4 are symmetric; also when
-    some minus elements follow their plus elements."""
+    some minus elements follow their plus elements, and for every output
+    of the shared pass over all choices."""
     mesh = perturbed_mesh(name, seed, amplitude, nonconforming)
     space = DgSpace(flipped_sides(mesh, seed) if flip else mesh, degree)
     penalty = PenaltyParams()
-    builds = {c: (lambda c=c: assemble_system(space, c, penalty))
+    builds = {c: (lambda c=c: [assemble_system(space, c, penalty)])
               for c in assembly.CHOICES}
-    builds["mass-stiffness"] = lambda: assemble_mass_stiffness(space)
-    builds["penalty"] = lambda: assemble_penalty_matrix(space, penalty)
+    builds["mass-stiffness"] = lambda: [assemble_mass_stiffness(space)]
+    builds["penalty"] = lambda: [assemble_penalty_matrix(space, penalty)]
+    builds["all choices"] = lambda: assembly._assemble_choices(
+        space, list(assembly.CHOICES), penalty)
     for what, build in builds.items():
         calls = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_pool, "_CHUNK_TRIPLETS", chunk)
-            got = recorded(calls, build).matrix
+            got = recorded(calls, build)
         ((args, kwargs),) = calls
-        want = listed_csr(space, whole_stream(*args, **kwargs))
-        assert got.has_sorted_indices, what
-        for part in ("indptr", "indices", "data"):
-            g, w = getattr(got, part), getattr(want, part)
-            assert g.dtype == w.dtype, (what, part)
-            assert np.array_equal(g, w), (what, part)
-        if what in ("2", "3", "4"):
-            assert check_symmetry(got) <= 1e-12 * np.abs(got.data).max()
+        wants = [listed_csr(space, stream)
+                 for stream in whole_streams(*args, **kwargs)]
+        assert len(got) == len(wants), what
+        for k, (system, want) in enumerate(zip(got, wants)):
+            a = system.matrix
+            assert a.has_sorted_indices, (what, k)
+            assert same_csr(a, want), (what, k)
+            tag = assembly.CHOICES[k] if what == "all choices" else what
+            if tag in ("2", "3", "4"):
+                assert check_symmetry(a) <= 1e-12 * np.abs(a.data).max()
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(("sphere", "dziuk")), degree=st.sampled_from((1, 2)),
+       nonconforming=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       amplitude=st.floats(0.0, 0.15),
+       tags=st.permutations(assembly.CHOICES).flatmap(
+           lambda p: st.integers(1, len(p)).map(lambda k: list(p[:k]))),
+       chunk=st.integers(1, 1 << 14), cpus=st.integers(1, 3))
+def test_shared_pass_equals_per_choice_assembly(name, degree, nonconforming,
+                                                seed, amplitude, tags, chunk,
+                                                cpus):
+    """The shared pass over any subset of the choices, in any order, with
+    row chunks of about ``chunk`` triplets on 1 to 3 workers, gives each
+    choice, array for array, the matrix of its own one-choice assembly;
+    all outputs hold one ``indices`` and one ``indptr`` array."""
+    space = DgSpace(perturbed_mesh(name, seed, amplitude, nonconforming),
+                    degree)
+    penalty = PenaltyParams()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_pool, "_usable_cpus", lambda: cpus)
+        mp.setattr(_pool, "_shared", None)
+        mp.setattr(_pool, "_CHUNK_TRIPLETS", chunk)
+        try:
+            got = [s.matrix for s in assembly._assemble_choices(
+                space, tags, penalty)]
+        finally:
+            if _pool._shared is not None:
+                _pool._shared[1].shutdown(wait=True)
+    assert len(got) == len(tags)
+    for tag, a in zip(tags, got):
+        assert same_csr(a, assemble_system(space, tag, penalty).matrix), tag
+        assert np.shares_memory(a.indices, got[0].indices)
+        assert np.shares_memory(a.indptr, got[0].indptr)
 
 
 @settings(max_examples=30, deadline=None)

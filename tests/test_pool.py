@@ -329,9 +329,9 @@ def test_first_failing_chunk_in_order_is_raised(monkeypatch, workers,
 def _fingerprint(monkeypatch, ladder):
     """sha256 of every rhs, matrix (indptr, indices, data) and solution of
     ``ladder()``, each keyed by (level, choice, call), and the float.hex of
-    its errors.  The choices of a level may run at once, so their calls
-    come in any order; the key names each call once, the level by its
-    element count."""
+    its errors.  The matrices of a level's choices come from one shared
+    pass, and their solves may run at once, so in any order; the key names
+    each matrix and each solve once, the level by its element count."""
     prints = {}
     lock = threading.Lock()
     choice_of = {}  # id of an assembled system -> (level, choice)
@@ -354,15 +354,23 @@ def _fingerprint(monkeypatch, ladder):
             return out
         monkeypatch.setattr(harness, name, wrapped)
 
-    def system_key(args, system):
-        level_choice = (len(args[0].mesh.triangles), args[1])
-        choice_of[id(system)] = level_choice
-        return level_choice
+    assemble = harness._assemble_choices
+
+    def assemble_choices(space, tags, *args, **kwargs):
+        systems = assemble(space, tags, *args, **kwargs)
+        with lock:
+            for tag, s in zip(tags, systems):
+                k = (len(space.mesh.triangles), tag)
+                choice_of[id(s)] = k
+                k += ("assemble_system",)
+                assert k not in prints
+                prints[k] = sha(s.matrix.indptr, s.matrix.indices,
+                                s.matrix.data)
+        return systems
 
     wrap("assemble_rhs", lambda args, _: (len(args[0].mesh.triangles), None),
          sha)
-    wrap("assemble_system", system_key,
-         lambda s: sha(s.matrix.indptr, s.matrix.indices, s.matrix.data))
+    monkeypatch.setattr(harness, "_assemble_choices", assemble_choices)
     for solver in ("cg", "bicgstab"):
         wrap(solver, lambda args, _: choice_of.pop(id(args[0])),
              lambda r: (sha(r.solution), r.iterations,
@@ -452,26 +460,30 @@ def test_concurrent_choices_finish_with_the_serial_errors(monkeypatch):
 
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_first_failing_choice_in_order_is_raised(monkeypatch, workers, cpus):
-    """Choice 1 failing after a pause and Choice 3 failing at once end the
-    comparison with Choice 1's failure, named by its stage, with 1 and
-    with 3 workers; with 3, the two run at once, so Choice 3 fails
-    first."""
-    assemble = harness.assemble_system
+    """Choice 1's solve failing after a pause and Choice 3's failing at
+    once end the comparison with Choice 1's failure, named by its stage,
+    with 1 and with 3 workers; with 3, the two run at once, so Choice 3
+    fails first."""
+    pick = harness._solver_for
     meet = _two_threads() if cpus > 1 else (lambda k: None)
     called = []
 
-    def failing(space, choice, penalty):
-        called.append(choice)
-        if choice in ("1", "3"):
-            meet(0)
-        if choice == "1":
-            time.sleep(0.2)
-            raise RuntimeError("choice 1 poisoned")
-        if choice == "3":
-            raise RuntimeError("choice 3 poisoned")
-        return assemble(space, choice, penalty)
+    def failing(choice, solver):
+        solve = pick(choice, solver)
 
-    monkeypatch.setattr(harness, "assemble_system", failing)
+        def run(system, rhs, **kwargs):
+            called.append(choice)
+            if choice in ("1", "3"):
+                meet(0)
+            if choice == "1":
+                time.sleep(0.2)
+                raise RuntimeError("choice 1 poisoned")
+            if choice == "3":
+                raise RuntimeError("choice 3 poisoned")
+            return solve(system, rhs, **kwargs)
+        return run
+
+    monkeypatch.setattr(harness, "_solver_for", failing)
     workers(cpus)
     with pytest.raises(harness.HarnessError) as info:
         compare_choices(RunConfig(surface="sphere", refinements=1),
