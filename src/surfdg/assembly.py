@@ -7,11 +7,13 @@ surface.
 
 Face terms are assembled elementwise: every intersection is visited once
 and contributes four blocks, with each incident element playing the
-"minus" role for its own rows.  Several choices are assembled in one
-row-chunked pass (``_assemble_choices``; ``assemble_system`` is its
-one-choice case): per chunk the volume blocks, the traces and the face
-mass products are made once and only the conormal terms per choice, and
-the matrices share one pattern.  Conormal choices:
+"minus" role for its own rows.  One row-chunked pass assembles the IP
+matrices of several choices (``_assemble_choices``; ``assemble_system``
+is its one-choice case): per chunk the volume blocks, the traces and the
+face mass products are made once and only the conormal terms per choice,
+and the matrices share one pattern.  The mass-stiffness and penalty
+operators are references for tests, each one conversion of its whole
+block stream.  Conormal choices:
 
   1   planar:          (n-, n-, -n-)       generally non-symmetric
   2   analysis:        (n-, n-, n+)        symmetric
@@ -168,71 +170,75 @@ def _volume_block(space: DgSpace, rule, part=slice(None)) -> np.ndarray:
         + mass_ref[None, :, :])
 
 
-def _assemble_by_rows(space: DgSpace, volume, faces, face_rule=None,
-                      grads: bool = False, outputs: int = 1) -> list:
-    """``outputs`` CSR matrices of dense (n, n) element-pair blocks on one
-    pattern, summed one chunk of element rows at a time into arrays
-    preallocated from the pattern.
+def assemble_system(space: DgSpace, choice, penalty: PenaltyParams
+                    ) -> SparseSystem:
+    """Assemble the IP matrix for one conormal choice (matrix only)."""
+    return _assemble_choices(space, [normalize_choice(choice)], penalty)[0]
 
-    ``volume(part)`` gives the diagonal blocks (E, n, n) of the elements
-    ``part`` (a slice), the same for every output.  ``faces(ids, minus,
-    own_tr, other_tr)`` takes the intersections ``ids``, seen from their
-    minus element (``minus``) or from their plus element, with the traces
-    of the own and of the other element at the points of ``face_rule``
-    (``grads`` adds the gradients); it computes what the outputs share and
-    returns a function of the output k that gives k's diagonal and
-    off-diagonal face block.  Either may be None.
+
+def _assemble_choices(space: DgSpace, tags, penalty: PenaltyParams) -> list:
+    """The IP matrices of the normalized conormal choices ``tags`` on one
+    pattern, summed one chunk of element rows at a time into arrays
+    preallocated from the pattern.  Each matrix is, bit for bit, the one
+    ``assemble_system`` gives for its choice.
 
     A chunk holds the rows of consecutive elements, about
-    ``_pool._CHUNK_TRIPLETS`` triplets of all outputs together per usable
-    CPU, so the chunks in flight hold what one output's chunks would; the
+    ``_pool._CHUNK_TRIPLETS`` triplets of all choices together per usable
+    CPU, so the chunks in flight hold what one choice's chunks would; the
     chunks run across those CPUs (``_pool._run_chunks``), each into its
-    own rows of ``indices`` and of every output's ``data``.  Per chunk the
-    volume blocks and the traces are made once; then each output's blocks
-    are written in the order of the whole matrix's block stream: volume,
-    minus-diagonal, minus-off, plus-diagonal, plus-off, each in
-    intersection order.  So every row gets the same triplet sequence as in
-    one conversion of the whole stream.  scipy's conversion counts the
-    triplets into rows in written order, sorts each row by column with a
-    permutation that depends on that row's column sequence alone, and sums
-    the duplicates in the sorted order; so the chunks change no entry's
-    rounding, and every output gets the columns of the first.  The outputs
-    share one ``indices`` and one ``indptr``, so none may be changed in
-    place.
+    own rows of ``indices`` and of every choice's ``data``.  Per chunk the
+    volume blocks, the traces and the face mass products are made once
+    (``_chunk_faces``), and only the conormal terms per choice
+    (``_face_blocks``); each choice's blocks are written in the order of
+    the whole matrix's block stream: volume, minus-diagonal, minus-off,
+    plus-diagonal, plus-off, each in intersection order.  So every row
+    gets the same triplet sequence as in one conversion of the whole
+    stream.  scipy's conversion counts the triplets into rows in written
+    order, sorts each row by column with a permutation that depends on
+    that row's column sequence alone, and sums the duplicates in the
+    sorted order; so the chunks change no entry's rounding, and every
+    choice gets the columns of the first.  The matrices share one
+    ``indices`` and one ``indptr``, so none may be changed in place.
     """
+    tri_deg, seg_deg = _quad_degrees(space.degree)
+    seg_rule = get_quadrature("segment", seg_deg)
+    beta, wseg = _face_weights(space, penalty, seg_rule)
+    tri_rule = get_quadrature("triangle", tri_deg)
     n, dofs = space.dofs_per_element, space.total_dofs
     m = len(space.mesh.triangles)
     edges = space.mesh.edges
     elems = np.arange(m)
-    pairs = [(elems, elems)] if volume is not None else []
-    if faces is not None:
-        pairs += [(edges.minus, edges.minus), (edges.minus, edges.plus),
-                  (edges.plus, edges.plus), (edges.plus, edges.minus)]
+    pairs = [(elems, elems), (edges.minus, edges.minus),
+             (edges.minus, edges.plus), (edges.plus, edges.plus),
+             (edges.plus, edges.minus)]
     triplets = n * n * sum(len(rows) for rows, _ in pairs)
     indptr = _row_pointers(m, n, pairs)
     indices = np.empty(indptr[-1], dtype=indptr.dtype)
-    data = [np.empty(indptr[-1]) for _ in range(outputs)]
+    data = [np.empty(indptr[-1]) for _ in tags]
 
-    chunks = _pool._slices(m, triplets * outputs, _pool._CHUNK_TRIPLETS)
+    chunks = _pool._slices(m, triplets * len(tags), _pool._CHUNK_TRIPLETS)
     step = chunks[0].stop if chunks else 1  # elements per chunk
     # per side, its intersections grouped by the chunk of their own
     # element, in intersection order within a chunk, and the group bounds
     sides = []
-    if faces is not None:
-        for own in (edges.minus, edges.plus):
-            chunk = own // step
-            order = np.argsort(chunk, kind="stable")
-            sides.append((order, np.searchsorted(
-                chunk[order], np.arange(len(chunks) + 1))))
+    for own in (edges.minus, edges.plus):
+        chunk = own // step
+        order = np.argsort(chunk, kind="stable")
+        sides.append((order, np.searchsorted(
+            chunk[order], np.arange(len(chunks) + 1))))
 
     def fill(rows):
         lo, hi, k = rows.start, rows.stop, rows.start // step
         sel = [order[bounds[k]:bounds[k + 1]] for order, bounds in sides]
         a, b = indptr[lo * n], indptr[hi * n]
         where = f"row chunk {k} (elements {lo} to {hi - 1})"
-        for out, blocks in enumerate(_chunk_blocks(
-                space, volume, faces, face_rule, grads, lo, hi, sel,
-                outputs)):
+        volume = (_volume_block(space, tri_rule, rows), elems[rows],
+                  elems[rows])
+        faces = _chunk_faces(space, seg_rule, beta, wseg, lo, hi, sel)
+        for out, tag in enumerate(tags):
+            blocks = [volume, *_face_blocks(tag, faces)]
+            if out == len(tags) - 1:
+                volume = faces = None  # the traces die before converting
             part = _chunk_csr(blocks, lo, hi, n, dofs, indptr.dtype)
             if not np.array_equal(part.indptr, indptr[lo * n:hi * n + 1] - a):
                 raise RuntimeError(
@@ -272,32 +278,14 @@ def _row_pointers(m: int, n: int, pairs) -> np.ndarray:
     return indptr
 
 
-def _chunk_blocks(space, volume, faces, face_rule, grads, lo, hi, sel,
-                  outputs):
-    """Per output, the blocks (block, row elements, column elements) of
-    the rows of elements lo..hi-1 in written order.  The volume blocks
-    and the face kernels (``_chunk_faces``) are made once, and die once
-    the last output's blocks are made."""
-    shared = []
-    if volume is not None:
-        elems = np.arange(lo, hi)
-        shared.append((volume(slice(lo, hi)), elems, elems))
-    sides = ([] if faces is None else
-             _chunk_faces(space, faces, face_rule, grads, lo, hi, sel))
-    for k in range(outputs):
-        blocks = list(shared)
-        for face, own, other in sides:
-            blocks += zip(face(k), (own, own), (own, other))
-        if k == outputs - 1:  # free the traces before the last conversion
-            shared = sides = face = None
-        yield blocks
-
-
-def _chunk_faces(space, faces, face_rule, grads, lo, hi, sel) -> list:
-    """Per side, minus then plus, the output kernel that ``faces`` gives
-    for the intersections of ``sel`` (per side, those whose own element
-    lies in lo..hi-1, in intersection order) and their own and other
-    elements.  The traces that no kernel keeps die on return."""
+def _chunk_faces(space, rule, beta, wseg, lo, hi, sel) -> list:
+    """Per side, minus then plus, what the conormal choices share on the
+    intersections of ``sel`` (per side, those whose own element lies in
+    lo..hi-1, in intersection order): the own and the other elements, the
+    traces (values, gradients) of both at the points of segment rule
+    ``rule``, the conormals seen from the own element, beta_e, |e| w_k,
+    and the face mass (own/own) and cross mass (own/other) products.  The
+    traces that no side keeps die on return."""
     edges = space.mesh.edges
     sel_m, sel_p = sel
     # trace each intersection once: the minus side's, then those of the
@@ -306,23 +294,50 @@ def _chunk_faces(space, faces, face_rule, grads, lo, hi, sel) -> list:
     both = np.concatenate([sel_m, sel_p[outside]])
     at_p = np.searchsorted(sel_m, sel_p)
     at_p[outside] = len(sel_m) + np.arange(np.count_nonzero(outside))
-    x = space.face_points(face_rule, both)
-    tr_m = space.trace(edges.minus[both], x, grads)
-    tr_p = space.trace(edges.plus[both], x, grads)
+    x = space.face_points(rule, both)
+    tr_m = space.trace(edges.minus[both], x, grads=True)
+    tr_p = space.trace(edges.plus[both], x, grads=True)
     del x
-    return [(faces(ids, minus, _rows(own_tr, at), _rows(other_tr, at)),
-             own[ids], other[ids])
-            for minus, own, other, ids, at, own_tr, other_tr in (
-                (True, edges.minus, edges.plus, sel_m, slice(0, len(sel_m)),
-                 tr_m, tr_p),
-                (False, edges.plus, edges.minus, sel_p, at_p, tr_p, tr_m))]
+    sides = []
+    for own, other, n_own, n_other, ids, at, own_tr, other_tr in (
+            (edges.minus, edges.plus, edges.conormal_minus,
+             edges.conormal_plus, sel_m, slice(0, len(sel_m)), tr_m, tr_p),
+            (edges.plus, edges.minus, edges.conormal_plus,
+             edges.conormal_minus, sel_p, at_p, tr_p, tr_m)):
+        (v_r, g_r), (v_n, g_n) = [(v[at], g[at]) for v, g in (own_tr,
+                                                               other_tr)]
+        w = wseg[ids]
+        sides.append((own[ids], other[ids], (v_r, g_r), (v_n, g_n),
+                      n_own[ids], n_other[ids], beta[ids], w,
+                      np.einsum("ek,eki,ekj->eij", w, v_r, v_r),
+                      np.einsum("ek,eki,ekj->eij", w, v_r, v_n)))
+    return sides
 
 
-def _rows(trace, at):
-    """Rows ``at`` of a trace: values, or (values, gradients)."""
-    if isinstance(trace, tuple):
-        return tuple(t[at] for t in trace)
-    return trace[at]
+def _face_blocks(tag, sides) -> list:
+    """The face blocks (block, row elements, column elements) of conormal
+    choice ``tag`` from the ``_chunk_faces`` data of both sides: per side
+    the diagonal block, coupling the own element to itself, then the
+    off-diagonal one, coupling it to the other element."""
+    blocks = []
+    for side in sides:
+        (own, other, (v_r, g_r), (v_n, g_n), n_own, n_other, b, w, mass_f,
+         cross) = side
+        n_d, n_e_own, n_e_oth = _resolve_batch(tag, n_own, n_other)
+        dn_d = np.einsum("eknd,ed->ekn", g_r, n_d)
+        diag = (-0.5) * (np.einsum("ek,ekj,eki->eij", w, v_r, dn_d)
+                         + np.einsum("ek,eki,ekj->eij", w, v_r, dn_d)) \
+            + b[:, None, None] * mass_f
+        dr = np.einsum("eknd,ed->ekn", g_r, n_e_own)
+        dn = np.einsum("eknd,ed->ekn", g_n, n_e_oth)
+        off = 0.5 * (np.einsum("ek,ekj,eki->eij", w, v_n, dr)
+                     + np.einsum("ek,eki,ekj->eij", w, v_r, dn))
+        # 4T weights the cross mass by beta n+ . n-, the others by -beta
+        cross_w = (b * np.einsum("ed,ed->e", n_own, n_other)
+                   if tag == "4T" else -b)
+        off += cross_w[:, None, None] * cross
+        blocks += [(diag, own, own), (off, own, other)]
+    return blocks
 
 
 def _chunk_csr(blocks, lo, hi, n, dofs, idx) -> sp.csr_matrix:
@@ -356,99 +371,32 @@ def _face_weights(space: DgSpace, penalty: PenaltyParams, rule):
     return om / edges.lengths, rule.weights[None, :] * edges.lengths[:, None]
 
 
-def assemble_system(space: DgSpace, choice, penalty: PenaltyParams,
-                    quadrature: tuple | None = None) -> SparseSystem:
-    """Assemble the IP matrix for one conormal choice (matrix only).
-
-    ``quadrature`` optionally overrides the (triangle, segment) rule
-    exactness; entries must not change beyond roundoff when raised.
-    """
-    return _assemble_choices(space, [normalize_choice(choice)], penalty,
-                             quadrature)[0]
-
-
-def _assemble_choices(space: DgSpace, tags, penalty: PenaltyParams,
-                      quadrature: tuple | None = None) -> list:
-    """The IP matrices of the normalized conormal choices ``tags``, in one
-    row-chunked pass (``_assemble_by_rows``): the volume blocks, the
-    traces and the face mass products are computed once for all choices,
-    the conormal terms per choice.  Each matrix is, bit for bit, the one
-    ``assemble_system`` gives for its choice; they share one pattern."""
-    tri_deg, seg_deg = quadrature or _quad_degrees(space.degree)
-    seg_rule = get_quadrature("segment", seg_deg)
-    beta, wseg = _face_weights(space, penalty, seg_rule)
-    tri_rule = get_quadrature("triangle", tri_deg)
-    edges = space.mesh.edges
-
-    def faces(ids, minus, own_tr, other_tr):
-        n_own, n_other = edges.conormal_minus[ids], edges.conormal_plus[ids]
-        if not minus:
-            n_own, n_other = n_other, n_own
-        b, w = beta[ids], wseg[ids]
-        v_r, v_n = own_tr[0], other_tr[0]
-        mass_f = np.einsum("ek,eki,ekj->eij", w, v_r, v_r)
-        cross = np.einsum("ek,eki,ekj->eij", w, v_r, v_n)
-
-        def blocks(k):
-            tag = tags[k]
-            n_d, n_e_own, n_e_oth = _resolve_batch(tag, n_own, n_other)
-            # 4T weights the cross mass by beta n+ . n-, the others by -beta
-            cross_w = (b * np.einsum("ed,ed->e", n_own, n_other)
-                       if tag == "4T" else -b)
-            return (_diag_face_block(b, w, own_tr, n_d, mass_f),
-                    _off_face_block(w, own_tr, other_tr, n_e_own, n_e_oth,
-                                    cross_w, cross))
-        return blocks
-
-    return _assemble_by_rows(
-        space, lambda part: _volume_block(space, tri_rule, part), faces,
-        seg_rule, grads=True, outputs=len(tags))
-
-
-def _diag_face_block(beta, wseg, own_tr, n_d, mass_f):
-    """Face block (E, n, n) coupling the own element to itself, from its
-    face mass ``mass_f``."""
-    v_r, g_r = own_tr
-    dn_d = np.einsum("eknd,ed->ekn", g_r, n_d)
-    return (-0.5) * (np.einsum("ek,ekj,eki->eij", wseg, v_r, dn_d)
-                     + np.einsum("ek,eki,ekj->eij", wseg, v_r, dn_d)) \
-        + beta[:, None, None] * mass_f
-
-
-def _off_face_block(wseg, own_tr, other_tr, n_e_own, n_e_oth, cross_w,
-                    cross):
-    """Face block (E, n, n) coupling the own element to the other one,
-    from their cross mass ``cross``."""
-    (v_r, g_r), (v_n, g_n) = own_tr, other_tr
-    dr = np.einsum("eknd,ed->ekn", g_r, n_e_own)
-    dn = np.einsum("eknd,ed->ekn", g_n, n_e_oth)
-    off = 0.5 * (np.einsum("ek,ekj,eki->eij", wseg, v_n, dr)
-                 + np.einsum("ek,eki,ekj->eij", wseg, v_r, dn))
-    off += cross_w[:, None, None] * cross
-    return off
-
-
 def assemble_mass_stiffness(space: DgSpace) -> SparseSystem:
-    """Volume-only operator (broken stiffness + mass), no face terms."""
+    """Volume-only operator (broken stiffness + mass), no face terms; a
+    reference, in one conversion of its whole block stream."""
     rule = get_quadrature("triangle", _quad_degrees(space.degree)[0])
-    return _assemble_by_rows(
-        space, lambda part: _volume_block(space, rule, part), None)[0]
+    m = len(space.mesh.triangles)
+    elems = np.arange(m)
+    return SparseSystem(matrix=_chunk_csr(
+        [(_volume_block(space, rule), elems, elems)], 0, m,
+        space.dofs_per_element, space.total_dofs, np.int64))
 
 
 def assemble_penalty_matrix(space: DgSpace, penalty: PenaltyParams
                             ) -> SparseSystem:
     """Jump-penalty part alone: beta (u+ - u-)(v+ - v-) on every
-    intersection (the standard penalty of Choices 1 to 4)."""
+    intersection (the standard penalty of Choices 1 to 4); a reference, in
+    one conversion of its whole block stream."""
     seg_rule = get_quadrature("segment", _quad_degrees(space.degree)[1])
-    beta, wseg = _face_weights(space, penalty, seg_rule)
-
-    def faces(ids, minus, v_r, v_n):
-        b, w = beta[ids][:, None, None], wseg[ids]
-        diag = b * np.einsum("ek,eki,ekj->eij", w, v_r, v_r)
-        off = -b * np.einsum("ek,eki,ekj->eij", w, v_r, v_n)
-        return lambda k: (diag, off)
-
-    return _assemble_by_rows(space, None, faces, seg_rule)[0]
+    m, ids = len(space.mesh.triangles), np.arange(len(space.mesh.edges))
+    blocks = []
+    for own, other, *_, b, _w, mass_f, cross in _chunk_faces(
+            space, seg_rule, *_face_weights(space, penalty, seg_rule), 0, m,
+            (ids, ids)):
+        b = b[:, None, None]
+        blocks += [(b * mass_f, own, own), (-b * cross, own, other)]
+    return SparseSystem(matrix=_chunk_csr(
+        blocks, 0, m, space.dofs_per_element, space.total_dofs, np.int64))
 
 
 def assemble_rhs(space: DgSpace, surface: LevelSetSurface, f) -> np.ndarray:

@@ -250,22 +250,16 @@ def evaluate(f: DgFunction, element: int, ref_point) -> float:
     return float(vals @ f.coefficients[f.space.element_dofs(element)])
 
 
-def _eval_field(g, pts: np.ndarray) -> np.ndarray:
-    """Evaluate a scalar field (ScalarField3 or plain callable) at (n, 3)
-    points, tolerating non-vectorized callables."""
-    fn = getattr(g, "value", g)
-    try:
-        out = np.asarray(fn(pts), dtype=float)
-        if out.shape == (pts.shape[0],):
-            return out
-    except Exception:
-        pass
-    return np.array([float(fn(p)) for p in pts])
-
-
 def interpolate(space: DgSpace, g) -> DgFunction:
-    """Nodal interpolant of a scalar field on the flat mesh."""
-    vals = _eval_field(g, space.node_coords())
+    """Nodal interpolant of a scalar field on the flat mesh: ``g`` (a
+    ScalarField3 or a plain callable) is called once on the (n, 3) nodes
+    and must give their n values."""
+    nodes = space.node_coords()
+    vals = np.asarray(getattr(g, "value", g)(nodes), dtype=float)
+    if vals.shape != (len(nodes),):
+        raise ValueError(f"the field gave values of shape {vals.shape} at "
+                         f"nodes of shape {nodes.shape}; expected "
+                         f"({len(nodes)},)")
     return DgFunction(space, vals)
 
 

@@ -11,7 +11,7 @@ from surfdg import _pool, assembly
 from surfdg.assembly import (PenaltyParams, assemble_mass_stiffness,
                              assemble_penalty_matrix, assemble_system,
                              check_symmetry)
-from surfdg.dgspace import DgSpace
+from surfdg.dgspace import DgSpace, get_quadrature
 from surfdg.geometry import make_plane
 from surfdg.mesh import EdgeSet, SurfaceMesh, refine_nonconforming
 
@@ -37,47 +37,31 @@ def flipped_sides(mesh, seed):
     return flipped
 
 
-def recorded(calls, build):
-    """``build()`` with the arguments of every ``_assemble_by_rows`` call
-    appended to ``calls`` as (positional, keyword)."""
-    assemble = assembly._assemble_by_rows
-
-    def spy(*args, **kwargs):
-        calls.append((args, kwargs))
-        return assemble(*args, **kwargs)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(assembly, "_assemble_by_rows", spy)
-        return build()
-
-
-def whole_streams(space, volume, faces, face_rule=None, grads=False,
-                  outputs=1):
-    """Per output, the whole matrix's block stream, (block, row elements,
-    column elements), in the written order of a one-shot assembly: the
-    volume blocks of all elements, then the minus-diagonal, minus-off,
-    plus-diagonal and plus-off blocks of all intersections."""
+def whole_streams(space, tags, penalty):
+    """The whole matrices' block streams, (block, row elements, column
+    elements), in the written order of a one-shot assembly, from the
+    pass's kernels over all elements and over all intersections as one
+    chunk: per choice of ``tags`` the volume blocks of all elements, then
+    the minus-diagonal, minus-off, plus-diagonal and plus-off blocks of
+    all intersections; and the streams of the two references, the volume
+    blocks alone ("mass-stiffness") and the penalty blocks ("penalty")."""
     m = len(space.mesh.triangles)
-    elems = np.arange(m)
-    shared = [] if volume is None else [(volume(slice(None)), elems, elems)]
-    sides = []
-    if faces is not None:
-        edges = space.mesh.edges
-        ids = np.arange(len(edges))
-        x = space.face_points(face_rule)
-        tr_minus = space.trace(edges.minus, x, grads)
-        tr_plus = space.trace(edges.plus, x, grads)
-        for minus, own, other, own_tr, other_tr in (
-                (True, edges.minus, edges.plus, tr_minus, tr_plus),
-                (False, edges.plus, edges.minus, tr_plus, tr_minus)):
-            sides.append((faces(ids, minus, own_tr, other_tr), own, other))
-    streams = []
-    for k in range(outputs):
-        stream = list(shared)
-        for face, own, other in sides:
-            diag, off = face(k)
-            stream += [(diag, own, own), (off, own, other)]
-        streams.append(stream)
+    elems, ids = np.arange(m), np.arange(len(space.mesh.edges))
+    tri_deg, seg_deg = assembly._quad_degrees(space.degree)
+    seg_rule = get_quadrature("segment", seg_deg)
+    volume = (assembly._volume_block(
+        space, get_quadrature("triangle", tri_deg)), elems, elems)
+    sides = assembly._chunk_faces(
+        space, seg_rule, *assembly._face_weights(space, penalty, seg_rule),
+        0, m, (ids, ids))
+    streams = {tag: [volume, *assembly._face_blocks(tag, sides)]
+               for tag in tags}
+    streams["mass-stiffness"] = [volume]
+    streams["penalty"] = []
+    for own, other, *_, b, _w, mass_f, cross in sides:
+        b = b[:, None, None]
+        streams["penalty"] += [(b * mass_f, own, own),
+                               (-b * cross, own, other)]
     return streams
 
 
@@ -110,12 +94,13 @@ def same_csr(got, want):
        flip=st.booleans())
 def test_row_chunks_match_one_shot_conversion(name, degree, nonconforming,
                                               seed, amplitude, chunk, flip):
-    """Every assembler's CSR, built in row chunks of about ``chunk``
-    triplets (down to one element per chunk, up to a single chunk), is,
-    array for array, scipy's one-shot conversion of the whole block stream
-    in its written order, and Choices 2, 3 and 4 are symmetric; also when
-    some minus elements follow their plus elements, and for every output
-    of the shared pass over all choices."""
+    """Every choice's IP matrix, built in row chunks of about ``chunk``
+    triplets (down to one element per chunk, up to a single chunk), alone
+    and as an output of the shared pass over all choices, is, array for
+    array, scipy's one-shot conversion of its whole block stream in its
+    written order, as are the two references; Choices 2, 3 and 4 are
+    symmetric; also when some minus elements follow their plus
+    elements."""
     mesh = perturbed_mesh(name, seed, amplitude, nonconforming)
     space = DgSpace(flipped_sides(mesh, seed) if flip else mesh, degree)
     penalty = PenaltyParams()
@@ -125,20 +110,18 @@ def test_row_chunks_match_one_shot_conversion(name, degree, nonconforming,
     builds["penalty"] = lambda: [assemble_penalty_matrix(space, penalty)]
     builds["all choices"] = lambda: assembly._assemble_choices(
         space, list(assembly.CHOICES), penalty)
+    wants = {what: listed_csr(space, stream) for what, stream
+             in whole_streams(space, assembly.CHOICES, penalty).items()}
     for what, build in builds.items():
-        calls = []
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(_pool, "_CHUNK_TRIPLETS", chunk)
-            got = recorded(calls, build)
-        ((args, kwargs),) = calls
-        wants = [listed_csr(space, stream)
-                 for stream in whole_streams(*args, **kwargs)]
-        assert len(got) == len(wants), what
-        for k, (system, want) in enumerate(zip(got, wants)):
+            got = build()
+        tags = assembly.CHOICES if what == "all choices" else (what,)
+        assert len(got) == len(tags), what
+        for tag, system in zip(tags, got):
             a = system.matrix
-            assert a.has_sorted_indices, (what, k)
-            assert same_csr(a, want), (what, k)
-            tag = assembly.CHOICES[k] if what == "all choices" else what
+            assert a.has_sorted_indices, (what, tag)
+            assert same_csr(a, wants[tag]), (what, tag)
             if tag in ("2", "3", "4"):
                 assert check_symmetry(a) <= 1e-12 * np.abs(a.data).max()
 

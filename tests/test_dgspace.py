@@ -216,6 +216,25 @@ def test_interpolation_eoc_on_sphere():
         assert 1.9 <= e <= 2.1
 
 
+def test_interpolate_calls_the_field_once_and_refuses_misshapen_values():
+    """The field is called once on all nodes: its own error propagates
+    after that one call, and values that are not one per node are refused
+    with both shapes named."""
+    space = DgSpace(flat_pair(), 1)
+    calls = []
+
+    def failing(x):
+        calls.append(x.shape)
+        raise RuntimeError("field failed")
+
+    with pytest.raises(RuntimeError, match="field failed"):
+        interpolate(space, failing)
+    assert calls == [(6, 3)]
+    with pytest.raises(ValueError, match=r"shape \(6, 1\) at nodes of "
+                                         r"shape \(6, 3\)"):
+        interpolate(space, lambda x: x[:, :1])
+
+
 def test_evaluate_range_check():
     u = interpolate(DgSpace(flat_pair(), 1), lambda x: x[..., 0])
     with pytest.raises(IndexError):
