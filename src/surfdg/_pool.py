@@ -20,12 +20,16 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-# points per lift chunk or projection batch on one CPU: a projection holds
-# about 450 bytes of temporaries per point, 450 MB for a million at once
-_LIFT_BATCH = 1 << 16
+# points per lift chunk or projection batch on one CPU.  Traced on one CPU
+# with 32,768 points, a projection holds about 360 bytes of temporaries per
+# point and the generic-LB forcing, with its stencil projections, about
+# 570, so a chunk of the rhs lift holds about 19 MB
+_LIFT_BATCH = 1 << 15
 # triplets per row chunk of an assembly on one CPU, and stored entries per
-# row block of the symmetry check: the temporaries beyond the matrix
-_CHUNK_TRIPLETS = 1 << 18
+# row block of the symmetry check: the temporaries beyond the matrix.  One
+# assembly chunk holds about 18 MB per 2^18 triplets (traced, P1), 10 MB
+# of them the traces and face products of ``assembly._chunk_faces``
+_CHUNK_TRIPLETS = 1 << 17
 # stored entries per row block below which a Krylov product is not split
 _PRODUCT_FLOOR = 1 << 18
 # entries per slice below which a CG vector update is not split: on two

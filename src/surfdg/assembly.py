@@ -10,8 +10,8 @@ and contributes four blocks, with each incident element playing the
 "minus" role for its own rows.  One row-chunked pass assembles the IP
 matrices of several choices (``_assemble_choices``; ``assemble_system``
 is its one-choice case): per chunk the volume blocks, the traces and the
-face mass products are made once and only the conormal terms per choice,
-and the matrices share one pattern.  The mass-stiffness and penalty
+face mass products are made once, the conormal terms per choice (a term
+that several choices share once), and the matrices share one pattern.  The mass-stiffness and penalty
 operators are references for tests, each one conversion of its whole
 block stream.  Conormal choices:
 
@@ -124,11 +124,12 @@ def resolve_conormal_choice(choice, n_minus, n_plus):
                                               npl.reshape(1, 3)))
 
 
-def _resolve_batch(tag, nm, npl):
+def _resolve_batch(tag, nm, npl, neg=np.negative):
     """Substitute vectors (n_D^-, n_e^-, n_e^+) of conormal choice ``tag``
-    for (E, 3) conormal arrays, seen from the elements owning nm."""
+    for (E, 3) conormal arrays, seen from the elements owning nm; ``neg``
+    flips nm or npl."""
     if tag == "1":
-        return nm, nm, -nm
+        return nm, nm, neg(nm)
     if tag == "2":
         return nm, nm, npl
     if tag == "3":
@@ -141,7 +142,7 @@ def _resolve_batch(tag, nm, npl):
         ne_m = nd
         ne_p = np.where(flat[:, None], npl, -d)
         return nd, ne_m, ne_p
-    return nm, -npl, -nm
+    return nm, neg(npl), neg(nm)
 
 
 @dataclass(eq=False)
@@ -188,8 +189,9 @@ def _assemble_choices(space: DgSpace, tags, penalty: PenaltyParams) -> list:
     chunks run across those CPUs (``_pool._run_chunks``), each into its
     own rows of ``indices`` and of every choice's ``data``.  Per chunk the
     volume blocks, the traces and the face mass products are made once
-    (``_chunk_faces``), and only the conormal terms per choice
-    (``_face_blocks``); each choice's blocks are written in the order of
+    (``_chunk_faces``), and the conormal terms per choice
+    (``_face_blocks``), each term that several choices share once per
+    chunk and side; each choice's blocks are written in the order of
     the whole matrix's block stream: volume, minus-diagonal, minus-off,
     plus-diagonal, plus-off, each in intersection order.  So every row
     gets the same triplet sequence as in one conversion of the whole
@@ -235,10 +237,14 @@ def _assemble_choices(space: DgSpace, tags, penalty: PenaltyParams) -> list:
         volume = (_volume_block(space, tri_rule, rows), elems[rows],
                   elems[rows])
         faces = _chunk_faces(space, seg_rule, beta, wseg, lo, hi, sel)
+        # the face terms that several choices share; a lone choice shares
+        # none, so it keeps none, and its chunk holds only its own terms
+        shared = {} if len(tags) > 1 else None
         for out, tag in enumerate(tags):
-            blocks = [volume, *_face_blocks(tag, faces)]
+            blocks = [volume, *_face_blocks(tag, faces, shared)]
             if out == len(tags) - 1:
-                volume = faces = None  # the traces die before converting
+                # the traces and shared terms die before converting
+                volume = faces = shared = None
             part = _chunk_csr(blocks, lo, hi, n, dofs, indptr.dtype)
             if not np.array_equal(part.indptr, indptr[lo * n:hi * n + 1] - a):
                 raise RuntimeError(
@@ -314,30 +320,59 @@ def _chunk_faces(space, rule, beta, wseg, lo, hi, sel) -> list:
     return sides
 
 
-def _face_blocks(tag, sides) -> list:
+def _face_blocks(tag, sides, shared) -> list:
     """The face blocks (block, row elements, column elements) of conormal
     choice ``tag`` from the ``_chunk_faces`` data of both sides: per side
     the diagonal block, coupling the own element to itself, then the
-    off-diagonal one, coupling it to the other element."""
+    off-diagonal one, coupling it to the other element.
+
+    ``shared`` is one dict per chunk, empty before its first choice (or
+    None, which keeps nothing), that keeps the terms the chunk's choices
+    share, per side: the flipped conormals, the diagonal block of each n_D
+    array (Choices 1, 2, 4 and 4T all take n_D- = n-), the normal
+    derivative of each trace along each conormal array (g- . n- serves
+    those diagonals and the off blocks of Choices 1 and 2) and each
+    weighted product of a derivative with a trace.  A shared term is the
+    expression the choice would evaluate, of the same arrays, so it has
+    the same bits."""
     blocks = []
-    for side in sides:
+    for s, side in enumerate(sides):
         (own, other, (v_r, g_r), (v_n, g_n), n_own, n_other, b, w, mass_f,
          cross) = side
-        n_d, n_e_own, n_e_oth = _resolve_batch(tag, n_own, n_other)
-        dn_d = np.einsum("eknd,ed->ekn", g_r, n_d)
-        diag = (-0.5) * (np.einsum("ek,ekj,eki->eij", w, v_r, dn_d)
-                         + np.einsum("ek,eki,ekj->eij", w, v_r, dn_d)) \
-            + b[:, None, None] * mass_f
-        dr = np.einsum("eknd,ed->ekn", g_r, n_e_own)
-        dn = np.einsum("eknd,ed->ekn", g_n, n_e_oth)
-        off = 0.5 * (np.einsum("ek,ekj,eki->eij", w, v_n, dr)
-                     + np.einsum("ek,eki,ekj->eij", w, v_r, dn))
+
+        def once(kind, vec, fn, *args):
+            # fn(*args), made once per side, kind and array ``vec``; the
+            # entry keeps ``vec``, so no later array can take its id
+            if shared is None:
+                return fn(*args)
+            key = (s, kind, id(vec))
+            if key not in shared:
+                shared[key] = (vec, fn(*args))
+            return shared[key][1]
+
+        n_d, n_e_own, n_e_oth = _resolve_batch(
+            tag, n_own, n_other, lambda v: once("-", v, np.negative, v))
+        dn_d = once("g_r", n_d, np.einsum, "eknd,ed->ekn", g_r, n_d)
+        diag = once("diag", n_d, _diagonal_block, w, v_r, dn_d, b, mass_f)
+        dr = once("g_r", n_e_own, np.einsum, "eknd,ed->ekn", g_r, n_e_own)
+        dn = once("g_n", n_e_oth, np.einsum, "eknd,ed->ekn", g_n, n_e_oth)
+        off = 0.5 * (
+            once("v_n", dr, np.einsum, "ek,ekj,eki->eij", w, v_n, dr)
+            + once("v_r", dn, np.einsum, "ek,eki,ekj->eij", w, v_r, dn))
         # 4T weights the cross mass by beta n+ . n-, the others by -beta
         cross_w = (b * np.einsum("ed,ed->e", n_own, n_other)
                    if tag == "4T" else -b)
         off += cross_w[:, None, None] * cross
         blocks += [(diag, own, own), (off, own, other)]
     return blocks
+
+
+def _diagonal_block(w, v_r, dn_d, b, mass_f) -> np.ndarray:
+    """The diagonal face block from the weights |e| w_k, the own trace,
+    its derivative along n_D, beta_e and the face mass."""
+    return (-0.5) * (np.einsum("ek,ekj,eki->eij", w, v_r, dn_d)
+                     + np.einsum("ek,eki,ekj->eij", w, v_r, dn_d)) \
+        + b[:, None, None] * mass_f
 
 
 def _chunk_csr(blocks, lo, hi, n, dofs, idx) -> sp.csr_matrix:

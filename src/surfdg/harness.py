@@ -151,8 +151,12 @@ def _errors(space: DgSpace, problem: TestProblem, coefficients) -> list:
               for c in coefficients]
     vref = _values(space.degree, rule.points)
     gref = _ref_grads(space.degree, rule.points)
+    edges = mesh.edges
+    # every integrand row is allocated before the lift, so what the chunks
+    # in flight hold comes on top of all of them
     l2_rows = [np.empty((m, q)) for _ in coeffs]
     h1_rows = [np.empty((m, q)) for _ in coeffs]
+    jump_rows = [np.empty(len(edges)) for _ in coeffs]
 
     def lift(part):
         pts = space.element_points(rule, part)
@@ -178,9 +182,7 @@ def _errors(space: DgSpace, problem: TestProblem, coefficients) -> list:
 
     # jump seminorm: the lifted exact solution is single valued, so only
     # u_h jumps across intersections
-    edges = mesh.edges
     seg = get_quadrature("segment", 6)
-    jump_rows = [np.empty(len(edges)) for _ in coeffs]
 
     def trace(part):
         x = space.face_points(seg, part)

@@ -404,6 +404,32 @@ def test_rhs_batches_do_not_change_values(monkeypatch, name, degree,
     assert np.array_equal(batched, assemble_rhs(space, surf, problem.f))
 
 
+def test_rhs_chunks_in_flight_hold_one_budget(monkeypatch):
+    """With two workers, each chunk of the generic-LB rhs lift gets half
+    the point budget, so the rhs on the 5-refinement Enzensberger-Stern P1
+    mesh peaks above its (m, q) forcing values at no more than two such
+    chunks run one after another on one CPU, and keeps only the rhs."""
+    problem = make_problem("enzensberger-stern")
+    surf = problem.surface
+    mesh = initial_mesh(surf, "octahedron", scale=1.25)
+    for _ in range(5):
+        mesh = refine_uniform(mesh, surf)
+    space = DgSpace(mesh, 1)
+    q = len(get_quadrature("triangle", _quad_degrees(1)[0]).weights)
+    m = len(mesh.triangles)
+    peaks = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(_pool, "_usable_cpus", lambda: cpus)
+        # 20 chunks of the same elements per worker on one and on two CPUs
+        monkeypatch.setattr(_pool, "_LIFT_BATCH", cpus * q * -(-m // 20))
+        assert len(_pool._slices(m, m * q, _pool._LIFT_BATCH)) == 20
+        rhs, peak, kept = traced_bytes(
+            lambda: assemble_rhs(space, surf, problem.f))
+        assert kept == rhs.nbytes
+        peaks[cpus] = peak - 8 * m * q
+    assert peaks[2] <= 2 * peaks[1]
+
+
 def test_meshes_spaces_functions_and_systems_compare_by_identity():
     """``==`` on two meshes built alike, on spaces of two meshes, on
     functions and on systems compares identities, not their arrays (whose
@@ -476,6 +502,32 @@ def test_shared_pass_memory(monkeypatch, degree):
         s.matrix.data.nbytes for s in four[1:])
     assert kept == out_bytes
     assert peak_four - out_bytes <= peak_one - _csr_bytes(one.matrix)
+
+
+def test_shared_pass_makes_each_shared_face_term_once(monkeypatch):
+    """The four-choice pass forms, per chunk and side, one diagonal face
+    block per distinct n_D array, not one per choice: Choices 1, 2 and 4
+    (n_D- = n-) get the same block, and Choice 3 its own."""
+    space = DgSpace(nonconforming_sphere(), 1)
+    monkeypatch.setattr(_pool, "_CHUNK_TRIPLETS", 2000)
+    chunks = {}  # id of a chunk's face data -> (face data, per side diags)
+    face_blocks = assembly._face_blocks
+
+    def spy(tag, sides, *rest):
+        blocks = face_blocks(tag, sides, *rest)
+        # the face data is kept, so no later chunk's data takes its id
+        _, diags = chunks.setdefault(id(sides), (sides, ({}, {})))
+        for side, (diag, _, _) in zip(diags, blocks[::2]):
+            side[tag] = diag
+        return blocks
+
+    monkeypatch.setattr(assembly, "_face_blocks", spy)
+    assembly._assemble_choices(space, ["1", "2", "3", "4"], PenaltyParams())
+    assert len(chunks) >= 4
+    for _, diags in chunks.values():
+        for side in diags:
+            assert side["1"] is side["2"] is side["4"]
+            assert side["3"] is not side["1"]
 
 
 def test_chunk_off_the_pattern_is_refused(monkeypatch):

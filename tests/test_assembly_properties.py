@@ -54,7 +54,7 @@ def whole_streams(space, tags, penalty):
     sides = assembly._chunk_faces(
         space, seg_rule, *assembly._face_weights(space, penalty, seg_rule),
         0, m, (ids, ids))
-    streams = {tag: [volume, *assembly._face_blocks(tag, sides)]
+    streams = {tag: [volume, *assembly._face_blocks(tag, sides, {})]
                for tag in tags}
     streams["mass-stiffness"] = [volume]
     streams["penalty"] = []
