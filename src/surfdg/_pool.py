@@ -16,7 +16,6 @@ live here alone.
 import contextvars
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -78,14 +77,15 @@ def _row_blocks(indptr, parts: int) -> list:
 
 
 # the threads that run every chunk but the calling thread's share; made on
-# the first parallel stage, and again in a forked child, which inherits the
-# executor but not its threads
+# the first parallel stage, which also imports concurrent.futures, and
+# again in a forked child, which inherits the executor but not its threads
 _shared = None  # (pid, executor)
 _shared_lock = threading.Lock()
 
 
-def _executor() -> ThreadPoolExecutor:
+def _executor():
     global _shared
+    from concurrent.futures import ThreadPoolExecutor
     with _shared_lock:
         if _shared is None or _shared[0] != os.getpid():
             _shared = (os.getpid(), ThreadPoolExecutor(

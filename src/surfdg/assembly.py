@@ -11,9 +11,18 @@ and contributes four blocks, with each incident element playing the
 matrices of several choices (``_assemble_choices``; ``assemble_system``
 is its one-choice case): per chunk the volume blocks, the traces and the
 face mass products are made once, the conormal terms per choice (a term
-that several choices share once), and the matrices share one pattern.  The mass-stiffness and penalty
-operators are references for tests, each one conversion of its whole
-block stream.  Conormal choices:
+that several choices share once), and the matrices share one pattern.
+The mass-stiffness and penalty operators are references for tests, each
+one conversion of its whole block stream.
+
+scipy.sparse is imported by the functions that make or take a sparse
+matrix (``_assemble_choices``, ``_chunk_csr``, ``_sparse``), not with
+the module: the rhs, the meshes and the projection need only numpy, so
+a process that builds no matrix never loads scipy.  ``_assemble_choices``
+makes the first import in the calling thread, before its chunks run in
+the pool.
+
+Conormal choices:
 
   1   planar:          (n-, n-, -n-)       generally non-symmetric
   2   analysis:        (n-, n-, n+)        symmetric
@@ -23,10 +32,11 @@ block stream.  Conormal choices:
       n+ . n- (equals -1 on flat meshes); known not to converge.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import _pool
 from .dgspace import DgSpace, _ref_grads, _values, get_quadrature
@@ -202,6 +212,9 @@ def _assemble_choices(space: DgSpace, tags, penalty: PenaltyParams) -> list:
     choice gets the columns of the first.  The matrices share one
     ``indices`` and one ``indptr``, so none may be changed in place.
     """
+    # the first import of scipy.sparse is made here, in the calling
+    # thread, not by the pooled chunks of ``_chunk_csr``
+    import scipy.sparse as sp
     tri_deg, seg_deg = _quad_degrees(space.degree)
     seg_rule = get_quadrature("segment", seg_deg)
     beta, wseg = _face_weights(space, penalty, seg_rule)
@@ -379,6 +392,7 @@ def _chunk_csr(blocks, lo, hi, n, dofs, idx) -> sp.csr_matrix:
     """scipy's CSR conversion of the triplets of ``blocks``, whose row
     elements lie in lo..hi-1, as the rows of those elements; the blocks
     are dropped once copied."""
+    import scipy.sparse as sp
     count = n * n * sum(len(block) for block, _, _ in blocks)
     vals = np.empty(count)
     rows = np.empty(count, dtype=idx)
@@ -470,6 +484,7 @@ def _sparse(matrix) -> sp.csr_matrix:
     sparse matrix of any format and real dtype.  A float64 CSR matrix is
     returned as the same object, so an assembled matrix is never copied;
     complex input is refused."""
+    import scipy.sparse as sp
     a = matrix.matrix if isinstance(matrix, SparseSystem) else matrix
     if not sp.issparse(a):
         a = np.asarray(a)

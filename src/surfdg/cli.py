@@ -7,8 +7,9 @@ import sys
 
 import numpy as np
 
-from .geometry import ProjectionError, get_surface, project_first_order, \
-    project_newton
+from .geometry import (DegenerateGradientError, EvaluationError,
+                       ProjectionError, get_surface, project_first_order,
+                       project_newton)
 from .harness import (HarnessError, RunConfig, compare_choices,
                       run_convergence)
 from .mesh import MeshError
@@ -110,8 +111,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (HarnessError, SolverError, MeshError, ProjectionError, OSError,
-            ValueError, json.JSONDecodeError) as e:
+    except (HarnessError, SolverError, MeshError, ProjectionError,
+            DegenerateGradientError, EvaluationError, OSError, ValueError,
+            json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -23,6 +23,7 @@ surface.  ``normal_check_dropped`` on the result records that this happened.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral, Real
 from typing import Callable, Optional
 
 import numpy as np
@@ -375,7 +376,22 @@ def _project_batch(surface, seeds, tol, max_iter,
     (``seed_phi`` when the caller has it) serves both the sign and
     iteration 0, and the last evaluation of every point feeds the polish,
     the reported residual and ``gradients``.
+
+    A ``tol`` that is not a positive finite real, or a ``max_iter`` that
+    is not a non-negative int, is refused before the first evaluation.
     """
+    # a NaN or zero tol is never met, so every point would run max_iter
+    # iterations and leave as dropped, and a negative one would end in a
+    # false "did not converge"; a negative max_iter would leave no iterate,
+    # and a fraction or a bool would count iterations
+    if isinstance(tol, bool) or not isinstance(tol, Real) \
+            or not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be a positive finite number, got "
+                         f"{tol!r}")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, Integral) \
+            or max_iter < 0:
+        raise ValueError(f"max_iter must be a non-negative integer, got "
+                         f"{max_iter!r}")
     seeds = np.asarray(seeds, dtype=float).reshape(-1, 3)
     n = seeds.shape[0]
     p = (np.atleast_1d(eval_phi(surface, seeds)) if seed_phi is None

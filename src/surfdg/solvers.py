@@ -22,13 +22,15 @@ at least ``_pool._VECTOR_FLOOR`` entries each
 computed by the same operations whichever slice holds it, and every dot
 product and norm stays one whole-vector call, so the split changes no
 bit.
+
+scipy's ``csr_matvec`` is imported by ``_product``, where a solve first
+needs it, so importing this module loads no scipy (see ``assembly``).
 """
 
 from dataclasses import dataclass
 from numbers import Integral, Real
 
 import numpy as np
-from scipy.sparse._sparsetools import csr_matvec
 
 from . import _pool
 from .assembly import _sparse, check_symmetry
@@ -85,6 +87,7 @@ def _product(a):
     into it.  So no entry is copied, and every row keeps its one sum in
     stored order.  ``a`` is a float64 CSR matrix, as ``_sparse`` gives
     every solver input."""
+    from scipy.sparse._sparsetools import csr_matvec
     bounds = _pool._row_blocks(a.indptr,
                                _pool._parts(a.nnz, _pool._PRODUCT_FLOOR))
     spans = list(zip(bounds[:-1], bounds[1:]))

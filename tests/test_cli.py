@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from surfdg.cli import main
@@ -64,6 +65,31 @@ def test_project_newton_method(capsys):
                "--method", "newton"])
     assert rc == 0
     assert "method newton" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("surface, point, message", [
+    ("sphere", ("0", "0", "0"), "critical point of phi"),
+    ("dziuk", ("nan", "0", "0"), "phi returned a non-finite value"),
+    ("dziuk", ("1e200", "0", "0"), "phi returned a non-finite value")])
+def test_project_refuses_a_bad_seed(capsys, surface, point, message):
+    """A seed at a critical point or where phi is not finite gives the
+    error line and exit code 1, not a traceback."""
+    with np.errstate(over="ignore"):
+        rc = main(["project", "--surface", surface, "--point", *point])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert "Traceback" not in err
+
+
+def test_project_refuses_a_nan_tol(capsys):
+    """A NaN tol used to run every iteration and print "|phi| certified"."""
+    rc = main(["project", "--surface", "dziuk", "--point", "1.1", "0", "0",
+               "--tol", "nan"])
+    assert rc == 1
+    out = capsys.readouterr()
+    assert out.err == "error: tol must be a positive finite number, got nan\n"
+    assert "certified" not in out.out
 
 
 def test_export_writes_vtk(tmp_path, capsys):

@@ -302,6 +302,56 @@ def test_project_points_batches_do_not_change_values(monkeypatch):
         assert np.array_equal(getattr(parts, f), getattr(whole, f))
 
 
+BAD_TOLS = (0.0, -1.0, np.nan, np.inf, True, "1e-10")
+BAD_MAX_ITERS = (-1, 2.5, True, np.nan, "100")
+
+
+@pytest.mark.parametrize("tol", BAD_TOLS)
+def test_projection_refuses_a_bad_tol(tol):
+    """A NaN or zero tol used to run every iteration and report every
+    point as dropped with residual 0, a negative one to end in a false
+    "did not converge"; every route refuses it by name instead."""
+    dz = make_dziuk()
+    seed = (1.1, 0.0, 0.0)
+    for route in (project_points, project_first_order, project_newton):
+        with pytest.raises(ValueError, match="tol must be a positive finite"):
+            route(dz, seed, tol=tol)
+    # approx_normal projects only the seeds with |phi| >= tol, which with
+    # these tols are all of them
+    if tol in (0.0, -1.0) or tol is np.nan:
+        with pytest.raises(ValueError, match="tol must be a positive finite"):
+            approx_normal(dz, seed, tol=tol)
+
+
+@pytest.mark.parametrize("max_iter", BAD_MAX_ITERS)
+def test_projection_refuses_a_bad_max_iter(max_iter):
+    """A negative max_iter used to fail with an UnboundLocalError and a
+    fraction with a bare TypeError."""
+    dz = make_dziuk()
+    for route in (project_points, project_first_order, project_newton):
+        with pytest.raises(ValueError,
+                           match="max_iter must be a non-negative integer"):
+            route(dz, (1.1, 0.0, 0.0), max_iter=max_iter)
+
+
+def test_projection_refuses_before_evaluating():
+    calls = []
+    sph = make_sphere()
+    counted = LevelSetSurface(
+        phi=lambda x: calls.append(1) or sph.phi(x), grad_phi=sph.grad_phi,
+        name="counted")
+    with pytest.raises(ValueError, match="got nan"):
+        project_points(counted, np.ones((4, 3)), tol=np.nan)
+    with pytest.raises(ValueError, match="got -3"):
+        project_points(counted, np.ones((4, 3)), max_iter=-3)
+    assert not calls
+    # the bounds themselves are taken: no iteration, a numpy scalar tol
+    out = project_points(counted, np.ones((4, 3)), tol=np.float64(1e-10),
+                         max_iter=0)
+    assert np.array_equal(out.iterations, np.zeros(4))
+    assert np.allclose(out.points, np.ones((4, 3)) / np.sqrt(3.0))
+
+
 def test_projection_normal_orientation():
     # for a seed off the surface the normal points along grad phi
     sph = make_sphere()
