@@ -67,10 +67,11 @@ def _slices(count: int, total: int, budget: int) -> list:
 
 
 def _row_blocks(indptr, parts: int) -> list:
-    """Bounds [0, ..., rows] of ``parts`` CSR row blocks of about equal
-    stored entries: block k starts at the first row whose entries begin
-    at or after k / parts of them.  A row longer than a share leaves
-    empty blocks (equal bounds)."""
+    """Bounds [0, ..., rows] of ``parts`` row blocks of about equal
+    stored entries, from CSR row pointers (or BSR block row pointers, a
+    row then being a block row): block k starts at the first row whose
+    entries begin at or after k / parts of them.  A row longer than a
+    share leaves empty blocks (equal bounds)."""
     cuts = np.searchsorted(indptr,
                            int(indptr[-1]) * np.arange(1, parts) // parts)
     return [0, *map(int, cuts), len(indptr) - 1]

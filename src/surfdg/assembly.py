@@ -15,6 +15,13 @@ that several choices share once), and the matrices share one pattern.
 The mass-stiffness and penalty operators are references for tests, each
 one conversion of its whole block stream.
 
+Storage follows the element block size (``_BSR_DOFS``).  P2 matrices are
+BSR with (6, 6) blocks: every element pair couples through one dense
+block, so a block stores one column index where CSR stores 36, 11 MiB
+less on the finest ``dziuk-p2`` level, and its products were as fast or
+faster than CSR's.  P1 matrices stay CSR: with (3, 3) blocks the finest
+Dziuk P1 CG took 1.03-1.13 times the CSR time.
+
 scipy.sparse is imported by the functions that make or take a sparse
 matrix (``_assemble_choices``, ``_chunk_csr``, ``_sparse``), not with
 the module: the rhs, the meshes and the projection need only numpy, so
@@ -48,6 +55,11 @@ CHOICES = ("1", "2", "3", "4", "4T")
 # below this, n- and n+ are (anti)parallel and the Choice 3 average
 # direction is undefined; fall back to the analysis vectors
 _AVG_FLOOR = 1e-12
+
+# dofs per element from which the IP matrices are stored as (n, n) blocks
+# (BSR): P2's (6, 6) blocks, not P1's (3, 3), whose products were slower
+# than CSR's
+_BSR_DOFS = 6
 
 
 class PenaltyError(ValueError):
@@ -157,9 +169,10 @@ def _resolve_batch(tag, nm, npl, neg=np.negative):
 
 @dataclass(eq=False)
 class SparseSystem:
-    """Assembled CSR matrix over a DgSpace."""
+    """Assembled matrix over a DgSpace: CSR for P1, BSR with (6, 6)
+    element blocks for P2 (see the module docstring for why)."""
 
-    matrix: sp.csr_matrix
+    matrix: sp.csr_matrix | sp.bsr_matrix
 
 
 def _quad_degrees(degree: int):
@@ -211,6 +224,13 @@ def _assemble_choices(space: DgSpace, tags, penalty: PenaltyParams) -> list:
     sorted order; so the chunks change no entry's rounding, and every
     choice gets the columns of the first.  The matrices share one
     ``indices`` and one ``indptr``, so none may be changed in place.
+
+    With ``_BSR_DOFS`` or more dofs per element (P2) the matrices are BSR
+    with (n, n) blocks on the block pattern of ``_row_pointers``: each
+    chunk's CSR rows, whose rounding the conversion fixed as above, must
+    be whole blocks of that pattern, and their entries are copied into
+    their block slots (``_block_slots``); so ``tocsr()`` gives, array for
+    array, the CSR matrix that P1 storage would hold.
     """
     # the first import of scipy.sparse is made here, in the calling
     # thread, not by the pooled chunks of ``_chunk_csr``
@@ -227,9 +247,14 @@ def _assemble_choices(space: DgSpace, tags, penalty: PenaltyParams) -> list:
              (edges.minus, edges.plus), (edges.plus, edges.plus),
              (edges.plus, edges.minus)]
     triplets = n * n * sum(len(rows) for rows, _ in pairs)
-    indptr = _row_pointers(m, n, pairs)
-    indices = np.empty(indptr[-1], dtype=indptr.dtype)
-    data = [np.empty(indptr[-1]) for _ in tags]
+    indptr, block_ptr, block_cols = _row_pointers(m, n, pairs)
+    blocked = n >= _BSR_DOFS
+    if blocked:
+        data = [np.empty((len(block_cols), n, n)) for _ in tags]
+    else:
+        block_ptr = block_cols = None
+        indices = np.empty(indptr[-1], dtype=indptr.dtype)
+        data = [np.empty(indptr[-1]) for _ in tags]
 
     chunks = _pool._slices(m, triplets * len(tags), _pool._CHUNK_TRIPLETS)
     step = chunks[0].stop if chunks else 1  # elements per chunk
@@ -253,6 +278,7 @@ def _assemble_choices(space: DgSpace, tags, penalty: PenaltyParams) -> list:
         # the face terms that several choices share; a lone choice shares
         # none, so it keeps none, and its chunk holds only its own terms
         shared = {} if len(tags) > 1 else None
+        slots = None
         for out, tag in enumerate(tags):
             blocks = [volume, *_face_blocks(tag, faces, shared)]
             if out == len(tags) - 1:
@@ -263,6 +289,22 @@ def _assemble_choices(space: DgSpace, tags, penalty: PenaltyParams) -> list:
                 raise RuntimeError(
                     f"{where}: its {part.nnz} summed entries do not fill "
                     f"the preallocated pattern of {b - a} row by row")
+            if blocked:
+                # the rows hold as many entries as their blocks; each entry
+                # must sit in its block's column
+                span = slice(block_ptr[lo], block_ptr[hi])
+                if slots is None:
+                    slots = _block_slots(block_ptr[lo:hi + 1], n)
+                cols = np.take(part.indices, slots)
+                cols -= (block_cols[span] * n)[:, None, None]
+                if np.any(cols != np.arange(n)):
+                    raise RuntimeError(
+                        f"{where}: the columns of output {out} are not "
+                        "whole blocks of the pattern")
+                del cols
+                # checked in range; "clip" writes ``out`` unbuffered
+                np.take(part.data, slots, out=data[out][span], mode="clip")
+                continue
             if out == 0:
                 indices[a:b] = part.indices
             elif not np.array_equal(part.indices, indices[a:b]):
@@ -271,30 +313,54 @@ def _assemble_choices(space: DgSpace, tags, penalty: PenaltyParams) -> list:
             data[out][a:b] = part.data
 
     _pool._run_chunks(fill, chunks)
+    if blocked:
+        return [SparseSystem(matrix=sp.bsr_matrix(
+            (d, block_cols, block_ptr), shape=(dofs, dofs))) for d in data]
     return [SparseSystem(matrix=sp.csr_matrix((d, indices, indptr),
                                               shape=(dofs, dofs)))
             for d in data]
 
 
-def _row_pointers(m: int, n: int, pairs) -> np.ndarray:
-    """CSR row pointers of the (n, n) blocks that couple the row elements
-    to the column elements of ``pairs`` [(rows, cols)]: one block per
-    distinct element pair, so per element row its distinct column elements
-    times n entries in each of its n dof rows.  int32 unless the entries
-    do not fit."""
+def _row_pointers(m: int, n: int, pairs):
+    """The (n, n) blocks that couple the row elements to the column
+    elements of ``pairs`` [(rows, cols)], one per distinct element pair:
+    their CSR row pointers (per element row, its distinct column elements
+    times n entries in each of its n dof rows), their block row pointers
+    and their column elements, sorted in each row.  int32 unless the
+    entries do not fit."""
     keys = np.concatenate(
         [rows.astype(np.int64) * m + cols for rows, cols in pairs])
     keys.sort()
     distinct = np.empty(len(keys), dtype=bool)
     distinct[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=distinct[1:])
-    row_nnz = np.repeat(np.bincount(keys[distinct] // m, minlength=m) * n, n)
-    del keys, distinct
-    nnz = int(row_nnz.sum())
+    keys = keys[distinct]
+    del distinct
+    counts = np.bincount(keys // m, minlength=m)
+    nnz = n * n * len(keys)
     idx = np.int32 if max(nnz, m * n) <= np.iinfo(np.int32).max else np.int64
     indptr = np.zeros(m * n + 1, dtype=idx)
-    np.cumsum(row_nnz, out=indptr[1:])
-    return indptr
+    np.cumsum(np.repeat(counts * n, n), out=indptr[1:])
+    block_ptr = np.zeros(m + 1, dtype=idx)
+    np.cumsum(counts, out=block_ptr[1:])
+    return indptr, block_ptr, (keys % m).astype(idx)
+
+
+def _block_slots(block_ptr, n: int) -> np.ndarray:
+    """Where the entries of the (n, n) blocks of the element rows
+    ``block_ptr`` (a slice of the block row pointers) lie in those rows'
+    CSR entries, as an (blocks, n, n) array: entry (i, j) of the q-th
+    block of an element is entry q n + j of its dof row i, and each dof
+    row of an element with k blocks holds k n entries."""
+    counts = np.diff(block_ptr)
+    first = (block_ptr[:-1] - block_ptr[0]).astype(np.intp)
+    own = np.repeat(np.arange(len(counts)), counts)
+    q = np.arange(len(own)) - first[own]
+    start = n * n * first[own] + n * q
+    stride = n * counts[own].astype(np.intp)
+    local = np.arange(n)
+    return (start[:, None, None] + stride[:, None, None] * local[:, None]
+            + local)
 
 
 def _chunk_faces(space, rule, beta, wseg, lo, hi, sel) -> list:
@@ -382,10 +448,12 @@ def _face_blocks(tag, sides, shared) -> list:
 
 def _diagonal_block(w, v_r, dn_d, b, mass_f) -> np.ndarray:
     """The diagonal face block from the weights |e| w_k, the own trace,
-    its derivative along n_D, beta_e and the face mass."""
-    return (-0.5) * (np.einsum("ek,ekj,eki->eij", w, v_r, dn_d)
-                     + np.einsum("ek,eki,ekj->eij", w, v_r, dn_d)) \
-        + b[:, None, None] * mass_f
+    its derivative along n_D, beta_e and the face mass.  Its two
+    consistency terms are one einsum and its transpose: numpy gives
+    ``ek,ekj,eki->eij`` bit for bit as the transpose of
+    ``ek,eki,ekj->eij``, which a test pins."""
+    x = np.einsum("ek,eki,ekj->eij", w, v_r, dn_d)
+    return (-0.5) * (x.transpose(0, 2, 1) + x) + b[:, None, None] * mass_f
 
 
 def _chunk_csr(blocks, lo, hi, n, dofs, idx) -> sp.csr_matrix:
@@ -478,12 +546,14 @@ def assemble_rhs(space: DgSpace, surface: LevelSetSurface, f) -> np.ndarray:
     return rhs.ravel()
 
 
-def _sparse(matrix) -> sp.csr_matrix:
-    """The one float64 CSR form of a solver or symmetry-check input: the
+def _sparse(matrix) -> sp.csr_matrix | sp.bsr_matrix:
+    """The one float64 form of a solver or symmetry-check input: the
     matrix of a ``SparseSystem``, a dense array or nested lists, or a
-    sparse matrix of any format and real dtype.  A float64 CSR matrix is
-    returned as the same object, so an assembled matrix is never copied;
-    complex input is refused."""
+    sparse matrix of any format and real dtype.  A float64 CSR matrix, and
+    a float64 BSR matrix with square blocks in canonical format (sorted,
+    no duplicate blocks), is returned as the same object, so an assembled
+    matrix is never copied; anything else becomes float64 CSR.  Complex
+    input is refused."""
     import scipy.sparse as sp
     a = matrix.matrix if isinstance(matrix, SparseSystem) else matrix
     if not sp.issparse(a):
@@ -491,7 +561,10 @@ def _sparse(matrix) -> sp.csr_matrix:
     if a.dtype.kind == "c":
         raise ValueError(f"complex matrix ({a.dtype}) not supported: the "
                          "solvers and the symmetry check take real input")
-    if sp.issparse(a) and a.format == "csr" and a.dtype == np.float64:
+    if sp.issparse(a) and a.dtype == np.float64 and (
+            a.format == "csr" or (a.format == "bsr"
+                                  and a.blocksize[0] == a.blocksize[1]
+                                  and a.has_canonical_format)):
         return a
     return sp.csr_matrix(a, dtype=np.float64)
 
@@ -503,11 +576,15 @@ def check_symmetry(matrix) -> float:
     rows are unsorted or hold duplicates, and walked in row blocks of
     about ``_pool._CHUNK_TRIPLETS`` stored entries
     (``_pool._row_blocks``): each stored a_ij is compared with the stored
-    a_ji, or with 0 where A holds none, looked up by scipy in row j.
-    Every entry of the listed difference A - A^T is one of these
-    differences up to sign, and the zero differences are the entries it
-    drops, so the result is the same float, wherever the rows are cut;
-    only one block's lookups are held at a time.
+    a_ji, or with 0 where A holds none.  In CSR, scipy looks a_ji up in
+    row j.  In BSR, each stored block (I, J) is compared with the
+    transpose of block (J, I), found by a search of the sorted keys
+    I m + J of the stored blocks (one int64 per block), or with 0 where
+    that block is absent.  Every entry of the listed difference A - A^T is
+    one of these differences up to sign, and the zero differences are the
+    entries it drops, so the result is the same float, wherever the rows
+    are cut and whichever of the two formats holds A; only one block's
+    lookups are held at a time.
     """
     a = _sparse(matrix)
     if not a.has_canonical_format:
@@ -515,6 +592,12 @@ def check_symmetry(matrix) -> float:
         a.sum_duplicates()
     indptr = a.indptr
     bounds = _pool._row_blocks(indptr, -(-a.nnz // _pool._CHUNK_TRIPLETS))
+    blocked = a.format == "bsr"
+    if blocked:
+        m = a.shape[1] // a.blocksize[1]
+        keys = np.repeat(np.arange(len(indptr) - 1, dtype=np.int64) * m,
+                         np.diff(indptr))
+        keys += a.indices
     worst = 0.0
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         part = slice(indptr[lo], indptr[hi])
@@ -522,9 +605,19 @@ def check_symmetry(matrix) -> float:
         if cols.size:
             own = np.repeat(np.arange(lo, hi, dtype=cols.dtype),
                             np.diff(indptr[lo:hi + 1]))
-            d = np.asarray(a[cols, own]).ravel()  # a_ji, 0 where not stored
+            if blocked:
+                # block (J, I) for each stored block (I, J), 0 where absent
+                want = cols * np.int64(m) + own
+                at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+                d = np.take(a.data, at, axis=0)
+                d[keys[at] != want] = 0.0
+                del want, at
+                # the same differences, each block (I, J) transposed
+                np.subtract(a.data[part].transpose(0, 2, 1), d, out=d)
+            else:
+                d = np.asarray(a[cols, own]).ravel()  # 0 where not stored
+                np.subtract(a.data[part], d, out=d)
             del own
-            np.subtract(a.data[part], d, out=d)
             # np.maximum keeps a NaN that Python's max would drop
             worst = np.maximum(worst, np.abs(d, out=d).max())
     return float(worst)

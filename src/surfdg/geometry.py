@@ -355,6 +355,15 @@ def _reanchor(surface, x, s, sgn, a) -> None:
     x[a] = sa - (dist / _norm(gt))[:, None] * gt
 
 
+def _check_tol(tol) -> None:
+    """Refuse a ``tol`` that is not a positive finite real (bools
+    refused) by name."""
+    if isinstance(tol, bool) or not isinstance(tol, Real) \
+            or not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be a positive finite number, got "
+                         f"{tol!r}")
+
+
 def _project_batch(surface, seeds, tol, max_iter,
                    seed_phi=None, newton=False) -> _BatchProjection:
     """Project an (n, 3) batch of seed points, by the first-order scheme or,
@@ -384,10 +393,7 @@ def _project_batch(surface, seeds, tol, max_iter,
     # iterations and leave as dropped, and a negative one would end in a
     # false "did not converge"; a negative max_iter would leave no iterate,
     # and a fraction or a bool would count iterations
-    if isinstance(tol, bool) or not isinstance(tol, Real) \
-            or not 0.0 < tol < np.inf:
-        raise ValueError(f"tol must be a positive finite number, got "
-                         f"{tol!r}")
+    _check_tol(tol)
     if isinstance(max_iter, bool) or not isinstance(max_iter, Integral) \
             or max_iter < 0:
         raise ValueError(f"max_iter must be a non-negative integer, got "
@@ -626,7 +632,10 @@ def project_newton(surface: LevelSetSurface, x0, tol: float = 1e-10,
 
 def _approx_normal_batch(surface, pts, tol, max_iter=100, phi=None):
     """Vectorized ``approx_normal``; pts has shape (n, 3), ``phi`` is phi
-    at pts when the caller has already evaluated it."""
+    at pts when the caller has already evaluated it.  A bad ``tol`` is
+    refused as the projection refuses it, before ``abs(phi) < tol``: an
+    inf would take every seed as on the surface."""
+    _check_tol(tol)
     pts = np.asarray(pts, dtype=float).reshape(-1, 3)
     p = np.atleast_1d(eval_phi(surface, pts)) if phi is None else phi
     out = np.empty_like(pts)

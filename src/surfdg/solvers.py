@@ -23,8 +23,9 @@ computed by the same operations whichever slice holds it, and every dot
 product and norm stays one whole-vector call, so the split changes no
 bit.
 
-scipy's ``csr_matvec`` is imported by ``_product``, where a solve first
-needs it, so importing this module loads no scipy (see ``assembly``).
+scipy's ``csr_matvec`` (P1's CSR matrices) or ``bsr_matvec`` (P2's BSR
+matrices) is imported by ``_product``, where a solve first needs it, so
+importing this module loads no scipy (see ``assembly``).
 """
 
 from dataclasses import dataclass
@@ -82,24 +83,40 @@ def _product(a):
     stored entries (``_pool._row_blocks``): one per usable CPU, with at
     least ``_pool._PRODUCT_FLOOR`` entries each.  Each product hands the
     blocks to ``_pool._run_chunks``; a block zeroes its slice of the
-    output and runs scipy's ``csr_matvec``, the kernel of ``A @ v``, on
-    the slice ``indptr[lo:hi + 1]`` over A's own ``data`` and ``indices``
-    into it.  So no entry is copied, and every row keeps its one sum in
-    stored order.  ``a`` is a float64 CSR matrix, as ``_sparse`` gives
-    every solver input."""
-    from scipy.sparse._sparsetools import csr_matvec
+    output and runs the kernel of ``A @ v`` on the slice
+    ``indptr[lo:hi + 1]`` over A's own ``data`` and ``indices`` into it:
+    scipy's ``csr_matvec`` on CSR rows, its ``bsr_matvec`` on BSR block
+    rows.  Both sum each row from 0 in stored (ascending column) order,
+    so no entry is copied, every row keeps its one sum, and a BSR matrix
+    gives the bits of its CSR form.  ``a`` is a float64 matrix as
+    ``_sparse`` gives every solver input."""
     bounds = _pool._row_blocks(a.indptr,
                                _pool._parts(a.nnz, _pool._PRODUCT_FLOOR))
     spans = list(zip(bounds[:-1], bounds[1:]))
+    if a.format == "bsr":
+        from scipy.sparse._sparsetools import bsr_matvec
+        r, c = a.blocksize
+        entries = a.data.ravel()
+
+        def kernel(lo, hi, v, y):
+            bsr_matvec(hi - lo, a.shape[1] // c, r, c, a.indptr[lo:hi + 1],
+                       a.indices, entries, v, y)
+    else:
+        from scipy.sparse._sparsetools import csr_matvec
+        r = 1
+
+        def kernel(lo, hi, v, y):
+            csr_matvec(hi - lo, a.shape[1], a.indptr[lo:hi + 1], a.indices,
+                       a.data, v, y)
 
     def product(v, out=None):
         y = np.empty(a.shape[0]) if out is None else out
 
         def rows(span):
             lo, hi = span
-            y[lo:hi] = 0.0
-            csr_matvec(hi - lo, a.shape[1], a.indptr[lo:hi + 1], a.indices,
-                       a.data, v, y[lo:hi])
+            part = y[lo * r:hi * r]
+            part[:] = 0.0
+            kernel(lo, hi, v, part)
         _pool._run_chunks(rows, spans)
         return y
     return product

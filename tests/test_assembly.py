@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import dziuk_space, flat_grid, flat_pair, traced_bytes
+from conftest import (dziuk_space, flat_grid, flat_pair, perturbed_mesh,
+                      traced_bytes)
 from surfdg import _pool, assembly
 from surfdg.assembly import (
     CHOICES,
@@ -530,6 +531,37 @@ def test_shared_pass_makes_each_shared_face_term_once(monkeypatch):
             assert side["3"] is not side["1"]
 
 
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("name", ["sphere", "dziuk", "enzensberger-stern"])
+def test_diagonal_block_is_one_einsum_and_its_transpose(monkeypatch, name,
+                                                        degree):
+    """``_diagonal_block`` makes one einsum and adds its transpose.  On
+    every chunk of the shared pass over all choices, on the perturbed
+    conforming and nonconforming seed meshes of the surface, that is bit
+    for bit the two-einsum form: numpy gives ``ek,ekj,eki->eij`` as the
+    transpose of ``ek,eki,ekj->eij``, which an upgrade could break."""
+    calls = []
+    diagonal = assembly._diagonal_block
+
+    def spy(*args):
+        block = diagonal(*args)
+        calls.append((args, block))
+        return block
+
+    monkeypatch.setattr(assembly, "_diagonal_block", spy)
+    monkeypatch.setattr(_pool, "_CHUNK_TRIPLETS", 4000)
+    for nonconforming in (False, True):
+        space = DgSpace(perturbed_mesh(name, 7, 0.1, nonconforming), degree)
+        assembly._assemble_choices(space, list(assembly.CHOICES),
+                                   PenaltyParams())
+    assert len(calls) >= 8
+    for (w, v_r, dn_d, b, mass_f), block in calls:
+        two = (-0.5) * (np.einsum("ek,ekj,eki->eij", w, v_r, dn_d)
+                        + np.einsum("ek,eki,ekj->eij", w, v_r, dn_d)) \
+            + b[:, None, None] * mass_f
+        assert np.array_equal(block, two)
+
+
 def test_chunk_off_the_pattern_is_refused(monkeypatch):
     """A row chunk whose summed entries do not fill the preallocated
     pattern raises and names the chunk."""
@@ -544,6 +576,26 @@ def test_chunk_off_the_pattern_is_refused(monkeypatch):
     monkeypatch.setattr(_pool, "_CHUNK_TRIPLETS", 2000)
     monkeypatch.setattr(assembly, "_chunk_csr", drop_last_block)
     with pytest.raises(RuntimeError, match=r"row chunk 1 \(elements \d+ to"):
+        assemble_system(space, 2, PenaltyParams())
+
+
+def test_chunk_off_the_block_pattern_is_refused(monkeypatch):
+    """A P2 row chunk whose rows hold as many entries as their blocks,
+    one of them in a column outside its block, raises and names the chunk
+    and the output."""
+    space = DgSpace(sphere_mesh(1), 2)
+    convert = assembly._chunk_csr
+
+    def move_first_entry(blocks, lo, *rest):
+        part = convert(blocks, lo, *rest)
+        if lo > 0:
+            part.indices[0] += 1
+        return part
+
+    monkeypatch.setattr(_pool, "_CHUNK_TRIPLETS", 8000)
+    monkeypatch.setattr(assembly, "_chunk_csr", move_first_entry)
+    with pytest.raises(RuntimeError, match=r"row chunk 1 \(elements \d+ to "
+                       r"\d+\): the columns of output 0 are not whole"):
         assemble_system(space, 2, PenaltyParams())
 
 

@@ -98,8 +98,10 @@ def test_row_chunks_match_one_shot_conversion(name, degree, nonconforming,
     triplets (down to one element per chunk, up to a single chunk), alone
     and as an output of the shared pass over all choices, is, array for
     array, scipy's one-shot conversion of its whole block stream in its
-    written order, as are the two references; Choices 2, 3 and 4 are
-    symmetric; also when some minus elements follow their plus
+    written order (a P2 matrix, stored in (6, 6) blocks, through its CSR
+    expansion), as are the two CSR references; the outputs of the shared
+    pass hold one ``indices`` and one ``indptr`` array; Choices 2, 3 and 4
+    are symmetric; also when some minus elements follow their plus
     elements."""
     mesh = perturbed_mesh(name, seed, amplitude, nonconforming)
     space = DgSpace(flipped_sides(mesh, seed) if flip else mesh, degree)
@@ -118,12 +120,22 @@ def test_row_chunks_match_one_shot_conversion(name, degree, nonconforming,
             got = build()
         tags = assembly.CHOICES if what == "all choices" else (what,)
         assert len(got) == len(tags), what
+        blocked = degree == 2 and what not in ("mass-stiffness", "penalty")
         for tag, system in zip(tags, got):
             a = system.matrix
+            assert a.format == ("bsr" if blocked else "csr"), (what, tag)
+            if blocked:
+                assert a.blocksize == (6, 6), (what, tag)
+                assert a.has_canonical_format, (what, tag)
+                a = a.tocsr()
             assert a.has_sorted_indices, (what, tag)
             assert same_csr(a, wants[tag]), (what, tag)
             if tag in ("2", "3", "4"):
-                assert check_symmetry(a) <= 1e-12 * np.abs(a.data).max()
+                assert check_symmetry(system) <= 1e-12 * np.abs(a.data).max()
+        first = got[0].matrix
+        for system in got[1:]:
+            assert np.shares_memory(system.matrix.indices, first.indices)
+            assert np.shares_memory(system.matrix.indptr, first.indptr)
 
 
 @settings(max_examples=40, deadline=None)

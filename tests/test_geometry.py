@@ -310,17 +310,18 @@ BAD_MAX_ITERS = (-1, 2.5, True, np.nan, "100")
 def test_projection_refuses_a_bad_tol(tol):
     """A NaN or zero tol used to run every iteration and report every
     point as dropped with residual 0, a negative one to end in a false
-    "did not converge"; every route refuses it by name instead."""
+    "did not converge", and an inf one made ``approx_normal`` return the
+    gradient direction at the unprojected seed; every route refuses it by
+    name instead."""
     dz = make_dziuk()
     seed = (1.1, 0.0, 0.0)
     for route in (project_points, project_first_order, project_newton):
         with pytest.raises(ValueError, match="tol must be a positive finite"):
             route(dz, seed, tol=tol)
-    # approx_normal projects only the seeds with |phi| >= tol, which with
-    # these tols are all of them
-    if tol in (0.0, -1.0) or tol is np.nan:
-        with pytest.raises(ValueError, match="tol must be a positive finite"):
-            approx_normal(dz, seed, tol=tol)
+    # approx_normal refuses it before its |phi| < tol test, which an inf
+    # tol would pass at the unprojected seed
+    with pytest.raises(ValueError, match="tol must be a positive finite"):
+        approx_normal(dz, seed, tol=tol)
 
 
 @pytest.mark.parametrize("max_iter", BAD_MAX_ITERS)

@@ -4,11 +4,12 @@ row-block product."""
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from conftest import dziuk_space, product_spans
+from conftest import dziuk_space, perturbed_mesh, product_spans
 
 from surfdg import _pool, solvers
-from surfdg.assembly import PenaltyParams, _sparse, assemble_system, \
-    check_symmetry
+from surfdg.assembly import CHOICES, PenaltyParams, _sparse, \
+    assemble_system, check_symmetry
+from surfdg.dgspace import DgSpace
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
@@ -135,6 +136,27 @@ def test_other_input_is_its_csr(form, case, seed, precond):
     assert defect == np.float64(np.abs(dense - dense.T).max()).tobytes()
 
 
+def test_only_canonical_square_block_bsr_is_taken_as_itself():
+    """A float64 BSR matrix with square blocks in canonical format is
+    taken as itself; one with oblong blocks, unsorted block columns or
+    integer entries becomes the float64 CSR matrix of its values, with
+    the symmetry defect of the dense matrix."""
+    dense = np.arange(36.0).reshape(6, 6)
+    square = sp.bsr_matrix(dense, blocksize=(3, 3))
+    assert square.has_canonical_format and _sparse(square) is square
+    swapped = np.array([1, 0, 1, 0], dtype=square.indices.dtype)
+    unsorted = sp.bsr_matrix((square.data[[1, 0, 3, 2]], swapped,
+                              square.indptr), shape=(6, 6))
+    others = (sp.bsr_matrix(dense, blocksize=(2, 3)), unsorted,
+              sp.bsr_matrix(dense.astype(np.int64), blocksize=(3, 3)))
+    for m in others:
+        a = _sparse(m)
+        assert a.format == "csr" and a.dtype == np.float64
+        assert np.array_equal(a.toarray(), dense)
+    for m in (square, *others):
+        assert check_symmetry(m) == np.abs(dense - dense.T).max()
+
+
 def test_complex_input_is_refused():
     """A complex matrix, sparse or dense, is refused by name before any
     solve or check, even with a zero imaginary part."""
@@ -171,3 +193,35 @@ def test_dense_input_multiplies_its_csr_conversion(monkeypatch):
     spans, y = product_spans(product, x)
     assert len(spans) == 4
     assert y.tobytes() == (a @ x).tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(("sphere", "dziuk")), nonconforming=st.booleans(),
+       seed=st.integers(0, 2**32 - 1), amplitude=st.floats(0.0, 0.15),
+       choice=st.sampled_from(CHOICES))
+def test_p2_blocks_keep_the_bits_of_their_csr_form(name, nonconforming, seed,
+                                                   amplitude, choice):
+    """A P2 matrix, stored in (6, 6) blocks and taken by ``_sparse`` as
+    itself, gives the bits of its CSR form: its product split into 1, 2
+    or 3 forced row blocks, its symmetry defect (Choice 1's too), and the
+    ``cg`` and ``bicgstab`` solutions or their refusal."""
+    space = DgSpace(perturbed_mesh(name, seed, amplitude, nonconforming), 2)
+    a = assemble_system(space, choice, PenaltyParams()).matrix
+    assert a.format == "bsr" and a.blocksize == (6, 6)
+    assert _sparse(a) is a
+    csr = a.tocsr()
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(a.shape[1])
+    for blocks in (1, 2, 3):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_pool, "_usable_cpus", lambda: blocks)
+            mp.setattr(_pool, "_PRODUCT_FLOOR", a.nnz // blocks)
+            spans, y = product_spans(solvers._product(a), x)
+        assert len(spans) == blocks
+        assert spans[-1][1] == a.shape[0] // 6
+        assert y.tobytes() == (csr @ x).tobytes()
+    assert outcome(check_symmetry, a) == outcome(check_symmetry, csr)
+    b = rng.standard_normal(a.shape[0])
+    for solve in (solvers.cg, solvers.bicgstab):
+        assert (outcome(solve, a, b, precond="jacobi")
+                == outcome(solve, csr, b, precond="jacobi"))
